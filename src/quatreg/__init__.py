@@ -23,7 +23,8 @@ del _os, _threads
 
 from .errors import (QuatRegError, OnRealAxis, ZeroDivisor, DegenerateChart,
                      DomainError, OrderTooHigh, BasisMismatch, IndexTooDeep,
-                     TouchesRealAxis, UnknownFunction, BadParams, ConfigError)
+                     TouchesRealAxis, UnknownFunction, BadParams, EmptyDomain,
+                     ConfigError)
 from .quaternion import (Quaternion, SphericalPoint, SampleDomain,
                          UNRESTRICTED, iota_of, to_spherical, from_spherical)
 from .jets import RJet, QJet
@@ -33,7 +34,7 @@ from .operators import (OperatorResult, SphericalFrame, spherical_frame,
                         angular_derivative, laplacian, fueter_laplacian,
                         evaluate_operator)
 from .catalog import (QFunction, catalog_get, from_string, default_inventory,
-                      inventory_ids, product, iota_times, over_r2,
+                      inventory_ids, product, iota_elem, iota_times, over_r2,
                       parse_quaternion_literal)
 from .regularity import (SliceParts, slice_parts, lemma1_residual,
                          TheoremOneReport, theorem1_residuals,
@@ -54,7 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QuatRegError", "OnRealAxis", "ZeroDivisor", "DegenerateChart",
     "DomainError", "OrderTooHigh", "BasisMismatch", "IndexTooDeep",
-    "TouchesRealAxis", "UnknownFunction", "BadParams", "ConfigError",
+    "TouchesRealAxis", "UnknownFunction", "BadParams", "EmptyDomain",
+    "ConfigError",
     "Quaternion", "SphericalPoint", "SampleDomain", "UNRESTRICTED",
     "iota_of", "to_spherical", "from_spherical",
     "RJet", "QJet",
@@ -63,7 +65,7 @@ __all__ = [
     "cullen_left", "angular_derivative", "laplacian", "fueter_laplacian",
     "evaluate_operator",
     "QFunction", "catalog_get", "from_string", "default_inventory",
-    "inventory_ids", "product", "iota_times", "over_r2",
+    "inventory_ids", "product", "iota_elem", "iota_times", "over_r2",
     "parse_quaternion_literal",
     "SliceParts", "slice_parts", "lemma1_residual", "TheoremOneReport",
     "theorem1_residuals", "HyperholoReport", "hyperholomorphy_residuals",

@@ -71,7 +71,11 @@ def _ipow(p, n: int):
     return out
 
 
-def _iota_elem(p):
+def iota_elem(p):
+    """iota = (x i + y j + z k)/r in the algebra of p: a Quaternion for a
+    point, a QJet for a jet.  iota_times and the generalized integral
+    test both build iota*f with it, so they evaluate it with the same
+    operations."""
     x, y, z = p.x, p.y, p.z
     s = jm.recip(jm.sqrt(x * x + y * y + z * z))
     return _rebuild(p, p.t * 0.0, x * s, y * s, z * s)
@@ -119,7 +123,7 @@ def _arctan_body(k: int):
                 "arctanh argument outside the 1 - 1e-6 safety margin")
         w = jm.atan(num * jm.recip(den))
         v = jm.atanh(axial * jm.recip(r))
-        return _real_elem(p, w) + _iota_elem(p) * _real_elem(p, v)
+        return _real_elem(p, w) + iota_elem(p) * _real_elem(p, v)
     return body
 
 
@@ -179,7 +183,7 @@ def product(f: QFunction, g: QFunction, **flag_overrides) -> QFunction:
 def iota_times(f: QFunction) -> QFunction:
     """iota*f; Cullen-regular exactly when f is, off the real axis."""
     return QFunction(fid=f"iota*({f.fid})",
-                     body=lambda p: _iota_elem(p) * f.body(p),
+                     body=lambda p: iota_elem(p) * f.body(p),
                      domain=f.domain,
                      expected_regular=f.expected_regular,
                      expected_hyperholomorphic=False,
@@ -334,7 +338,7 @@ def catalog_get(name: str, params=None) -> QFunction:
     if name == "iota":
         if params is not None:
             raise BadParams("iota takes no parameters")
-        return QFunction("iota", _iota_elem, UNRESTRICTED,
+        return QFunction("iota", iota_elem, UNRESTRICTED,
                          expected_regular=True, expected_hyperholomorphic=True)
     if name == "arctan_ex":
         k = _parse_int(params, "arctan_ex index")

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import catalog, integral, regularity
 from .errors import (BadParams, ConfigError, DegenerateChart, DomainError,
-                     OnRealAxis, TouchesRealAxis, UnknownFunction, ZeroDivisor)
+                     EmptyDomain, OnRealAxis, TouchesRealAxis, UnknownFunction,
+                     ZeroDivisor, residual_status)
 from .operators import cullen_left, fueter_laplacian
 from .quaternion import Quaternion, SampleDomain
 
@@ -279,7 +280,7 @@ def _run_theorem1(cfg: SuiteConfig, members) -> list:
                          "worst": _worst_point(pts, kept, arr), "tol": tol}
                 if skipped:
                     stats["skipped"] = skipped
-                status = "pass" if stats["max"] < tol else "fail"
+                status = residual_status(arr, tol)
                 rows.append(Row("theorem1", backend, f.fid, anchor,
                                 stats, status, expected))
     return rows
@@ -308,7 +309,7 @@ def _run_lemma1(cfg: SuiteConfig, members) -> list:
                      "worst": _worst_point(pts, kept, arr), "tol": tol}
             if skipped:
                 stats["skipped"] = skipped
-            status = "pass" if stats["max"] < tol else "fail"
+            status = residual_status(arr, tol)
             # Lemma 1 needs no regularity: every member must pass.
             rows.append(Row("lemma1", backend, f.fid, "Lemma 1", stats,
                             status, "pass"))
@@ -337,10 +338,10 @@ def _run_hyperholomorphy(cfg: SuiteConfig, members) -> list:
             rows.append(_error_row("hyperholomorphy", "jets", f, anchor,
                                    msg, expected))
             continue
-        eq_max = float(max(np.max(data["eq1"]), np.max(data["eq2"])))
+        eqs = np.maximum(data["eq1"], data["eq2"])
+        eq_max = float(np.max(eqs))
         cullen_max = float(np.max(data["cullen"]))
-        combined = np.maximum(np.maximum(data["eq1"], data["eq2"]),
-                              data["cullen"])
+        combined = np.maximum(eqs, data["cullen"])
         stats = {"n": data["eq1"].size, "eq_max": eq_max,
                  "cullen_max": cullen_max,
                  "uv_imag_max": float(np.max(data["uv_imag"])),
@@ -348,8 +349,7 @@ def _run_hyperholomorphy(cfg: SuiteConfig, members) -> list:
                  "tol": cfg.tol_hyperholo}
         if skipped:
             stats["skipped"] = skipped
-        status = ("pass" if eq_max < cfg.tol_hyperholo
-                  and cullen_max < cfg.tol_hyperholo else "fail")
+        status = residual_status(combined, cfg.tol_hyperholo)
         rows.append(Row("hyperholomorphy", "jets", f.fid, anchor, stats,
                         status, expected))
     return rows
@@ -380,7 +380,7 @@ def _run_fueter(cfg: SuiteConfig, members) -> list:
                  "worst": _worst_point(pts, kept, arr), "tol": cfg.tol_fueter}
         if skipped:
             stats["skipped"] = skipped
-        status = "pass" if stats["max"] < cfg.tol_fueter else "fail"
+        status = residual_status(arr, cfg.tol_fueter)
         rows.append(Row("fueter_theorem", "jets", f.fid, anchor, stats,
                         status, expected))
     return rows
@@ -416,7 +416,7 @@ def _run_integral(cfg: SuiteConfig, members) -> list:
                      "rhs_norm": float(rep.rhs.norm()),
                      "residual": rep.residual, "scale": rep.scale,
                      "rel": rel, "tol": cfg.tol_integral}
-            status = "pass" if rep.passes(cfg.tol_integral) else "fail"
+            status = rep.status(cfg.tol_integral)
             rows.append(Row("integral", "jets", f.fid,
                             f"{anchor} on {K.name}", stats, status,
                             expected))
@@ -443,7 +443,7 @@ def _run_generalized(cfg: SuiteConfig, members) -> list:
         worst_if = max(r[3] / r[4] for r in verdict.rows)
         stats = {"surfaces": len(verdict.rows), "worst_rel_f": worst_f,
                  "worst_rel_iota_f": worst_if, "tol": cfg.tol_generalized}
-        status = "pass" if verdict.passed else "fail"
+        status = verdict.status
         rows.append(Row("generalized", "jets", f.fid, anchor, stats,
                         status, expected))
     return rows
@@ -494,7 +494,10 @@ def run_suite(cfg: SuiteConfig):
                     integral.parse_surface(s)
             except BadParams as exc:
                 raise ConfigError(str(exc)) from None
-        rows.extend(_RUNNERS[suite](cfg, members))
+        try:
+            rows.extend(_RUNNERS[suite](cfg, members))
+        except EmptyDomain as exc:
+            raise ConfigError(f"{suite}: {exc}") from None
     wall = time.time() - t0
     failures = sum(1 for r in rows if r.outcome != "ok")
     header = [

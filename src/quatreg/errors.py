@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all quatreg modules."""
+"""Exception hierarchy and the residual status rule shared by all quatreg
+modules."""
+
+import numpy as np
 
 
 class QuatRegError(Exception):
@@ -45,5 +48,23 @@ class BadParams(QuatRegError):
     """Catalog lookup with malformed parameters."""
 
 
+class EmptyDomain(QuatRegError):
+    """A sample domain is invalid or admits too few points to fill a request."""
+
+
 class ConfigError(QuatRegError):
     """Suite configuration could not be parsed or validated."""
+
+
+def residual_status(residuals, bound) -> str:
+    """'pass' when every residual is below bound, 'fail' when one is not,
+    'error' when any residual is NaN or infinite.
+
+    A non-finite residual measured nothing, so it must never read as a
+    failure, which a control expects.  bound may be an array matching
+    the residuals.
+    """
+    r = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(r)):
+        return "error"
+    return "pass" if np.all(r < bound) else "fail"

@@ -7,9 +7,14 @@ truncates at the jet order, so products of seeded jets carry exact partial
 derivatives through every operation: the coefficient at multi-index m is
 (d^m f) / m!.
 
-Coefficient arrays may have leading batch dimensions, shape (..., N); every
-operation broadcasts over them, which is what makes whole sample sweeps and
-quadrature grids cheap.
+Coefficients may carry batch dimensions; every operation broadcasts over
+them, which is what makes whole sample sweeps and quadrature grids cheap.
+They are stored coefficient-major, as one C-contiguous array of shape
+(N, batch...), so each coefficient is a contiguous row over the batch and
+a product runs over long rows rather than short strided ones.  Batch axes
+align from the right as in numpy: an operand of lower batch rank gains
+unit axes after axis 0.  ``RJet.c`` shows the same coefficients in the
+layout (batch..., N) as a view.
 
 Orders above 3 are rejected: third derivatives are the deepest anything
 here needs (the Fueter operator applied to a Laplacian).
@@ -51,7 +56,12 @@ _FACT = {n: np.array([math.prod(math.factorial(e) for e in m)
 
 def _mul_scatter(order):
     """(IA, IB, S): product pairs plus the scatter matrix mapping pair
-    products onto output coefficients."""
+    products onto output coefficients.
+
+    The product sums pairs as (batch x pairs) @ S, the orientation of the
+    (batch..., N) layout, so the sums match that layout's bit for bit;
+    BLAS sums S^T @ (pairs x batch) in another order for small batches.
+    """
     idx = INDICES[order]
     pos = _POS[order]
     ia, ib, iout = [], [], []
@@ -87,7 +97,7 @@ def _deriv_map(order, var):
 _DERIV = {(n, v): _deriv_map(n, v)
           for n in range(1, MAX_ORDER + 1) for v in range(NVARS)}
 
-_SCALARS = (int, float, np.floating, np.ndarray)
+_SCALARS = (int, float, np.integer, np.floating, np.ndarray)
 
 
 def _check_order(order):
@@ -95,28 +105,67 @@ def _check_order(order):
         raise OrderTooHigh(f"jet order {order} outside 0..{MAX_ORDER}")
 
 
-class RJet:
-    """Real-valued truncated Taylor expansion."""
+def _lift(cm, ndim):
+    """Coefficient-major array `cm` viewed with batch rank at least `ndim`,
+    by unit axes inserted after axis 0."""
+    extra = ndim + 1 - cm.ndim
+    if extra <= 0:
+        return cm
+    return cm.reshape(cm.shape[:1] + (1,) * extra + cm.shape[1:])
 
-    __slots__ = ("order", "c")
+
+def _aligned(a, b):
+    """Two coefficient-major arrays lifted to one batch rank."""
+    if a.ndim == b.ndim:
+        return a, b
+    ndim = max(a.ndim, b.ndim) - 1
+    return _lift(a, ndim), _lift(b, ndim)
+
+
+class RJet:
+    """Real-valued truncated Taylor expansion.
+
+    The coefficients live in ``_cm``, shape (N, batch...), C-contiguous:
+    coefficient i of every batch element is the row ``_cm[i]``.  ``c`` is
+    the (batch..., N) view of it, and the constructor takes that layout.
+    """
+
+    __slots__ = ("order", "_cm")
+
+    # numpy operands on the left defer to the reflected jet operators
+    # instead of broadcasting the jet as an object element.
+    __array_ufunc__ = None
 
     def __init__(self, order: int, coeffs):
         _check_order(order)
         c = np.asarray(coeffs, dtype=float)
-        if c.shape[-1] != _NCOEF[order]:
+        if c.ndim == 0 or c.shape[-1] != _NCOEF[order]:
             raise BasisMismatch(
                 f"expected {_NCOEF[order]} coefficients for order {order}, "
-                f"got {c.shape[-1]}")
+                f"got shape {c.shape}")
         self.order = order
-        self.c = c
+        self._cm = np.ascontiguousarray(np.moveaxis(c, -1, 0))
+
+    @classmethod
+    def _wrap(cls, order: int, cm) -> "RJet":
+        """Jet over a coefficient-major array, taken as is."""
+        jet = object.__new__(cls)
+        jet.order = order
+        jet._cm = cm
+        return jet
+
+    @property
+    def c(self) -> np.ndarray:
+        """Coefficients in the layout (batch..., N), a view of ``_cm``."""
+        return np.moveaxis(self._cm, 0, -1)
 
     @classmethod
     def constant(cls, value, order: int) -> "RJet":
         _check_order(order)
         value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (_NCOEF[order],))
-        c[..., 0] = value
-        return cls(order, c)
+        cm = np.zeros((_NCOEF[order],) + value.shape)
+        cm[0] = value
+        return cls._wrap(order, cm)
 
     @classmethod
     def seed(cls, value, var: int | None, order: int) -> "RJet":
@@ -124,7 +173,7 @@ class RJet:
         own variable (none when var is None)."""
         jet = cls.constant(value, order)
         if var is not None and order >= 1:
-            jet.c[..., _POS[order][_unit(var)]] = 1.0
+            jet._cm[_POS[order][_unit(var)]] = 1.0
         return jet
 
     # -- ring operations --------------------------------------------------
@@ -137,24 +186,27 @@ class RJet:
     def __add__(self, other):
         if isinstance(other, RJet):
             self._binary_check(other)
-            return RJet(self.order, self.c + other.c)
+            a, b = _aligned(self._cm, other._cm)
+            return RJet._wrap(self.order, a + b)
         if isinstance(other, _SCALARS):
-            c = np.broadcast_to(
-                self.c, np.broadcast_shapes(np.shape(other) + (1,), self.c.shape)
-            ).copy()
-            c[..., 0] += other
-            return RJet(self.order, c)
+            a = _lift(self._cm, np.ndim(other))
+            out = np.empty(a.shape[:1]
+                           + np.broadcast_shapes(np.shape(other), a.shape[1:]))
+            out[...] = a
+            out[0] += other
+            return RJet._wrap(self.order, out)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RJet(self.order, -self.c)
+        return RJet._wrap(self.order, -self._cm)
 
     def __sub__(self, other):
         if isinstance(other, RJet):
             self._binary_check(other)
-            return RJet(self.order, self.c - other.c)
+            a, b = _aligned(self._cm, other._cm)
+            return RJet._wrap(self.order, a - b)
         if isinstance(other, _SCALARS):
             return self.__add__(-np.asarray(other))
         return NotImplemented
@@ -165,22 +217,26 @@ class RJet:
     def __mul__(self, other):
         if isinstance(other, RJet):
             self._binary_check(other)
-            a, b = self.c, other.c
+            a, b = _aligned(self._cm, other._cm)
             # Low orders are the bulk-quadrature hot path; write them out
-            # with views instead of gather-and-scatter.  Term order is the
-            # same as in the general branch, so the sums are bit-identical.
+            # with whole rows instead of gather-and-scatter.  Term order is
+            # the same as in the general branch (a0*bi + ai*b0), so the
+            # sums are bit-identical.
             if self.order == 0:
-                return RJet(0, a * b)
+                return RJet._wrap(0, a * b)
             if self.order == 1:
-                out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-                out[..., 0] = a[..., 0] * b[..., 0]
-                out[..., 1:] = (a[..., :1] * b[..., 1:]
-                                + a[..., 1:] * b[..., :1])
-                return RJet(1, out)
+                out = a[:1] * b
+                out[1:] += a[1:] * b[:1]
+                return RJet._wrap(1, out)
             ia, ib, scatter = _MUL[self.order]
-            return RJet(self.order, (a[..., ia] * b[..., ib]) @ scatter)
+            pairs = a[ia] * b[ib]
+            out = np.empty(scatter.shape[1:] + pairs.shape[1:])
+            np.matmul(pairs.reshape(len(ia), -1).T, scatter,
+                      out=out.reshape(len(out), -1).T)
+            return RJet._wrap(self.order, out)
         if isinstance(other, _SCALARS):
-            return RJet(self.order, self.c * np.asarray(other)[..., None])
+            return RJet._wrap(self.order,
+                              _lift(self._cm, np.ndim(other)) * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -199,7 +255,7 @@ class RJet:
 
     @property
     def value(self):
-        return self.c[..., 0]
+        return self._cm[0, ...]
 
     def partial(self, multi) -> np.ndarray | float:
         """Exact partial derivative d^multi f at the base point."""
@@ -210,23 +266,24 @@ class RJet:
             raise IndexTooDeep(
                 f"|{multi}| exceeds jet order {self.order}")
         fac = math.prod(math.factorial(e) for e in multi)
-        return self.c[..., _POS[self.order][multi]] * fac
+        return self._cm[_POS[self.order][multi], ...] * fac
 
     def derivative(self, var: int) -> "RJet":
         """d/dx_var as a jet of one order lower."""
         if self.order < 1:
             raise IndexTooDeep("cannot differentiate an order-0 jet")
         src, fac = _DERIV[(self.order, var)]
-        return RJet(self.order - 1, self.c[..., src] * fac)
+        return RJet._wrap(self.order - 1,
+                          self._cm[src] * _lift(fac, self._cm.ndim - 1))
 
     # -- elementary functions ---------------------------------------------
 
     def _compose(self, derivs):
         """Taylor composition about the constant term: derivs[m] must hold
         g^(m)(value) for m = 0..order."""
-        h = self.c.copy()
-        h[..., 0] = 0.0
-        h = RJet(self.order, h)
+        h = self._cm.copy()
+        h[0] = 0.0
+        h = RJet._wrap(self.order, h)
         out = RJet.constant(derivs[0], self.order)
         power = None
         fact = 1.0
@@ -342,7 +399,7 @@ def atan2(y, x):
     xr = x * cw + y * sw          # constant term s0 > 0
     yr = y * cw - x * sw          # constant term 0
     out = (yr * xr.recip()).atan()
-    out.c[..., 0] = np.arctan2(y0, x0)
+    out._cm[0] = np.arctan2(y0, x0)
     return out
 
 

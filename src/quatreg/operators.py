@@ -60,17 +60,6 @@ def cartesian_seed(p: Quaternion, order: int) -> QJet:
     return QJet.seed_cartesian(p, order)
 
 
-def iota_jet(seed: QJet) -> QJet:
-    """iota = (x i + y j + z k)/r as a jet derived from a Cartesian seed."""
-    r2 = seed.x * seed.x + seed.y * seed.y + seed.z * seed.z
-    s = r2.sqrt().recip()
-    return QJet(seed.x * 0.0, seed.x * s, seed.y * s, seed.z * s)
-
-
-def radius_jet(seed: QJet) -> RJet:
-    return (seed.x * seed.x + seed.y * seed.y + seed.z * seed.z).sqrt()
-
-
 @dataclass(frozen=True)
 class SphericalFrame:
     """Jets of the chart variables (t, r, alpha, beta) at a base point,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OnRealAxis, ZeroDivisor
+from .errors import EmptyDomain, OnRealAxis, ZeroDivisor
 
 # Relative threshold deciding "numerically zero" for inverses and iota.
 EPS = 1e-12
@@ -266,7 +266,7 @@ class SampleDomain:
         if not (self.t_range[0] <= self.t_range[1]
                 and 0.0 < self.r_range[0] <= self.r_range[1]
                 and 0.0 < self.s_min <= 1.0):
-            raise ValueError(f"empty or invalid sample domain: {self}")
+            raise EmptyDomain(f"empty or invalid sample domain: {self}")
         rng = np.random.default_rng(self.seed if seed is None else seed)
         beta_lo = math.asin(min(self.s_min, 1.0))
         kept = []
@@ -285,8 +285,8 @@ class SampleDomain:
             if total >= n:
                 break
         else:
-            raise ValueError("rejection sampling failed to fill the request; "
-                             "domain too restrictive")
+            raise EmptyDomain("rejection sampling failed to fill the "
+                              "request; domain too restrictive")
         t = np.concatenate([q.t for q in kept])[:n]
         x = np.concatenate([q.x for q in kept])[:n]
         y = np.concatenate([q.y for q in kept])[:n]

@@ -1,9 +1,12 @@
 """Command-line front-end tests: config grammar, report shape, exit codes."""
 
+import math
+
 import pytest
 
-from quatreg import ConfigError, SuiteConfig, list_catalog, run_suite
-from quatreg.cli import main
+from quatreg import (ConfigError, EmptyDomain, QFunction, SampleDomain,
+                     SuiteConfig, list_catalog, run_suite)
+from quatreg.cli import SUITES, _RUNNERS, main
 
 
 def small_cfg(**kw):
@@ -133,6 +136,17 @@ class TestMain:
                            "surfaces=sphere:center=0+2i+0j+0k,r=1\n")
         assert main(["run", str(badsurf)]) == 2
 
+    def test_unfillable_domain_exits_two(self, tmp_path, capsys):
+        # |p| <= 0.1 everywhere, below power:-1's 0.2 floor: no point
+        # can be drawn, which is a configuration error, not a crash
+        cfg_path = tmp_path / "empty.txt"
+        cfg_path.write_text("functions=power:-1\nt_min=0\nt_max=0\n"
+                            "r_min=0.1\nr_max=0.1\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        with pytest.raises(EmptyDomain):
+            SampleDomain(t_range=(1.0, 0.0)).sample(4)
+
     def test_exit_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_cfg(tol_theorem1=1e-30,
@@ -160,3 +174,19 @@ class TestMain:
     def test_library_list_matches_cli(self, capsys):
         main(["list"])
         assert capsys.readouterr().out == list_catalog()
+
+
+class TestNonFiniteResiduals:
+    def test_nan_control_is_an_error_in_every_suite(self):
+        # A control is expected to fail; a NaN residual must not pass
+        # for that failure.
+        nan_control = QFunction("nan-control", lambda p: p * math.nan,
+                                expected_regular=False, control=True)
+        cfg = SuiteConfig(samples=6, resolution=4, backend="both")
+        for suite in SUITES:
+            rows = _RUNNERS[suite](cfg, [nan_control])
+            assert rows, suite
+            for row in rows:
+                assert row.status == "error", (suite, row.render())
+                if row.expected != "info":
+                    assert row.outcome == "FAIL", (suite, row.render())

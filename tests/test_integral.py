@@ -252,6 +252,19 @@ class TestGeneralized:
                                               standard_family(8), 1e-3)
         assert not verdict.passed
 
+    def test_rows_equal_theorem2_reports(self):
+        # f is evaluated once per sphere and iota*f derived from it; the
+        # rows must equal the two separate integral-theorem reports
+        family = standard_family(6)
+        for fid in ("power:5", "arctan_ex:1", "conj"):
+            f = from_string(fid)
+            verdict = generalized_regularity_test(f, family, 1e-3)
+            for K, row in zip(family, verdict.rows):
+                rep_f = theorem2_report(f, K)
+                rep_i = theorem2_report(iota_times(f), K)
+                assert row == (K.name, rep_f.residual, rep_f.scale,
+                               rep_i.residual, rep_i.scale), fid
+
     def test_agreement_all_members(self):
         # integral verdicts track the pointwise expectation for the
         # whole inventory

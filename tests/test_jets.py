@@ -233,6 +233,94 @@ class TestQJet:
             assert float(np.max(np.abs(ja.c - jb.c))) <= 1e-13 * scale
 
 
+# Reference arithmetic in the layout (batch..., N) that RJet.c shows, as
+# RJet computed it before its storage became coefficient-major; the
+# coefficient-major results must equal it bit for bit.
+
+def _ref_mul(order, a, b):
+    if order == 0:
+        return a * b
+    if order == 1:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        out[..., 0] = a[..., 0] * b[..., 0]
+        out[..., 1:] = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
+        return out
+    ia, ib, scatter = jets._MUL[order]
+    return (a[..., ia] * b[..., ib]) @ scatter
+
+
+def _ref_add_scalar(c, s):
+    out = np.broadcast_to(
+        c, np.broadcast_shapes(np.shape(s) + (1,), c.shape)).copy()
+    out[..., 0] += s
+    return out
+
+
+def _random_jet(rng, order, batch):
+    return RJet(order, rng.uniform(-2.0, 2.0,
+                                   batch + (len(jets.INDICES[order]),)))
+
+
+def _batch_major(jet):
+    """True when every coefficient is one contiguous row over the batch."""
+    return np.moveaxis(jet.c, -1, 0).flags.c_contiguous
+
+
+class TestCoefficientMajorLayout:
+    BATCH_PAIRS = (((), (3,)), ((3,), (2, 3)), ((), (2, 3)), ((1,), (4,)))
+
+    def test_order1_product_is_a0bi_plus_aib0(self):
+        rng = np.random.default_rng(11)
+        a, b = (_random_jet(rng, 1, (257,)) for _ in range(2))
+        got = (a * b).c
+        assert np.array_equal(got[..., 0], a.c[..., 0] * b.c[..., 0])
+        for i in range(1, 5):
+            want = a.c[..., 0] * b.c[..., i] + a.c[..., i] * b.c[..., 0]
+            assert np.array_equal(got[..., i], want)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_jet_ops_across_batch_ranks(self, order):
+        rng = np.random.default_rng(order)
+        for ba, bb in self.BATCH_PAIRS:
+            a, b = _random_jet(rng, order, ba), _random_jet(rng, order, bb)
+            for x, y in ((a, b), (b, a)):
+                cases = ((x + y, x.c + y.c), (x - y, x.c - y.c),
+                         (x * y, _ref_mul(order, x.c, y.c)))
+                for got, want in cases:
+                    assert got.c.shape == want.shape
+                    assert np.array_equal(got.c, want)
+                    assert _batch_major(got)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_scalar_and_array_operands(self, order):
+        rng = np.random.default_rng(10 + order)
+        for batch in ((), (3,), (2, 3)):
+            jet = _random_jet(rng, order, batch)
+            for s in (1.7, np.float64(-0.3), 2, rng.uniform(-1, 1, (3,)),
+                      rng.uniform(-1, 1, (2, 3))):
+                cases = ((jet * s, jet.c * np.asarray(s)[..., None]),
+                         (s * jet, jet.c * np.asarray(s)[..., None]),
+                         (jet + s, _ref_add_scalar(jet.c, s)),
+                         (s + jet, _ref_add_scalar(jet.c, s)),
+                         (jet - s, _ref_add_scalar(jet.c, -np.asarray(s))),
+                         (s - jet, _ref_add_scalar(-jet.c, s)))
+                for got, want in cases:
+                    assert got.c.shape == want.shape
+                    assert np.array_equal(got.c, want)
+                    assert _batch_major(got)
+
+    def test_c_view_layout(self):
+        vals = np.arange(6.0).reshape(2, 3)
+        for order in range(4):
+            jet = RJet.seed(vals, 1, order)
+            assert jet.c.shape == (2, 3, len(jets.INDICES[order]))
+            assert np.array_equal(jet.c[..., 0], vals)
+            assert np.array_equal(jet.value, vals)
+            assert _batch_major(jet)
+            assert _batch_major(jet.derivative(1) if order else jet)
+        assert RJet.seed(2.0, 0, 1).c.shape == (5,)
+
+
 def _shift(p, var, d):
     comps = list(p.components())
     comps[var] = comps[var] + d
