@@ -25,57 +25,46 @@ from .errors import (QuatRegError, OnRealAxis, ZeroDivisor, DegenerateChart,
                      DomainError, OrderTooHigh, BasisMismatch, IndexTooDeep,
                      TouchesRealAxis, UnknownFunction, BadParams, EmptyDomain,
                      ConfigError)
-from .quaternion import (Quaternion, SphericalPoint, SampleDomain,
-                         UNRESTRICTED, iota_of, to_spherical, from_spherical)
+from .quaternion import (Quaternion, SampleDomain, iota_of, to_spherical,
+                         from_spherical)
 from .jets import RJet, QJet
-from .operators import (OperatorResult, SphericalFrame, spherical_frame,
-                        cartesian_seed, angular_jet, fueter_of_jet,
-                        fueter_left, fueter_left_spherical, cullen_left,
-                        angular_derivative, laplacian, fueter_laplacian,
-                        evaluate_operator)
+from .operators import (spherical_frame, fueter_left, fueter_left_spherical,
+                        cullen_left, angular_derivative, laplacian,
+                        fueter_laplacian, evaluate_operator)
 from .catalog import (QFunction, catalog_get, from_string, default_inventory,
-                      inventory_ids, product, iota_elem, iota_times, over_r2,
+                      inventory_ids, product, iota_times, over_r2,
                       parse_quaternion_literal)
-from .regularity import (SliceParts, slice_parts, lemma1_residual,
-                         TheoremOneReport, theorem1_residuals,
-                         HyperholoReport, hyperholomorphy_residuals,
-                         hyperholomorphy_report, RegularityVerdict,
-                         regularity_verdict, IotaComposeVerdict,
+from .regularity import (slice_parts, lemma1_residual, theorem1_residuals,
+                         hyperholomorphy_report, regularity_verdict,
                          iota_compose_regularity)
-from .integral import (SurfaceNode, Hypersurface, sphere3,
-                       surface_integral_left, volume_integral, divergence,
-                       gauss_residual, gauss_report, minus_two_v_over_r,
-                       TheoremTwoReport, theorem2_report, theorem2_residual,
-                       GeneralizedVerdict, generalized_regularity_test,
+from .integral import (sphere3, surface_integral_left, volume_integral,
+                       gauss_report, minus_two_v_over_r, theorem2_report,
+                       theorem2_residual, generalized_regularity_test,
                        parse_surface, standard_family)
-from .cli import SuiteConfig, run_suite, list_catalog, main
+from .cli import SuiteConfig, run_suite, list_catalog
 
 __version__ = "0.1.0"
 
+# The names the README and the tests use; result types and helpers stay
+# importable from their modules.
 __all__ = [
     "QuatRegError", "OnRealAxis", "ZeroDivisor", "DegenerateChart",
     "DomainError", "OrderTooHigh", "BasisMismatch", "IndexTooDeep",
     "TouchesRealAxis", "UnknownFunction", "BadParams", "EmptyDomain",
     "ConfigError",
-    "Quaternion", "SphericalPoint", "SampleDomain", "UNRESTRICTED",
-    "iota_of", "to_spherical", "from_spherical",
+    "Quaternion", "SampleDomain", "iota_of", "to_spherical", "from_spherical",
     "RJet", "QJet",
-    "OperatorResult", "SphericalFrame", "spherical_frame", "cartesian_seed",
-    "angular_jet", "fueter_of_jet", "fueter_left", "fueter_left_spherical",
-    "cullen_left", "angular_derivative", "laplacian", "fueter_laplacian",
+    "spherical_frame", "fueter_left", "fueter_left_spherical", "cullen_left",
+    "angular_derivative", "laplacian", "fueter_laplacian",
     "evaluate_operator",
     "QFunction", "catalog_get", "from_string", "default_inventory",
-    "inventory_ids", "product", "iota_elem", "iota_times", "over_r2",
+    "inventory_ids", "product", "iota_times", "over_r2",
     "parse_quaternion_literal",
-    "SliceParts", "slice_parts", "lemma1_residual", "TheoremOneReport",
-    "theorem1_residuals", "HyperholoReport", "hyperholomorphy_residuals",
-    "hyperholomorphy_report", "RegularityVerdict", "regularity_verdict",
-    "IotaComposeVerdict", "iota_compose_regularity",
-    "SurfaceNode", "Hypersurface", "sphere3", "surface_integral_left",
-    "volume_integral", "divergence", "gauss_residual", "gauss_report",
-    "minus_two_v_over_r", "TheoremTwoReport", "theorem2_report",
-    "theorem2_residual", "GeneralizedVerdict", "generalized_regularity_test",
-    "parse_surface", "standard_family",
-    "SuiteConfig", "run_suite", "list_catalog", "main",
+    "slice_parts", "lemma1_residual", "theorem1_residuals",
+    "hyperholomorphy_report", "regularity_verdict", "iota_compose_regularity",
+    "sphere3", "surface_integral_left", "volume_integral", "gauss_report",
+    "minus_two_v_over_r", "theorem2_report", "theorem2_residual",
+    "generalized_regularity_test", "parse_surface", "standard_family",
+    "SuiteConfig", "run_suite", "list_catalog",
     "__version__",
 ]

@@ -159,16 +159,6 @@ class QFunction:
     def __call__(self, p):
         return self.body(p)
 
-    def flags(self) -> str:
-        bits = []
-        if self.control:
-            bits.append("control")
-        if self.expected_regular:
-            bits.append("regular")
-        if self.expected_hyperholomorphic:
-            bits.append("hyperholomorphic")
-        return ",".join(bits) or "none"
-
 
 def product(f: QFunction, g: QFunction, **flag_overrides) -> QFunction:
     """Pointwise product f*g; expectation flags default to pessimistic."""

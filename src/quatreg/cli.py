@@ -14,11 +14,18 @@ metadata (timestamps, wall time) and every other line is one record
 where stats is a semicolon-joined key=value list, status is pass/fail/
 error from the measured residuals, expected encodes the member's flags
 (controls are expected to fail), and outcome is ok unless status and
-expectation disagree.  Two runs with one config and seed produce
-byte-identical record lines; only '#' lines differ.
+expectation disagree; an info row is ok unless its status is error.  Two
+runs with one config and seed produce byte-identical record lines; only
+'#' lines differ.
+
+The four pointwise suites share one runner, _run_pointwise, driven by the
+_POINTWISE table: per suite, its tolerance keys, the expected status of a
+member, a batch function computing residual arrays at sampled points and
+the rows made from them.  The integral suites have runners of their own.
 
 Exit status: 0 when every record's outcome is ok (controls failing count
-as ok), 1 when any record misbehaves, 2 for configuration errors.
+as ok), 1 when any record misbehaves, 2 for configuration errors, a
+surface that meets the real axis among them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import datetime
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +45,7 @@ from . import catalog, integral, regularity
 from .errors import (BadParams, ConfigError, DegenerateChart, DomainError,
                      EmptyDomain, OnRealAxis, TouchesRealAxis, UnknownFunction,
                      ZeroDivisor, residual_status)
-from .operators import cullen_left, fueter_laplacian
+from .operators import fueter_laplacian
 from .quaternion import Quaternion, SampleDomain
 
 SUITES = ("theorem1", "lemma1", "hyperholomorphy", "fueter_theorem",
@@ -133,11 +142,9 @@ class SuiteConfig:
             raise ConfigError("s_min must lie in (0, 1]")
         if self.resolution < 2:
             raise ConfigError("resolution must be at least 2")
-        for name in ("tol_theorem1", "tol_theorem1_fd", "tol_lemma1",
-                     "tol_lemma1_fd", "tol_hyperholo", "tol_fueter",
-                     "tol_integral", "tol_generalized"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
 
     def base_domain(self) -> SampleDomain:
         return SampleDomain(t_range=(self.t_min, self.t_max),
@@ -163,8 +170,9 @@ class Row:
 
     @property
     def outcome(self) -> str:
+        # An info row proves nothing either way, unless it measured nothing.
         if self.expected == "info":
-            return "ok"
+            return "FAIL" if self.status == "error" else "ok"
         return "ok" if self.status == self.expected else "FAIL"
 
     def render(self) -> str:
@@ -200,33 +208,25 @@ def _robust(batch_fn, pts):
         return batch_fn(pts), 0, "", np.arange(n)
     except _RUNTIME_ERRORS as exc:
         first = f"{type(exc).__name__}: {exc}"
-    acc = None
-    kept = []
-    skipped = 0
+    outs, kept = [], []
     for i in range(n):
         try:
-            out = batch_fn(pts[i])
+            outs.append(batch_fn(pts[i]))
         except _RUNTIME_ERRORS:
-            skipped += 1
             continue
-        if acc is None:
-            acc = {k: [] for k in out}
         kept.append(i)
-        for k, val in out.items():
-            acc[k].append(np.asarray(val, dtype=float).reshape(()))
-    if acc is None:
-        return None, skipped, first, np.zeros(0, dtype=int)
-    stacked = {k: np.stack(v) for k, v in acc.items()}
-    return stacked, skipped, first, np.asarray(kept, dtype=int)
-
-
-def _fmt_point(p) -> str:
-    return (f"{float(p.t):.3g}{float(p.x):+.3g}i"
-            f"{float(p.y):+.3g}j{float(p.z):+.3g}k")
+    if not outs:
+        return None, n, first, np.zeros(0, dtype=int)
+    stacked = {k: np.stack([np.asarray(out[k], dtype=float).reshape(())
+                            for out in outs]) for k in outs[0]}
+    return stacked, n - len(kept), first, np.asarray(kept, dtype=int)
 
 
 def _worst_point(pts, kept, arr) -> str:
-    return _fmt_point(pts[int(kept[int(np.argmax(arr))])])
+    """The sample point of the largest residual, as t+xi+yj+zk."""
+    p = pts[int(kept[int(np.argmax(arr))])]
+    return (f"{float(p.t):.3g}{float(p.x):+.3g}i"
+            f"{float(p.y):+.3g}j{float(p.z):+.3g}k")
 
 
 def _error_row(suite, backend, f, anchor, msg, expected) -> Row:
@@ -236,169 +236,130 @@ def _error_row(suite, backend, f, anchor, msg, expected) -> Row:
 
 # -- suite runners ---------------------------------------------------------
 
-_ITEM_ANCHORS = (
-    ("item1", "Theorem 1 item 1 (Cullen operator)"),
-    ("item2", "Theorem 1 item 2"),
-    ("item3a", "Theorem 1 item 3a"),
-    ("item3b", "Theorem 1 item 3b"),
-    ("item4a", "Theorem 1 item 4a"),
-    ("item4b", "Theorem 1 item 4b"),
-)
+def _head(arr) -> dict:
+    return {"n": arr.size, "max": float(np.max(arr)),
+            "mean": float(np.mean(arr))}
 
 
-def _backends_for(cfg: SuiteConfig, tol_jets: float, tol_fd: float):
-    if cfg.backend == "jets":
-        return (("jets", tol_jets),)
-    if cfg.backend == "fd":
-        return (("fd", tol_fd),)
-    return (("jets", tol_jets), ("fd", tol_fd))
+def _by_anchor(data):
+    return [(anchor, _head(arr), arr) for anchor, arr in data.items()]
 
 
-def _run_theorem1(cfg: SuiteConfig, members) -> list:
+@dataclass(frozen=True)
+class _Pointwise:
+    """One pointwise suite.  tol_keys names the jets tolerance, then the
+    fd one where the suite has an fd backend; anchor heads an error row.
+    batch(f, p, backend) returns the residual arrays at the points p, by
+    default one per row keyed by its anchor; records(stacked arrays)
+    returns an (anchor, head stats, residual array) triple per row."""
+
+    tol_keys: tuple
+    anchor: str
+    expected: Callable
+    batch: Callable
+    records: Callable = _by_anchor
+
+
+_ITEM_ANCHORS = ("Theorem 1 item 1 (Cullen operator)", "Theorem 1 item 2",
+                 "Theorem 1 item 3a", "Theorem 1 item 3b",
+                 "Theorem 1 item 4a", "Theorem 1 item 4b")
+_HYPERHOLO_ANCHOR = "Equations (1)-(2) with Cullen regularity"
+_FUETER_ANCHOR = "Fueter's theorem (D_l Delta f = 0)"
+
+
+def _hyperholo_batch(f, p, backend):
+    rep = regularity.hyperholomorphy_report(f, p)
+    return {"eq1": np.asarray(rep.eq1.norm()),
+            "eq2": np.asarray(rep.eq2.norm()),
+            "cullen": np.asarray(rep.cullen.norm()),
+            "uv_imag": np.maximum(np.asarray(rep.u.imag_norm()),
+                                  np.asarray(rep.v.imag_norm()))}
+
+
+def _hyperholo_records(data):
+    eqs = np.maximum(data["eq1"], data["eq2"])
+    head = {"n": data["eq1"].size, "eq_max": float(np.max(eqs)),
+            "cullen_max": float(np.max(data["cullen"])),
+            "uv_imag_max": float(np.max(data["uv_imag"]))}
+    return [(_HYPERHOLO_ANCHOR, head, np.maximum(eqs, data["cullen"]))]
+
+
+_POINTWISE = {
+    "theorem1": _Pointwise(
+        ("tol_theorem1", "tol_theorem1_fd"), "Theorem 1",
+        lambda f: "pass" if f.expected_regular else "fail",
+        lambda f, p, backend: dict(zip(_ITEM_ANCHORS, (
+            regularity.theorem1_residuals(f, p, backend=backend)
+            .items().values())))),
+    # Lemma 1 needs no regularity: every member must pass.
+    "lemma1": _Pointwise(
+        ("tol_lemma1", "tol_lemma1_fd"), "Lemma 1", lambda f: "pass",
+        lambda f, p, backend: {"Lemma 1": np.asarray(
+            regularity.lemma1_residual(f, p, backend=backend))}),
+    "hyperholomorphy": _Pointwise(
+        ("tol_hyperholo",), _HYPERHOLO_ANCHOR,
+        lambda f: "pass" if f.expected_hyperholomorphic else "fail",
+        _hyperholo_batch, _hyperholo_records),
+    # For linear controls D_l Delta f vanishes trivially, so they prove
+    # nothing either way; report them as informational.
+    "fueter_theorem": _Pointwise(
+        ("tol_fueter",), _FUETER_ANCHOR,
+        lambda f: "info" if f.control else "pass",
+        lambda f, p, backend: {
+            _FUETER_ANCHOR: np.asarray(fueter_laplacian(f, p).norm())}),
+}
+
+
+def _run_pointwise(suite: str, cfg: SuiteConfig, members) -> list:
+    spec = _POINTWISE[suite]
     rows = []
     base = cfg.base_domain()
-    for backend, tol in _backends_for(cfg, cfg.tol_theorem1,
-                                      cfg.tol_theorem1_fd):
+    for backend, tol_key in zip(("jets", "fd"), spec.tol_keys):
+        # A suite without an fd backend runs on jets whatever cfg says.
+        if len(spec.tol_keys) > 1 and cfg.backend not in (backend, "both"):
+            continue
+        tol = getattr(cfg, tol_key)
         for f in members:
-            expected = "pass" if f.expected_regular else "fail"
+            expected = spec.expected(f)
             pts = base.merge(f.domain).sample(
-                cfg.samples, seed=_mix_seed(cfg.seed, "theorem1", f.fid))
-
-            def batch(p, f=f, backend=backend):
-                return regularity.theorem1_residuals(
-                    f, p, backend=backend).items()
-
-            data, skipped, msg, kept = _robust(batch, pts)
+                cfg.samples, seed=_mix_seed(cfg.seed, suite, f.fid))
+            data, skipped, msg, kept = _robust(
+                lambda p: spec.batch(f, p, backend), pts)
             if data is None:
-                rows.append(_error_row("theorem1", backend, f,
-                                       "Theorem 1", msg, expected))
+                rows.append(_error_row(suite, backend, f, spec.anchor,
+                                       msg, expected))
                 continue
-            for key, anchor in _ITEM_ANCHORS:
-                arr = data[key]
-                stats = {"n": arr.size, "max": float(np.max(arr)),
-                         "mean": float(np.mean(arr)),
-                         "worst": _worst_point(pts, kept, arr), "tol": tol}
+            for anchor, stats, arr in spec.records(data):
+                stats["worst"] = _worst_point(pts, kept, arr)
+                stats["tol"] = tol
                 if skipped:
                     stats["skipped"] = skipped
-                status = residual_status(arr, tol)
-                rows.append(Row("theorem1", backend, f.fid, anchor,
-                                stats, status, expected))
+                rows.append(Row(suite, backend, f.fid, anchor, stats,
+                                residual_status(arr, tol), expected))
     return rows
 
 
-def _run_lemma1(cfg: SuiteConfig, members) -> list:
-    rows = []
-    base = cfg.base_domain()
-    for backend, tol in _backends_for(cfg, cfg.tol_lemma1, cfg.tol_lemma1_fd):
-        for f in members:
-            pts = base.merge(f.domain).sample(
-                cfg.samples, seed=_mix_seed(cfg.seed, "lemma1", f.fid))
-
-            def batch(p, f=f, backend=backend):
-                return {"residual": np.asarray(
-                    regularity.lemma1_residual(f, p, backend=backend))}
-
-            data, skipped, msg, kept = _robust(batch, pts)
-            if data is None:
-                rows.append(_error_row("lemma1", backend, f, "Lemma 1",
-                                       msg, "pass"))
-                continue
-            arr = data["residual"]
-            stats = {"n": arr.size, "max": float(np.max(arr)),
-                     "mean": float(np.mean(arr)),
-                     "worst": _worst_point(pts, kept, arr), "tol": tol}
-            if skipped:
-                stats["skipped"] = skipped
-            status = residual_status(arr, tol)
-            # Lemma 1 needs no regularity: every member must pass.
-            rows.append(Row("lemma1", backend, f.fid, "Lemma 1", stats,
-                            status, "pass"))
-    return rows
-
-
-def _run_hyperholomorphy(cfg: SuiteConfig, members) -> list:
-    rows = []
-    base = cfg.base_domain()
-    anchor = "Equations (1)-(2) with Cullen regularity"
-    for f in members:
-        expected = "pass" if f.expected_hyperholomorphic else "fail"
-        pts = base.merge(f.domain).sample(
-            cfg.samples, seed=_mix_seed(cfg.seed, "hyperholomorphy", f.fid))
-
-        def batch(p, f=f):
-            rep = regularity.hyperholomorphy_report(f, p)
-            return {"eq1": np.asarray(rep.eq1.norm()),
-                    "eq2": np.asarray(rep.eq2.norm()),
-                    "cullen": np.asarray(cullen_left(f, p).norm()),
-                    "uv_imag": np.maximum(np.asarray(rep.u.imag_norm()),
-                                          np.asarray(rep.v.imag_norm()))}
-
-        data, skipped, msg, kept = _robust(batch, pts)
-        if data is None:
-            rows.append(_error_row("hyperholomorphy", "jets", f, anchor,
-                                   msg, expected))
-            continue
-        eqs = np.maximum(data["eq1"], data["eq2"])
-        eq_max = float(np.max(eqs))
-        cullen_max = float(np.max(data["cullen"]))
-        combined = np.maximum(eqs, data["cullen"])
-        stats = {"n": data["eq1"].size, "eq_max": eq_max,
-                 "cullen_max": cullen_max,
-                 "uv_imag_max": float(np.max(data["uv_imag"])),
-                 "worst": _worst_point(pts, kept, combined),
-                 "tol": cfg.tol_hyperholo}
-        if skipped:
-            stats["skipped"] = skipped
-        status = residual_status(combined, cfg.tol_hyperholo)
-        rows.append(Row("hyperholomorphy", "jets", f.fid, anchor, stats,
-                        status, expected))
-    return rows
-
-
-def _run_fueter(cfg: SuiteConfig, members) -> list:
-    rows = []
-    base = cfg.base_domain()
-    anchor = "Fueter's theorem (D_l Delta f = 0)"
-    for f in members:
-        # For linear controls D_l Delta f vanishes trivially, so they
-        # prove nothing either way; report them as informational.
-        expected = "info" if f.control else "pass"
-        pts = base.merge(f.domain).sample(
-            cfg.samples, seed=_mix_seed(cfg.seed, "fueter_theorem", f.fid))
-
-        def batch(p, f=f):
-            return {"residual": np.asarray(fueter_laplacian(f, p).norm())}
-
-        data, skipped, msg, kept = _robust(batch, pts)
-        if data is None:
-            rows.append(_error_row("fueter_theorem", "jets", f, anchor,
-                                   msg, expected))
-            continue
-        arr = data["residual"]
-        stats = {"n": arr.size, "max": float(np.max(arr)),
-                 "mean": float(np.mean(arr)),
-                 "worst": _worst_point(pts, kept, arr), "tol": cfg.tol_fueter}
-        if skipped:
-            stats["skipped"] = skipped
-        status = residual_status(arr, cfg.tol_fueter)
-        rows.append(Row("fueter_theorem", "jets", f.fid, anchor, stats,
-                        status, expected))
-    return rows
-
-
-def _integral_surfaces(cfg: SuiteConfig):
-    if cfg.surfaces:
+def _surfaces(cfg: SuiteConfig, default):
+    """The configured surfaces, else default(cfg.resolution).  A descriptor
+    that does not parse, or a sphere that meets the real axis, is a
+    configuration error."""
+    if not cfg.surfaces:
+        return default(cfg.resolution)
+    try:
         return [integral.parse_surface(s) for s in cfg.surfaces]
-    return [integral.sphere3(Quaternion(0.0, 2.0, 0.0, 0.0), 1.0,
-                             cfg.resolution),
-            integral.sphere3(Quaternion(1.0, 0.0, 2.0, 0.0), 0.8,
-                             cfg.resolution)]
+    except (BadParams, TouchesRealAxis) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _integral_default(resolution: int):
+    return [integral.sphere3(Quaternion(0.0, 2.0, 0.0, 0.0), 1.0, resolution),
+            integral.sphere3(Quaternion(1.0, 0.0, 2.0, 0.0), 0.8, resolution)]
 
 
 def _run_integral(cfg: SuiteConfig, members) -> list:
     rows = []
     anchor = "Integral Theorem"
-    surfaces = _integral_surfaces(cfg)
+    surfaces = _surfaces(cfg, _integral_default)
     for f in members:
         expected = "fail" if f.control else "pass"
         for K in surfaces:
@@ -410,26 +371,21 @@ def _run_integral(cfg: SuiteConfig, members) -> list:
                                        f"{type(exc).__name__}: {exc}",
                                        expected))
                 continue
-            rel = rep.residual / rep.scale
             stats = {"surface": K.name, "nodes": K.node_count,
                      "lhs_norm": float(rep.lhs.norm()),
                      "rhs_norm": float(rep.rhs.norm()),
                      "residual": rep.residual, "scale": rep.scale,
-                     "rel": rel, "tol": cfg.tol_integral}
-            status = rep.status(cfg.tol_integral)
+                     "rel": rep.residual / rep.scale, "tol": cfg.tol_integral}
             rows.append(Row("integral", "jets", f.fid,
-                            f"{anchor} on {K.name}", stats, status,
-                            expected))
+                            f"{anchor} on {K.name}", stats,
+                            rep.status(cfg.tol_integral), expected))
     return rows
 
 
 def _run_generalized(cfg: SuiteConfig, members) -> list:
     rows = []
     anchor = "Generalized Cullen-regularity (Integral Theorem family)"
-    if cfg.surfaces:
-        family = [integral.parse_surface(s) for s in cfg.surfaces]
-    else:
-        family = integral.standard_family(cfg.resolution)
+    family = _surfaces(cfg, integral.standard_family)
     for f in members:
         expected = "pass" if f.expected_regular else "fail"
         try:
@@ -443,20 +399,13 @@ def _run_generalized(cfg: SuiteConfig, members) -> list:
         worst_if = max(r[3] / r[4] for r in verdict.rows)
         stats = {"surfaces": len(verdict.rows), "worst_rel_f": worst_f,
                  "worst_rel_iota_f": worst_if, "tol": cfg.tol_generalized}
-        status = verdict.status
         rows.append(Row("generalized", "jets", f.fid, anchor, stats,
-                        status, expected))
+                        verdict.status, expected))
     return rows
 
 
-_RUNNERS = {
-    "theorem1": _run_theorem1,
-    "lemma1": _run_lemma1,
-    "hyperholomorphy": _run_hyperholomorphy,
-    "fueter_theorem": _run_fueter,
-    "integral": _run_integral,
-    "generalized": _run_generalized,
-}
+_RUNNERS = {suite: partial(_run_pointwise, suite) for suite in _POINTWISE}
+_RUNNERS.update(integral=_run_integral, generalized=_run_generalized)
 
 _DEFAULT_INTEGRAL_IDS = ("power:1", "power:2", "power:3", "iota", "conj")
 
@@ -487,13 +436,6 @@ def run_suite(cfg: SuiteConfig):
     rows = []
     for suite in cfg.suites:
         members = _members_for(suite, cfg)
-        if suite in ("integral", "generalized") and cfg.surfaces:
-            # Surface parse errors are configuration errors, not runtime.
-            try:
-                for s in cfg.surfaces:
-                    integral.parse_surface(s)
-            except BadParams as exc:
-                raise ConfigError(str(exc)) from None
         try:
             rows.extend(_RUNNERS[suite](cfg, members))
         except EmptyDomain as exc:
@@ -539,14 +481,9 @@ def _write_report(text: str, dest: str) -> None:
             fh.write(text)
 
 
-_CHECK_TOL_KEYS = {
-    "theorem1": ("tol_theorem1", "tol_theorem1_fd"),
-    "lemma1": ("tol_lemma1", "tol_lemma1_fd"),
-    "hyperholomorphy": ("tol_hyperholo",),
-    "fueter_theorem": ("tol_fueter",),
-    "integral": ("tol_integral",),
-    "generalized": ("tol_generalized",),
-}
+_CHECK_TOL_KEYS = {suite: spec.tol_keys for suite, spec in _POINTWISE.items()}
+_CHECK_TOL_KEYS.update(integral=("tol_integral",),
+                       generalized=("tol_generalized",))
 
 
 def main(argv=None) -> int:

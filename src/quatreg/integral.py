@@ -43,15 +43,6 @@ from .operators import fueter_of_jet
 from .quaternion import Quaternion, iota_of
 
 
-@dataclass(frozen=True)
-class SurfaceNode:
-    """One quadrature node: point, outward unit normal, weighted area."""
-
-    point: Quaternion
-    normal: tuple
-    weight: float
-
-
 class Hypersurface:
     """A radius-R 3-sphere with batched surface and (lazy) interior nodes."""
 
@@ -71,15 +62,6 @@ class Hypersurface:
     @property
     def node_count(self) -> int:
         return int(self.weights.size)
-
-    def nodes(self):
-        """Iterate SurfaceNode views (diagnostics; sweeps use the arrays)."""
-        for idx in range(self.node_count):
-            pt = self.points[idx]
-            n = self.normals[idx]
-            yield SurfaceNode(pt, (float(n.t), float(n.x),
-                                   float(n.y), float(n.z)),
-                              float(self.weights[idx]))
 
     def area(self) -> float:
         return float(np.sum(self.weights))
@@ -194,14 +176,6 @@ def divergence(fs, pts: Quaternion) -> Quaternion:
     return total
 
 
-def gauss_residual(f0, f1, f2, f3, K: Hypersurface) -> float:
-    """Norm of (surface flux - interior divergence integral), over scale.
-
-    Returns the raw residual norm; use gauss_report for both sides.
-    """
-    return gauss_report(f0, f1, f2, f3, K)[2]
-
-
 def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     fs = (f0, f1, f2, f3)
     n = K.normals
@@ -209,9 +183,8 @@ def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     flux = (vals[0] * n.t + vals[1] * n.x + vals[2] * n.y + vals[3] * n.z)
     lhs = _wsum(flux, K.weights)
     rhs = volume_integral(lambda pts: divergence(fs, pts), K)
-    residual = float((lhs - rhs).norm())
-    scale = float(lhs.norm() + rhs.norm() + 1.0)
-    return lhs, rhs, residual, scale
+    rep = _report("?", K, lhs, rhs)
+    return lhs, rhs, rep.residual, rep.scale
 
 
 def _minus_two_v_over_r_of(g: QJet, pts: Quaternion) -> Quaternion:

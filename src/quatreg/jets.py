@@ -49,9 +49,6 @@ def _indices_for(order):
 INDICES = {n: _indices_for(n) for n in range(MAX_ORDER + 1)}
 _POS = {n: {m: i for i, m in enumerate(INDICES[n])} for n in range(MAX_ORDER + 1)}
 _NCOEF = {n: len(INDICES[n]) for n in range(MAX_ORDER + 1)}   # 1, 5, 15, 35
-_FACT = {n: np.array([math.prod(math.factorial(e) for e in m)
-                      for m in INDICES[n]], dtype=float)
-         for n in range(MAX_ORDER + 1)}
 
 
 def _mul_scatter(order):
@@ -419,6 +416,9 @@ class QJet:
     """Quaternion-valued jet: four RJets sharing order and batch shape."""
 
     __slots__ = ("t", "x", "y", "z")
+
+    # As for RJet: numpy operands on the left defer to the jet operators.
+    __array_ufunc__ = None
 
     def __init__(self, t, x, y, z):
         parts = [t, x, y, z]

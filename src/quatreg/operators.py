@@ -56,10 +56,6 @@ class OperatorResult:
 
 # -- chart frames ----------------------------------------------------------
 
-def cartesian_seed(p: Quaternion, order: int) -> QJet:
-    return QJet.seed_cartesian(p, order)
-
-
 @dataclass(frozen=True)
 class SphericalFrame:
     """Jets of the chart variables (t, r, alpha, beta) at a base point,
@@ -112,6 +108,19 @@ def fueter_of_jet(g: QJet) -> Quaternion:
             + J * g.partial(_E[2]) + K * g.partial(_E[3]))
 
 
+def cullen_of_jet(g: QJet, iota0: Quaternion) -> Quaternion:
+    """(d/dt + iota d/dr) g from a chart-frame jet (order >= 1), with iota0
+    the value of iota at the base point."""
+    return g.derivative(0).value + iota0 * g.derivative(1).value
+
+
+def spherical_fueter_of_jet(frame: SphericalFrame, g: QJet) -> Quaternion:
+    """D_l = d/dt + iota d/dr - (1/r) d/d_l(iota) from a jet g of the
+    frame's chart variables (order >= 1)."""
+    return (cullen_of_jet(g, frame.iota.value)
+            - angular_jet(frame, g).value * (1.0 / frame.chart.r))
+
+
 # -- finite-difference helpers --------------------------------------------
 
 def _fd1(eval_at, h: float) -> Quaternion:
@@ -151,7 +160,7 @@ def _fd_sph_partial(f, sp, var, h=FD_STEP1):
 def fueter_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Cartesian left-Fueter operator D_l f at p."""
     if backend == "jets":
-        return fueter_of_jet(f.eval_jet(cartesian_seed(p, 1)))
+        return fueter_of_jet(f.eval_jet(QJet.seed_cartesian(p, 1)))
     parts = [_fd_cart_partial(f, p, v) for v in range(4)]
     return parts[0] + I * parts[1] + J * parts[2] + K * parts[3]
 
@@ -159,38 +168,24 @@ def fueter_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 def fueter_left_spherical(f, p: Quaternion, backend: str = "jets",
                           r_min: float = R_MIN, s_min: float = S_MIN) -> Quaternion:
     """Spherical form of D_l; matches fueter_left off the plane t + z*k."""
-    frame = spherical_frame(p, 1, r_min, s_min)
-    iota0 = iota_of(p)
     if backend == "jets":
-        g = f.eval_jet(frame.seed)
-        dt, dr = g.partial(_E[0]), g.partial(_E[1])
-        ang = angular_jet(frame, g).value
-    else:
-        sp = frame.chart
-        dt = _fd_sph_partial(f, sp, 0)
-        dr = _fd_sph_partial(f, sp, 1)
-        da = _fd_sph_partial(f, sp, 2)
-        db = _fd_sph_partial(f, sp, 3)
-        ang = (frame.iota_alpha().value.inverse() * da
-               + frame.iota_beta().value.inverse() * db)
-    return dt + iota0 * dr - ang * (1.0 / frame.chart.r)
+        frame = spherical_frame(p, 1, r_min, s_min)
+        return spherical_fueter_of_jet(frame, f.eval_jet(frame.seed))
+    return (cullen_left(f, p, backend="fd", r_min=r_min)
+            - angular_derivative(f, p, backend="fd", r_min=r_min,
+                                 s_min=s_min) * (1.0 / p.imag_norm()))
 
 
 def cullen_left(f, p: Quaternion, backend: str = "jets",
                 r_min: float = R_MIN, s_min: float = S_MIN) -> Quaternion:
     """Cullen operator (d/dt + iota d/dr) f at p."""
+    if backend == "jets":
+        frame = spherical_frame(p, 1, r_min, s_min)
+        return cullen_of_jet(f.eval_jet(frame.seed), iota_of(p))
     sp = to_spherical(p)
     if np.any(sp.r <= r_min):
         raise OnRealAxis(f"imaginary radius below {r_min:g}")
-    iota0 = iota_of(p)
-    if backend == "jets":
-        frame = spherical_frame(p, 1, r_min, s_min)
-        g = f.eval_jet(frame.seed)
-        dt, dr = g.partial(_E[0]), g.partial(_E[1])
-    else:
-        dt = _fd_sph_partial(f, sp, 0)
-        dr = _fd_sph_partial(f, sp, 1)
-    return dt + iota0 * dr
+    return _fd_sph_partial(f, sp, 0) + iota_of(p) * _fd_sph_partial(f, sp, 1)
 
 
 def angular_derivative(f, p: Quaternion, backend: str = "jets",
@@ -206,14 +201,18 @@ def angular_derivative(f, p: Quaternion, backend: str = "jets",
             + frame.iota_beta().value.inverse() * db)
 
 
+def _laplacian_jet(g: QJet) -> QJet:
+    """The Laplacian of a Cartesian-seeded jet, two orders lower."""
+    lap = g.derivative(0).derivative(0)
+    for v in (1, 2, 3):
+        lap = lap + g.derivative(v).derivative(v)
+    return lap
+
+
 def laplacian(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Four-dimensional Laplacian of f at p."""
     if backend == "jets":
-        g = f.eval_jet(cartesian_seed(p, 2))
-        out = g.partial((2, 0, 0, 0))
-        for m in ((0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)):
-            out = out + g.partial(m)
-        return out
+        return _laplacian_jet(f.eval_jet(QJet.seed_cartesian(p, 2))).value
     f0 = f.eval_point(p)
     out = None
     for v in range(4):
@@ -224,12 +223,8 @@ def laplacian(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 
 def fueter_laplacian(f, p: Quaternion) -> Quaternion:
     """D_l applied to the Laplacian of f (order-3 jets; no FD backend)."""
-    g = f.eval_jet(cartesian_seed(p, 3))
-    lap = None
-    for v in range(4):
-        term = g.derivative(v).derivative(v)
-        lap = term if lap is None else lap + term
-    return fueter_of_jet(lap)
+    g = f.eval_jet(QJet.seed_cartesian(p, 3))
+    return fueter_of_jet(_laplacian_jet(g))
 
 
 _OPERATORS = {

@@ -17,7 +17,7 @@ operation broadcasts elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,23 +143,9 @@ def _coerce(value):
     return None
 
 
-ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-UNITS = (ONE, I, J, K)
-
-
-def q_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b
-
-
-def q_inv(a: Quaternion) -> Quaternion:
-    return a.inverse()
-
-
-def q_norm(a: Quaternion):
-    return a.norm()
 
 
 def iota_of(p: Quaternion, eps: float = EPS) -> Quaternion:
@@ -244,9 +230,6 @@ class SampleDomain:
             exclusions=self.exclusions + other.exclusions,
             seed=self.seed,
         )
-
-    def with_seed(self, seed: int) -> "SampleDomain":
-        return replace(self, seed=seed)
 
     def contains(self, p: Quaternion):
         """Boolean mask of points satisfying every constraint."""

@@ -31,6 +31,11 @@ hyperholomorphy equations, componentwise as 4-vectors,
     (2)  du/dalpha (sin beta)^-1 - dv/dbeta = 0
 
 need one extra order since u and v are themselves first derivatives.
+
+Each quantity has one code path: ``_uv`` gives the jets of u and v from
+a chart-frame jet of f to every checker, and ``_theorem1_report`` holds
+the six item formulas, which the jets backend and the finite-difference
+oracle feed with their own derivatives.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import iota_times, over_r2
+from .errors import residual_status
 from .jets import QJet, RJet
 from .operators import (R_MIN, S_MIN, SphericalFrame, angular_derivative,
-                        angular_jet, cullen_left, fueter_left, spherical_frame)
+                        angular_jet, cullen_left, cullen_of_jet, fueter_left,
+                        spherical_frame, spherical_fueter_of_jet)
 from .quaternion import Quaternion, SampleDomain, iota_of
 
 ITEM_NAMES = ("item1", "item2", "item3a", "item3b", "item4a", "item4b")
@@ -56,35 +63,36 @@ class SliceParts:
     point: Quaternion
 
 
-def _dl_sph(frame: SphericalFrame, h: QJet) -> Quaternion:
-    """Spherical-form left Fueter value of a chart-frame jet (order >= 1)."""
-    dt = h.derivative(0).value
-    dr = h.derivative(1).value
-    ang = angular_jet(frame, h).value
-    return dt + frame.iota.value * dr - ang * (1.0 / frame.chart.r)
+def _uv(frame: SphericalFrame, g: QJet, ig: QJet | None = None):
+    """u and v of a chart-frame jet g of f, as jets one order lower;
+    ig is iota*g when the caller has it already."""
+    if ig is None:
+        ig = frame.iota * g
+    return angular_jet(frame, ig) * 0.5, angular_jet(frame, g) * 0.5
 
 
 def slice_parts(f, p: Quaternion,
                 r_min: float = R_MIN, s_min: float = S_MIN) -> SliceParts:
     frame = spherical_frame(p, 1, r_min, s_min)
-    g = f.eval_jet(frame.seed)
-    u = angular_jet(frame, frame.iota * g).value * 0.5
-    v = angular_jet(frame, g).value * 0.5
+    uj, vj = _uv(frame, f.eval_jet(frame.seed))
+    u, v = uj.value, vj.value
     return SliceParts(u, v, u + frame.iota.value * v, p)
 
 
 def lemma1_residual(f, p: Quaternion, r_min: float = R_MIN,
                     s_min: float = S_MIN, backend: str = "jets"):
-    """Norm of d/d_l(iota)(iota f) + iota d/d_l(iota)(f) - 2 f(p)."""
+    """Norm of d/d_l(iota)(iota f) + iota d/d_l(iota)(f) - 2 f(p).
+
+    On jets this is 2 (u + iota v - f), which scaling by two leaves
+    exact."""
     if backend == "fd":
         lhs = (angular_derivative(iota_times(f), p, backend="fd")
                + iota_of(p) * angular_derivative(f, p, backend="fd"))
         return (lhs - f.eval_point(p) * 2.0).norm()
     frame = spherical_frame(p, 1, r_min, s_min)
     g = f.eval_jet(frame.seed)
-    lhs = (angular_jet(frame, frame.iota * g).value
-           + frame.iota.value * angular_jet(frame, g).value)
-    return (lhs - g.value * 2.0).norm()
+    u, v = _uv(frame, g)
+    return ((u.value + frame.iota.value * v.value - g.value) * 2.0).norm()
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,39 @@ class TheoremOneReport:
         return self.max_residual() < tol
 
 
+def _theorem1_report(f, p, iota0, r0, fval, u, v, cullen, dlf, dlif,
+                     dl4a, dl4b) -> TheoremOneReport:
+    """The six item residuals from f(p), u, v, the Cullen value and D_l of
+    f, iota f, f/r^2 and iota f/r^2, as either backend computed them."""
+    items = (cullen,
+             dlif + iota0 * dlf + fval * (2.0 / r0),
+             dlf + v * (2.0 / r0),
+             dlif + u * (2.0 / r0),
+             dl4a + iota0 * u * (2.0 / r0 ** 3),
+             dl4b - iota0 * v * (2.0 / r0 ** 3))
+    return TheoremOneReport(getattr(f, "fid", "?"), p,
+                            *(np.asarray(q.norm()) for q in items),
+                            np.asarray(fval.norm()))
+
+
 def theorem1_residuals(f, p: Quaternion, r_min: float = R_MIN,
                        s_min: float = S_MIN,
                        backend: str = "jets") -> TheoremOneReport:
     if backend == "fd":
-        return _theorem1_residuals_fd(f, p)
+        # Independent oracle; the order of evaluation fixes which error
+        # a point outside the domain reports first.
+        g2 = iota_times(f)
+        iota0 = iota_of(p)
+        fval = f.eval_point(p)
+        u = angular_derivative(g2, p, backend="fd") * 0.5
+        v = angular_derivative(f, p, backend="fd") * 0.5
+        dlf = fueter_left(f, p, backend="fd")
+        dlif = fueter_left(g2, p, backend="fd")
+        cullen = cullen_left(f, p, backend="fd")
+        return _theorem1_report(
+            f, p, iota0, p.imag_norm(), fval, u, v, cullen, dlf, dlif,
+            fueter_left(over_r2(f), p, backend="fd"),
+            fueter_left(over_r2(g2), p, backend="fd"))
     frame = spherical_frame(p, 1, r_min, s_min)
     g = f.eval_jet(frame.seed)
     ig = frame.iota * g
@@ -121,48 +157,12 @@ def theorem1_residuals(f, p: Quaternion, r_min: float = R_MIN,
     rj = RJet.seed(r0, 1, 1)
     r2_inv = (rj * rj).recip()
     iota0 = frame.iota.value
-    fval = g.value
-    u = angular_jet(frame, ig).value * 0.5
-    v = angular_jet(frame, g).value * 0.5
-    dlf = _dl_sph(frame, g)
-    dlif = _dl_sph(frame, ig)
-    item1 = (g.derivative(0).value + iota0 * g.derivative(1).value).norm()
-    item2 = (dlif + iota0 * dlf + fval * (2.0 / r0)).norm()
-    item3a = (dlf + v * (2.0 / r0)).norm()
-    item3b = (dlif + u * (2.0 / r0)).norm()
-    item4a = (_dl_sph(frame, g * r2_inv) + iota0 * u * (2.0 / r0 ** 3)).norm()
-    item4b = (_dl_sph(frame, ig * r2_inv) - iota0 * v * (2.0 / r0 ** 3)).norm()
-    return TheoremOneReport(getattr(f, "fid", "?"), p,
-                            np.asarray(item1), np.asarray(item2),
-                            np.asarray(item3a), np.asarray(item3b),
-                            np.asarray(item4a), np.asarray(item4b),
-                            np.asarray(fval.norm()))
-
-
-def _theorem1_residuals_fd(f, p: Quaternion) -> TheoremOneReport:
-    """Finite-difference oracle for the six residuals (independent path)."""
-    g2 = iota_times(f)
-    g3, g4 = over_r2(f), over_r2(g2)
-    iota0 = iota_of(p)
-    r0 = p.imag_norm()
-    fval = f.eval_point(p)
-    u = angular_derivative(g2, p, backend="fd") * 0.5
-    v = angular_derivative(f, p, backend="fd") * 0.5
-    dlf = fueter_left(f, p, backend="fd")
-    dlif = fueter_left(g2, p, backend="fd")
-    item1 = cullen_left(f, p, backend="fd").norm()
-    item2 = (dlif + iota0 * dlf + fval * (2.0 / r0)).norm()
-    item3a = (dlf + v * (2.0 / r0)).norm()
-    item3b = (dlif + u * (2.0 / r0)).norm()
-    item4a = (fueter_left(g3, p, backend="fd")
-              + iota0 * u * (2.0 / r0 ** 3)).norm()
-    item4b = (fueter_left(g4, p, backend="fd")
-              - iota0 * v * (2.0 / r0 ** 3)).norm()
-    return TheoremOneReport(getattr(f, "fid", "?"), p,
-                            np.asarray(item1), np.asarray(item2),
-                            np.asarray(item3a), np.asarray(item3b),
-                            np.asarray(item4a), np.asarray(item4b),
-                            np.asarray(fval.norm()))
+    u, v = _uv(frame, g, ig)
+    return _theorem1_report(
+        f, p, iota0, r0, g.value, u.value, v.value, cullen_of_jet(g, iota0),
+        spherical_fueter_of_jet(frame, g), spherical_fueter_of_jet(frame, ig),
+        spherical_fueter_of_jet(frame, g * r2_inv),
+        spherical_fueter_of_jet(frame, ig * r2_inv))
 
 
 @dataclass(frozen=True)
@@ -173,32 +173,25 @@ class HyperholoReport:
     eq2: Quaternion
     u: Quaternion
     v: Quaternion
-
-    def max_residual(self) -> float:
-        return float(max(np.max(self.eq1.norm()), np.max(self.eq2.norm())))
+    cullen: Quaternion
 
     def max_uv_imag(self) -> float:
         return float(max(np.max(self.u.imag_norm()), np.max(self.v.imag_norm())))
 
 
-def hyperholomorphy_residuals(f, p: Quaternion, r_min: float = R_MIN,
-                              s_min: float = S_MIN):
-    """Componentwise residuals of equations (1) and (2) at p."""
-    report = hyperholomorphy_report(f, p, r_min, s_min)
-    return report.eq1, report.eq2
-
-
 def hyperholomorphy_report(f, p: Quaternion, r_min: float = R_MIN,
                            s_min: float = S_MIN) -> HyperholoReport:
+    """Residuals of equations (1) and (2), u, v and the Cullen value at p."""
     frame = spherical_frame(p, 2, r_min, s_min)
     g = f.eval_jet(frame.seed)
-    uj = angular_jet(frame, frame.iota * g) * 0.5
-    vj = angular_jet(frame, g) * 0.5
-    sb_inv = 1.0 / np.sin(frame.chart.beta)
+    uj, vj = _uv(frame, g)
+    sb_inv = 1.0 / frame.sin_beta
     eq1 = vj.derivative(2).value * sb_inv + uj.derivative(3).value
     eq2 = uj.derivative(2).value * sb_inv - vj.derivative(3).value
+    # iota_of(p), not frame.iota.value: the Cullen value is then the
+    # one cullen_left gives, bit for bit.
     return HyperholoReport(getattr(f, "fid", "?"), p, eq1, eq2,
-                           uj.value, vj.value)
+                           uj.value, vj.value, cullen_of_jet(g, iota_of(p)))
 
 
 # -- sample-sweep verdicts -------------------------------------------------
@@ -214,10 +207,12 @@ class RegularityVerdict:
     regular: bool
     consistent: bool
     margin: float
+    status: str        # pass / fail / error (an item is not finite)
 
     def summary(self) -> str:
         worst = max(self.item_max.values())
-        state = "regular" if self.regular else "not-regular"
+        state = {"pass": "regular", "fail": "not-regular"}.get(
+            self.status, "error")
         cons = "consistent" if self.consistent else "INCONSISTENT"
         return (f"{self.fid}: {state} ({cons}) max_residual={worst:.3e} "
                 f"tol={self.tol:g} n={self.n_samples}")
@@ -229,20 +224,26 @@ def regularity_verdict(f, sampler: SampleDomain, tol: float,
 
     The verdict's consistency flag records whether all six items agree on
     pass/fail, which is the computable content of the items being
-    equivalent characterizations.
+    equivalent characterizations.  An item with a non-finite residual
+    measured nothing: the status is then error and the items never count
+    as consistent.
     """
     domain = sampler.merge(f.domain)
     pts = domain.sample(n, seed=seed)
     rep = theorem1_residuals(f, pts)
     item_max = {k: float(np.max(vals)) for k, vals in rep.items().items()}
     item_mean = {k: float(np.mean(vals)) for k, vals in rep.items().items()}
-    item_pass = {k: bool(item_max[k] < tol) for k in item_max}
-    votes = set(item_pass.values())
-    regular = votes == {True}
+    item_status = {k: residual_status(vals, tol)
+                   for k, vals in rep.items().items()}
+    item_pass = {k: s == "pass" for k, s in item_status.items()}
+    votes = set(item_status.values())
+    status = ("error" if "error" in votes
+              else "pass" if votes == {"pass"} else "fail")
     worst = max(item_max.values())
     return RegularityVerdict(getattr(f, "fid", "?"), tol, n, item_max,
-                             item_mean, item_pass, regular,
-                             len(votes) == 1, tol - worst)
+                             item_mean, item_pass, status == "pass",
+                             len(votes) == 1 and status != "error",
+                             tol - worst, status)
 
 
 @dataclass(frozen=True)
@@ -253,10 +254,11 @@ class IotaComposeVerdict:
     max_iota_f: float
     passes_f: bool
     passes_iota_f: bool
+    error: bool            # a residual is not finite: nothing was measured
 
     @property
     def together(self) -> bool:
-        return self.passes_f == self.passes_iota_f
+        return not self.error and self.passes_f == self.passes_iota_f
 
 
 def iota_compose_regularity(f, sampler: SampleDomain, tol: float,
@@ -266,13 +268,10 @@ def iota_compose_regularity(f, sampler: SampleDomain, tol: float,
     pts = domain.sample(n, seed=seed)
     frame = spherical_frame(pts, 1)
     g = f.eval_jet(frame.seed)
-    ig = frame.iota * g
     iota0 = frame.iota.value
-
-    def cullen_norm(h):
-        return np.max((h.derivative(0).value
-                       + iota0 * h.derivative(1).value).norm())
-
-    mf, mif = float(cullen_norm(g)), float(cullen_norm(ig))
-    return IotaComposeVerdict(getattr(f, "fid", "?"), tol, mf, mif,
-                              mf < tol, mif < tol)
+    norms = [cullen_of_jet(h, iota0).norm() for h in (g, frame.iota * g)]
+    status = [residual_status(nm, tol) for nm in norms]
+    return IotaComposeVerdict(getattr(f, "fid", "?"), tol,
+                              *(float(np.max(nm)) for nm in norms),
+                              *(s == "pass" for s in status),
+                              "error" in status)

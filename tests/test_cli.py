@@ -136,6 +136,15 @@ class TestMain:
                            "surfaces=sphere:center=0+2i+0j+0k,r=1\n")
         assert main(["run", str(badsurf)]) == 2
 
+    @pytest.mark.parametrize("suite", ("integral", "generalized"))
+    def test_surface_meeting_real_axis_exits_two(self, suite, tmp_path,
+                                                 capsys):
+        cfg_path = tmp_path / "axis.txt"
+        cfg_path.write_text(f"suites={suite}\nfunctions=power:2\n"
+                            "surfaces=sphere:center=0+0.5i,r=1,res=4\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert "real axis" in capsys.readouterr().err
+
     def test_unfillable_domain_exits_two(self, tmp_path, capsys):
         # |p| <= 0.1 everywhere, below power:-1's 0.2 floor: no point
         # can be drawn, which is a configuration error, not a crash
@@ -188,5 +197,4 @@ class TestNonFiniteResiduals:
             assert rows, suite
             for row in rows:
                 assert row.status == "error", (suite, row.render())
-                if row.expected != "info":
-                    assert row.outcome == "FAIL", (suite, row.render())
+                assert row.outcome == "FAIL", (suite, row.render())

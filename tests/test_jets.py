@@ -351,6 +351,23 @@ def _fd_second(f, pts, va, vb, h=1e-3):
     return (stencil(0.5 * h) * 4.0 - stencil(h)) * (1.0 / 3.0)
 
 
+class TestNumpyOperands:
+    def test_ndarray_on_the_left_of_a_qjet(self):
+        # numpy defers to the jet operators instead of building an object
+        # array; without them the operation is a TypeError.
+        p = Quaternion(np.ones(3), np.full(3, 2.0), np.ones(3), np.ones(3))
+        g = QJet.seed_cartesian(p, 1)
+        s = np.array([0.5, -1.0, 2.0])
+        prod = s * g
+        assert isinstance(prod, QJet)
+        for got, want in zip(prod.components(), (g * s).components()):
+            assert np.array_equal(got.c, want.c)
+        with pytest.raises(TypeError):
+            s + g
+        with pytest.raises(TypeError):
+            g + s
+
+
 class TestJetsAgainstFiniteDifferences:
     def test_catalog_partials_match_fd(self):
         # Every first and second raw partial of every inventory member is

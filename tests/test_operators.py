@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from quatreg import (DegenerateChart, OnRealAxis, Quaternion, SampleDomain,
                      angular_derivative, catalog_get, cullen_left,
-                     evaluate_operator, fueter_laplacian, fueter_left,
-                     fueter_left_spherical, iota_of, laplacian,
+                     default_inventory, evaluate_operator, fueter_laplacian,
+                     fueter_left, fueter_left_spherical, iota_of, laplacian,
                      spherical_frame)
 from quatreg.operators import CROSS_CHECKED
 from conftest import FnWrap, assert_close, q
@@ -68,8 +68,8 @@ class TestClosedForms:
 class TestCrossChecks:
     def test_spherical_matches_cartesian(self):
         dom = SampleDomain()
-        pts = dom.sample(128, seed=21)
-        for f in (POWER2, CONJ, IOTA):
+        for f in default_inventory():
+            pts = dom.merge(f.domain).sample(128, seed=21)
             a = fueter_left(f, pts)
             b = fueter_left_spherical(f, pts)
             scale = 1.0 + float(np.max(a.norm()))

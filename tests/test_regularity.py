@@ -10,15 +10,18 @@ and for f = p the fourth-item combination D_l(iota p / r^2) equals
 2 iota / r^2 exactly, which fixes the sign convention of item 4b.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (Quaternion, SampleDomain, catalog_get, cullen_left,
-                     default_inventory, from_string, fueter_left,
+from quatreg import (QFunction, Quaternion, SampleDomain, catalog_get,
+                     cullen_left, default_inventory, from_string, fueter_left,
                      hyperholomorphy_report, iota_compose_regularity,
                      iota_of, iota_times, lemma1_residual, over_r2, product,
-                     regularity_verdict, slice_parts, theorem1_residuals)
+                     regularity_verdict, slice_parts, spherical_frame,
+                     theorem1_residuals)
 from conftest import assert_close, q
 
 P0 = q(1, 2, 3, 6)      # r = 7
@@ -227,3 +230,48 @@ class TestVerdicts:
             rep = theorem1_residuals(prod, pts)
             for key, vals in rep.items().items():
                 assert float(np.max(vals)) < 1e-8, (n, key)
+
+
+def _same_bits(a: Quaternion, b: Quaternion) -> bool:
+    return all(np.array_equal(x, y)
+               for x, y in zip(a.components(), b.components()))
+
+
+class TestSharedPaths:
+    """Identities between checkers that share one computation."""
+
+    def test_hyperholomorphy_cullen_is_cullen_left(self):
+        # The order-2 jet's first-order part gives the order-1 values.
+        for f in default_inventory():
+            pts = DOM.merge(f.domain).sample(60, seed=70)
+            assert _same_bits(hyperholomorphy_report(f, pts).cullen,
+                              cullen_left(f, pts)), f.fid
+
+    def test_lemma1_is_twice_the_reconstruction_gap(self):
+        # f at the point as the spherical chart rebuilds it, which is
+        # where the jets are evaluated.
+        for f in default_inventory():
+            pts = DOM.merge(f.domain).sample(60, seed=71)
+            chart_pts = spherical_frame(pts, 1).seed.value
+            gap = slice_parts(f, pts).reconstruction - f(chart_pts)
+            assert np.array_equal(lemma1_residual(f, pts),
+                                  (gap * 2.0).norm()), f.fid
+
+
+class TestNonFiniteVerdicts:
+    # A control is expected to fail; NaN residuals must read as an error,
+    # never as a consistent failure.
+    NAN_CONTROL = QFunction("nan-control", lambda p: p * math.nan,
+                            expected_regular=False, control=True)
+
+    def test_regularity_verdict(self):
+        v = regularity_verdict(self.NAN_CONTROL, DOM, 1e-8, n=20, seed=72)
+        assert v.status == "error"
+        assert not v.regular and not v.consistent
+        assert "error" in v.summary()
+
+    def test_iota_compose(self):
+        v = iota_compose_regularity(self.NAN_CONTROL, DOM, 1e-8, n=20,
+                                    seed=73)
+        assert v.error
+        assert not v.together
