@@ -375,43 +375,6 @@ def atanh(a):
     return np.arctanh(a)
 
 
-def atan2(y, x):
-    """Two-argument arctangent.
-
-    For jets: rotate (x, y) by the base-point angle so the rotated abscissa
-    is positive, then fall back to the one-argument series; atan2 and that
-    branch differ only by the constant.
-    """
-    if not isinstance(y, RJet) and not isinstance(x, RJet):
-        return np.arctan2(y, x)
-    if not isinstance(y, RJet):
-        y = RJet.constant(y, x.order)
-    if not isinstance(x, RJet):
-        x = RJet.constant(x, y.order)
-    x0, y0 = x.value, y.value
-    s0 = np.hypot(x0, y0)
-    if np.any(s0 == 0.0):
-        raise DomainError("atan2 undefined at the origin")
-    cw, sw = x0 / s0, y0 / s0
-    xr = x * cw + y * sw          # constant term s0 > 0
-    yr = y * cw - x * sw          # constant term 0
-    out = (yr * xr.recip()).atan()
-    out._cm[0] = np.arctan2(y0, x0)
-    return out
-
-
-_BY_NAME = {"sin": sin, "cos": cos, "sqrt": sqrt, "recip": recip,
-            "atan": atan, "atanh": atanh, "atan2": atan2}
-
-
-def elementary(name: str, *args):
-    try:
-        fn = _BY_NAME[name]
-    except KeyError:
-        raise DomainError(f"no elementary function named {name!r}") from None
-    return fn(*args)
-
-
 class QJet:
     """Quaternion-valued jet: four RJets sharing order and batch shape."""
 

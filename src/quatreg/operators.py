@@ -26,6 +26,7 @@ available: "jets" (exact truncated-Taylor propagation, the primary) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .jets import QJet, RJet
 from .quaternion import (I, J, K, Quaternion, SphericalPoint, from_spherical,
                          iota_of, to_spherical)
 
-#: Default guards below which the spherical chart is refused.
+#: Fixed guards: the spherical chart is refused at r <= R_MIN and at
+#: sin(beta) <= S_MIN.
 R_MIN = 1e-6
 S_MIN = 1e-6
 
@@ -67,22 +69,33 @@ class SphericalFrame:
     iota: QJet
     sin_beta: np.ndarray | float
 
-    def iota_alpha(self) -> QJet:
-        return self.iota.derivative(2)
+    # The inverses the angular operator applies, one order lower than the
+    # frame; each is computed once, on first use.
+    @cached_property
+    def iota_alpha_inv(self) -> QJet:
+        return self.iota.derivative(2).inverse()
 
-    def iota_beta(self) -> QJet:
-        return self.iota.derivative(3)
+    @cached_property
+    def iota_beta_inv(self) -> QJet:
+        return self.iota.derivative(3).inverse()
 
 
-def spherical_frame(p: Quaternion, order: int,
-                    r_min: float = R_MIN, s_min: float = S_MIN) -> SphericalFrame:
+def _chart(p: Quaternion) -> SphericalPoint:
+    """The chart of p, refused within R_MIN of the real axis."""
     sp = to_spherical(p)
-    if np.any(sp.r <= r_min):
-        raise OnRealAxis(f"imaginary radius below {r_min:g}")
+    if np.any(sp.r <= R_MIN):
+        raise OnRealAxis(f"imaginary radius below {R_MIN:g}")
+    return sp
+
+
+def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
+    """The chart frame of p at jet order >= 1; refused at r <= R_MIN
+    (OnRealAxis) and at sin(beta) <= S_MIN (DegenerateChart)."""
+    sp = _chart(p)
     sin_beta = np.sin(sp.beta)
-    if np.any(sin_beta <= s_min):
+    if np.any(sin_beta <= S_MIN):
         raise DegenerateChart(
-            f"sin(beta) below {s_min:g}; point too close to the plane t + z*k")
+            f"sin(beta) below {S_MIN:g}; point too close to the plane t + z*k")
     jt = RJet.seed(sp.t, 0, order)
     jr = RJet.seed(sp.r, 1, order)
     ja = RJet.seed(sp.alpha, 2, order)
@@ -97,9 +110,8 @@ def spherical_frame(p: Quaternion, order: int,
 
 def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:
     """d/d_l(iota) applied to a jet-valued quantity; drops one order."""
-    ia_inv = frame.iota_alpha().inverse()
-    ib_inv = frame.iota_beta().inverse()
-    return ia_inv * g.derivative(2) + ib_inv * g.derivative(3)
+    return (frame.iota_alpha_inv * g.derivative(2)
+            + frame.iota_beta_inv * g.derivative(3))
 
 
 def fueter_of_jet(g: QJet) -> Quaternion:
@@ -114,11 +126,13 @@ def cullen_of_jet(g: QJet, iota0: Quaternion) -> Quaternion:
     return g.derivative(0).value + iota0 * g.derivative(1).value
 
 
-def spherical_fueter_of_jet(frame: SphericalFrame, g: QJet) -> Quaternion:
+def spherical_fueter_of_jet(frame: SphericalFrame, g: QJet,
+                            angular: QJet) -> Quaternion:
     """D_l = d/dt + iota d/dr - (1/r) d/d_l(iota) from a jet g of the
-    frame's chart variables (order >= 1)."""
+    frame's chart variables (order >= 1) and its angular jet
+    angular_jet(frame, g)."""
     return (cullen_of_jet(g, frame.iota.value)
-            - angular_jet(frame, g).value * (1.0 / frame.chart.r))
+            - angular.value * (1.0 / frame.chart.r))
 
 
 # -- finite-difference helpers --------------------------------------------
@@ -165,40 +179,34 @@ def fueter_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     return parts[0] + I * parts[1] + J * parts[2] + K * parts[3]
 
 
-def fueter_left_spherical(f, p: Quaternion, backend: str = "jets",
-                          r_min: float = R_MIN, s_min: float = S_MIN) -> Quaternion:
+def fueter_left_spherical(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Spherical form of D_l; matches fueter_left off the plane t + z*k."""
     if backend == "jets":
-        frame = spherical_frame(p, 1, r_min, s_min)
-        return spherical_fueter_of_jet(frame, f.eval_jet(frame.seed))
-    return (cullen_left(f, p, backend="fd", r_min=r_min)
-            - angular_derivative(f, p, backend="fd", r_min=r_min,
-                                 s_min=s_min) * (1.0 / p.imag_norm()))
+        frame = spherical_frame(p, 1)
+        g = f.eval_jet(frame.seed)
+        return spherical_fueter_of_jet(frame, g, angular_jet(frame, g))
+    return (cullen_left(f, p, backend="fd")
+            - angular_derivative(f, p, backend="fd") * (1.0 / p.imag_norm()))
 
 
-def cullen_left(f, p: Quaternion, backend: str = "jets",
-                r_min: float = R_MIN, s_min: float = S_MIN) -> Quaternion:
+def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Cullen operator (d/dt + iota d/dr) f at p."""
     if backend == "jets":
-        frame = spherical_frame(p, 1, r_min, s_min)
+        frame = spherical_frame(p, 1)
         return cullen_of_jet(f.eval_jet(frame.seed), iota_of(p))
-    sp = to_spherical(p)
-    if np.any(sp.r <= r_min):
-        raise OnRealAxis(f"imaginary radius below {r_min:g}")
+    sp = _chart(p)
     return _fd_sph_partial(f, sp, 0) + iota_of(p) * _fd_sph_partial(f, sp, 1)
 
 
-def angular_derivative(f, p: Quaternion, backend: str = "jets",
-                       r_min: float = R_MIN, s_min: float = S_MIN) -> Quaternion:
+def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """The angular operator d/d_l(iota) applied to f at p."""
-    frame = spherical_frame(p, 1, r_min, s_min)
+    frame = spherical_frame(p, 1)
     if backend == "jets":
         return angular_jet(frame, f.eval_jet(frame.seed)).value
     sp = frame.chart
     da = _fd_sph_partial(f, sp, 2)
     db = _fd_sph_partial(f, sp, 3)
-    return (frame.iota_alpha().value.inverse() * da
-            + frame.iota_beta().value.inverse() * db)
+    return frame.iota_alpha_inv.value * da + frame.iota_beta_inv.value * db
 
 
 def _laplacian_jet(g: QJet) -> QJet:

@@ -148,11 +148,11 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def iota_of(p: Quaternion, eps: float = EPS) -> Quaternion:
+def iota_of(p: Quaternion) -> Quaternion:
     """Unit imaginary direction (x*i + y*j + z*k) / r; satisfies iota**2 == -1."""
     r = p.imag_norm()
     scale = 1.0 + np.abs(p.t)
-    if np.any(r <= eps * scale):
+    if np.any(r <= EPS * scale):
         raise OnRealAxis("imaginary part numerically zero; iota undefined")
     s = 1.0 / r
     return Quaternion(0.0 * r, p.x * s, p.y * s, p.z * s)
@@ -168,7 +168,7 @@ class SphericalPoint:
     beta: float
 
 
-def to_spherical(p: Quaternion, eps: float = EPS) -> SphericalPoint:
+def to_spherical(p: Quaternion) -> SphericalPoint:
     """Chart coordinates of p.
 
     alpha is the principal two-argument arctangent of (y, x) folded into
@@ -178,13 +178,13 @@ def to_spherical(p: Quaternion, eps: float = EPS) -> SphericalPoint:
     """
     r = p.imag_norm()
     scale = 1.0 + np.abs(p.t)
-    if np.any(r <= eps * scale):
+    if np.any(r <= EPS * scale):
         raise OnRealAxis("point on the real axis has no spherical chart")
     beta = np.arccos(np.clip(p.z / r, -1.0, 1.0))
     alpha = np.mod(np.arctan2(p.y, p.x), _TWO_PI)
     # Degenerate slice t + z*k: alpha by convention.
     s = np.hypot(p.x, p.y)
-    alpha = np.where(s <= eps * r, 0.0, alpha)
+    alpha = np.where(s <= EPS * r, 0.0, alpha)
     if np.ndim(alpha) == 0:
         alpha = float(alpha)
     return SphericalPoint(p.t, r, alpha, beta)
@@ -216,7 +216,6 @@ class SampleDomain:
     s_min: float = 0.1
     p_norm_range: tuple = (0.0, math.inf)
     exclusions: tuple = field(default_factory=tuple)
-    seed: int = 0
 
     def merge(self, other: "SampleDomain") -> "SampleDomain":
         return SampleDomain(
@@ -228,7 +227,6 @@ class SampleDomain:
             p_norm_range=(max(self.p_norm_range[0], other.p_norm_range[0]),
                           min(self.p_norm_range[1], other.p_norm_range[1])),
             exclusions=self.exclusions + other.exclusions,
-            seed=self.seed,
         )
 
     def contains(self, p: Quaternion):
@@ -244,13 +242,13 @@ class SampleDomain:
             ok &= ~np.asarray(pred(p))
         return ok
 
-    def sample(self, n: int, seed: int | None = None) -> Quaternion:
+    def sample(self, n: int, seed: int = 0) -> Quaternion:
         """Draw n admissible points as one batched Quaternion."""
         if not (self.t_range[0] <= self.t_range[1]
                 and 0.0 < self.r_range[0] <= self.r_range[1]
                 and 0.0 < self.s_min <= 1.0):
             raise EmptyDomain(f"empty or invalid sample domain: {self}")
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        rng = np.random.default_rng(seed)
         beta_lo = math.asin(min(self.s_min, 1.0))
         kept = []
         total = 0

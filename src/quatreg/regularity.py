@@ -33,9 +33,10 @@ hyperholomorphy equations, componentwise as 4-vectors,
 need one extra order since u and v are themselves first derivatives.
 
 Each quantity has one code path: ``_uv`` gives the jets of u and v from
-a chart-frame jet of f to every checker, and ``_theorem1_report`` holds
-the six item formulas, which the jets backend and the finite-difference
-oracle feed with their own derivatives.
+a chart-frame jet of f to every checker, together with the angular jets
+they halve, which theorem1_residuals hands on to D_l f and D_l(iota f).
+``_theorem1_report`` holds the six item formulas, which the jets backend
+and the finite-difference oracle feed with their own derivatives.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import numpy as np
 from .catalog import iota_times, over_r2
 from .errors import residual_status
 from .jets import QJet, RJet
-from .operators import (R_MIN, S_MIN, SphericalFrame, angular_derivative,
-                        angular_jet, cullen_left, cullen_of_jet, fueter_left,
+from .operators import (SphericalFrame, angular_derivative, angular_jet,
+                        cullen_left, cullen_of_jet, fueter_left,
                         spherical_frame, spherical_fueter_of_jet)
 from .quaternion import Quaternion, SampleDomain, iota_of
 
@@ -64,23 +65,23 @@ class SliceParts:
 
 
 def _uv(frame: SphericalFrame, g: QJet, ig: QJet | None = None):
-    """u and v of a chart-frame jet g of f, as jets one order lower;
+    """u and v of a chart-frame jet g of f, as jets one order lower, then
+    the angular jets d/d_l(iota)(iota g) and d/d_l(iota)(g) they halve;
     ig is iota*g when the caller has it already."""
     if ig is None:
         ig = frame.iota * g
-    return angular_jet(frame, ig) * 0.5, angular_jet(frame, g) * 0.5
+    a_ig, a_g = angular_jet(frame, ig), angular_jet(frame, g)
+    return a_ig * 0.5, a_g * 0.5, a_ig, a_g
 
 
-def slice_parts(f, p: Quaternion,
-                r_min: float = R_MIN, s_min: float = S_MIN) -> SliceParts:
-    frame = spherical_frame(p, 1, r_min, s_min)
-    uj, vj = _uv(frame, f.eval_jet(frame.seed))
+def slice_parts(f, p: Quaternion) -> SliceParts:
+    frame = spherical_frame(p, 1)
+    uj, vj, _, _ = _uv(frame, f.eval_jet(frame.seed))
     u, v = uj.value, vj.value
     return SliceParts(u, v, u + frame.iota.value * v, p)
 
 
-def lemma1_residual(f, p: Quaternion, r_min: float = R_MIN,
-                    s_min: float = S_MIN, backend: str = "jets"):
+def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
     """Norm of d/d_l(iota)(iota f) + iota d/d_l(iota)(f) - 2 f(p).
 
     On jets this is 2 (u + iota v - f), which scaling by two leaves
@@ -89,9 +90,9 @@ def lemma1_residual(f, p: Quaternion, r_min: float = R_MIN,
         lhs = (angular_derivative(iota_times(f), p, backend="fd")
                + iota_of(p) * angular_derivative(f, p, backend="fd"))
         return (lhs - f.eval_point(p) * 2.0).norm()
-    frame = spherical_frame(p, 1, r_min, s_min)
+    frame = spherical_frame(p, 1)
     g = f.eval_jet(frame.seed)
-    u, v = _uv(frame, g)
+    u, v, _, _ = _uv(frame, g)
     return ((u.value + frame.iota.value * v.value - g.value) * 2.0).norm()
 
 
@@ -132,8 +133,7 @@ def _theorem1_report(f, p, iota0, r0, fval, u, v, cullen, dlf, dlif,
                             np.asarray(fval.norm()))
 
 
-def theorem1_residuals(f, p: Quaternion, r_min: float = R_MIN,
-                       s_min: float = S_MIN,
+def theorem1_residuals(f, p: Quaternion,
                        backend: str = "jets") -> TheoremOneReport:
     if backend == "fd":
         # Independent oracle; the order of evaluation fixes which error
@@ -150,19 +150,21 @@ def theorem1_residuals(f, p: Quaternion, r_min: float = R_MIN,
             f, p, iota0, p.imag_norm(), fval, u, v, cullen, dlf, dlif,
             fueter_left(over_r2(f), p, backend="fd"),
             fueter_left(over_r2(g2), p, backend="fd"))
-    frame = spherical_frame(p, 1, r_min, s_min)
+    frame = spherical_frame(p, 1)
     g = f.eval_jet(frame.seed)
     ig = frame.iota * g
     r0 = frame.chart.r
     rj = RJet.seed(r0, 1, 1)
     r2_inv = (rj * rj).recip()
     iota0 = frame.iota.value
-    u, v = _uv(frame, g, ig)
+    u, v, a_ig, a_g = _uv(frame, g, ig)
+    g4a, g4b = g * r2_inv, ig * r2_inv
     return _theorem1_report(
         f, p, iota0, r0, g.value, u.value, v.value, cullen_of_jet(g, iota0),
-        spherical_fueter_of_jet(frame, g), spherical_fueter_of_jet(frame, ig),
-        spherical_fueter_of_jet(frame, g * r2_inv),
-        spherical_fueter_of_jet(frame, ig * r2_inv))
+        spherical_fueter_of_jet(frame, g, a_g),
+        spherical_fueter_of_jet(frame, ig, a_ig),
+        spherical_fueter_of_jet(frame, g4a, angular_jet(frame, g4a)),
+        spherical_fueter_of_jet(frame, g4b, angular_jet(frame, g4b)))
 
 
 @dataclass(frozen=True)
@@ -179,12 +181,11 @@ class HyperholoReport:
         return float(max(np.max(self.u.imag_norm()), np.max(self.v.imag_norm())))
 
 
-def hyperholomorphy_report(f, p: Quaternion, r_min: float = R_MIN,
-                           s_min: float = S_MIN) -> HyperholoReport:
+def hyperholomorphy_report(f, p: Quaternion) -> HyperholoReport:
     """Residuals of equations (1) and (2), u, v and the Cullen value at p."""
-    frame = spherical_frame(p, 2, r_min, s_min)
+    frame = spherical_frame(p, 2)
     g = f.eval_jet(frame.seed)
-    uj, vj = _uv(frame, g)
+    uj, vj, _, _ = _uv(frame, g)
     sb_inv = 1.0 / frame.sin_beta
     eq1 = vj.derivative(2).value * sb_inv + uj.derivative(3).value
     eq2 = uj.derivative(2).value * sb_inv - vj.derivative(3).value
@@ -219,7 +220,7 @@ class RegularityVerdict:
 
 
 def regularity_verdict(f, sampler: SampleDomain, tol: float,
-                       n: int = 200, seed: int | None = None) -> RegularityVerdict:
+                       n: int = 200, seed: int = 0) -> RegularityVerdict:
     """Aggregate Theorem 1 residuals over a seeded sample sweep.
 
     The verdict's consistency flag records whether all six items agree on
@@ -262,7 +263,7 @@ class IotaComposeVerdict:
 
 
 def iota_compose_regularity(f, sampler: SampleDomain, tol: float,
-                            n: int = 200, seed: int | None = None) -> IotaComposeVerdict:
+                            n: int = 200, seed: int = 0) -> IotaComposeVerdict:
     """Check that f and iota*f are Cullen-regular together or fail together."""
     domain = sampler.merge(f.domain)
     pts = domain.sample(n, seed=seed)

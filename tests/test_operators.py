@@ -140,6 +140,6 @@ class TestGuards:
         assert abs(float(fr.sin_beta)
                    - np.sqrt(13.0) / 7.0) < 1e-14
         # iota_alpha and iota_beta are tangent: orthogonal to iota
-        for tang in (fr.iota_alpha(), fr.iota_beta()):
+        for tang in (fr.iota.derivative(2), fr.iota.derivative(3)):
             dot = (fr.iota.value.conjugate() * tang.value).t
             assert abs(float(dot)) < 1e-13

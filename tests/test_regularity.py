@@ -18,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from quatreg import (QFunction, Quaternion, SampleDomain, catalog_get,
                      cullen_left, default_inventory, from_string, fueter_left,
-                     hyperholomorphy_report, iota_compose_regularity,
-                     iota_of, iota_times, lemma1_residual, over_r2, product,
-                     regularity_verdict, slice_parts, spherical_frame,
-                     theorem1_residuals)
+                     fueter_left_spherical, hyperholomorphy_report,
+                     iota_compose_regularity, iota_of, iota_times,
+                     lemma1_residual, operators, over_r2, product,
+                     regularity, regularity_verdict, slice_parts,
+                     spherical_frame, theorem1_residuals)
+from quatreg.operators import angular_jet
 from conftest import assert_close, q
 
 P0 = q(1, 2, 3, 6)      # r = 7
@@ -256,6 +258,34 @@ class TestSharedPaths:
             gap = slice_parts(f, pts).reconstruction - f(chart_pts)
             assert np.array_equal(lemma1_residual(f, pts),
                                   (gap * 2.0).norm()), f.fid
+
+    def test_item3a_is_spherical_fueter_plus_two_v_over_r(self):
+        for f in default_inventory():
+            pts = DOM.merge(f.domain).sample(60, seed=74)
+            for p in (pts, pts[0]):
+                r = spherical_frame(p, 1).chart.r
+                want = (fueter_left_spherical(f, p)
+                        + slice_parts(f, p).v * (2.0 / r)).norm()
+                assert np.array_equal(theorem1_residuals(f, p).item3a,
+                                      want), f.fid
+
+    def test_angular_jet_calls(self, monkeypatch):
+        # u and v reuse the angular jets of f and iota f, and so do
+        # D_l f and D_l(iota f); only f/r^2 and iota f/r^2 need their own.
+        calls = []
+
+        def counted(frame, g):
+            calls.append(1)
+            return angular_jet(frame, g)
+
+        for module in (operators, regularity):
+            monkeypatch.setattr(module, "angular_jet", counted)
+        f = catalog_get("power", 3)
+        for check, want in ((theorem1_residuals, 4), (lemma1_residual, 2),
+                            (hyperholomorphy_report, 2)):
+            calls.clear()
+            check(f, P0)
+            assert len(calls) == want, check.__name__
 
 
 class TestNonFiniteVerdicts:
