@@ -8,8 +8,8 @@ residual checkers for the structure theorems, and hypersurface quadrature
 for the integral characterization.  The ``quatreg`` command line wraps it
 all into reproducible batch suites.
 
-Set QUATREG_THREADS to cap the BLAS thread pools; it is applied before
-numpy is first imported by this package.
+The package's own arithmetic calls no BLAS routine.  QUATREG_THREADS caps
+the BLAS thread pools before numpy is first imported by this package.
 """
 
 import os as _os

@@ -198,28 +198,28 @@ def _mix_seed(seed: int, *labels) -> int:
 
 
 def _robust(batch_fn, pts):
-    """Evaluate batched; on a runtime error, fall back point by point.
-
-    Returns (dict of stacked arrays or None, skipped count, first message,
-    surviving sample indices).
-    """
+    """Evaluate batched; a batch that raises a runtime error is halved, down
+    to single points, and the points that still raise are skipped.  Returns
+    (dict of arrays over the surviving points, in index order, or None;
+    skipped count; first error; surviving sample indices)."""
     n = int(np.size(pts.t))
-    try:
-        return batch_fn(pts), 0, "", np.arange(n)
-    except _RUNTIME_ERRORS as exc:
-        first = f"{type(exc).__name__}: {exc}"
-    outs, kept = [], []
-    for i in range(n):
+    outs, kept, first = [], [], None
+    todo = [(0, n)]
+    while todo:
+        lo, hi = todo.pop()
         try:
-            outs.append(batch_fn(pts[i]))
-        except _RUNTIME_ERRORS:
+            outs.append(batch_fn(pts[lo:hi]))
+        except _RUNTIME_ERRORS as exc:
+            first = first or exc
+            if hi > lo + 1:
+                todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
             continue
-        kept.append(i)
+        kept.extend(range(lo, hi))
     if not outs:
         return None, n, first, np.zeros(0, dtype=int)
-    stacked = {k: np.stack([np.asarray(out[k], dtype=float).reshape(())
-                            for out in outs]) for k in outs[0]}
-    return stacked, n - len(kept), first, np.asarray(kept, dtype=int)
+    joined = {k: np.concatenate([np.asarray(out[k], dtype=float).reshape(-1)
+                                 for out in outs]) for k in outs[0]}
+    return joined, n - len(kept), first, np.asarray(kept, dtype=int)
 
 
 def _worst_point(pts, kept, arr) -> str:
@@ -229,9 +229,9 @@ def _worst_point(pts, kept, arr) -> str:
             f"{float(p.y):+.3g}j{float(p.z):+.3g}k")
 
 
-def _error_row(suite, backend, f, anchor, msg, expected) -> Row:
-    return Row(suite, backend, f.fid, anchor, {"error": msg},
-               "error", expected)
+def _error_row(suite, backend, f, anchor, exc, expected) -> Row:
+    return Row(suite, backend, f.fid, anchor,
+               {"error": f"{type(exc).__name__}: {exc}"}, "error", expected)
 
 
 # -- suite runners ---------------------------------------------------------
@@ -323,17 +323,19 @@ def _run_pointwise(suite: str, cfg: SuiteConfig, members) -> list:
             expected = spec.expected(f)
             pts = base.merge(f.domain).sample(
                 cfg.samples, seed=_mix_seed(cfg.seed, suite, f.fid))
-            data, skipped, msg, kept = _robust(
+            data, skipped, exc, kept = _robust(
                 lambda p: spec.batch(f, p, backend), pts)
             if data is None:
                 rows.append(_error_row(suite, backend, f, spec.anchor,
-                                       msg, expected))
+                                       exc, expected))
                 continue
             for anchor, stats, arr in spec.records(data):
                 stats["worst"] = _worst_point(pts, kept, arr)
                 stats["tol"] = tol
                 if skipped:
                     stats["skipped"] = skipped
+                    # The class only: a message may contain ';'.
+                    stats["skip"] = type(exc).__name__
                 rows.append(Row(suite, backend, f.fid, anchor, stats,
                                 residual_status(arr, tol), expected))
     return rows
@@ -367,8 +369,7 @@ def _run_integral(cfg: SuiteConfig, members) -> list:
                 rep = integral.theorem2_report(f, K)
             except _RUNTIME_ERRORS as exc:
                 rows.append(_error_row("integral", "jets", f,
-                                       f"{anchor} on {K.name}",
-                                       f"{type(exc).__name__}: {exc}",
+                                       f"{anchor} on {K.name}", exc,
                                        expected))
                 continue
             stats = {"surface": K.name, "nodes": K.node_count,
@@ -392,8 +393,8 @@ def _run_generalized(cfg: SuiteConfig, members) -> list:
             verdict = integral.generalized_regularity_test(
                 f, family, cfg.tol_generalized)
         except _RUNTIME_ERRORS as exc:
-            rows.append(_error_row("generalized", "jets", f, anchor,
-                                   f"{type(exc).__name__}: {exc}", expected))
+            rows.append(_error_row("generalized", "jets", f, anchor, exc,
+                                   expected))
             continue
         worst_f = max(r[1] / r[2] for r in verdict.rows)
         worst_if = max(r[3] / r[4] for r in verdict.rows)

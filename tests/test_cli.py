@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from quatreg import (ConfigError, EmptyDomain, QFunction, SampleDomain,
-                     SuiteConfig, list_catalog, run_suite)
-from quatreg.cli import SUITES, _RUNNERS, main
+from quatreg import (ConfigError, EmptyDomain, OnRealAxis, QFunction,
+                     Quaternion, SampleDomain, SuiteConfig, from_string,
+                     lemma1_residual, list_catalog, run_suite)
+from quatreg.cli import SUITES, _RUNNERS, _robust, main
 
 
 def small_cfg(**kw):
@@ -198,3 +200,44 @@ class TestNonFiniteResiduals:
             for row in rows:
                 assert row.status == "error", (suite, row.render())
                 assert row.outcome == "FAIL", (suite, row.render())
+
+
+class TestRobust:
+    def test_bisection_keeps_what_point_by_point_keeps(self):
+        f = from_string("power:2")
+        pts = SampleDomain().sample(256, seed=3)
+        t, x, y, z = (np.array(c, dtype=float) for c in pts.components())
+        bad = [5, 6, 131, 200]
+        x[bad], y[bad], z[bad] = 1e-8, 0.0, 0.0   # below the chart's R_MIN
+        pts = Quaternion(t, x, y, z)
+        calls = []
+
+        def batch(p):
+            calls.append(np.size(p.t))
+            return {"res": np.asarray(lemma1_residual(f, p))}
+
+        data, skipped, first, kept = _robust(batch, pts)
+        singles = []
+        for i in range(256):
+            try:
+                lemma1_residual(f, pts[i])
+            except OnRealAxis:
+                continue
+            singles.append(i)
+        assert kept.tolist() == singles == sorted(set(range(256)) - set(bad))
+        assert skipped == 256 - len(singles)
+        assert isinstance(first, OnRealAxis)
+        assert data["res"].shape == (len(singles),)
+        assert len(calls) < 256 // 4
+
+    def test_skip_reason_in_rows(self):
+        text, _ = run_suite(small_cfg(suites=("lemma1",), samples=200,
+                                      r_min=1e-7, r_max=2e-5))
+        rows = [l for l in text.splitlines()
+                if not l.startswith(("#", "summary"))]
+        assert rows
+        for row in rows:
+            stats = dict(kv.split("=", 1)
+                         for kv in row.split("|")[4].split(";"))
+            assert stats["skip"] == "OnRealAxis"
+            assert int(stats["skipped"]) > 0

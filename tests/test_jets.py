@@ -221,19 +221,36 @@ class TestQJet:
             assert float(np.max(np.abs(ja.c - jb.c))) <= 1e-13 * scale
 
 
-# Reference arithmetic in the layout (batch..., N) that RJet.c shows, as
-# RJet computed it before its storage became coefficient-major; the
-# coefficient-major results must equal it bit for bit.
+# Reference arithmetic in the layout (batch..., N) that RJet.c shows, built
+# here rather than from the module's tables; RJet results must equal it bit
+# for bit.
+
+def _pairs(order):
+    """(i, j, k): a[i] * b[j] adds to product coefficient k, i outer, j
+    inner."""
+    idx = jets.INDICES[order]
+    pos = {m: k for k, m in enumerate(idx)}
+    return [(i, j, pos[tuple(x + y for x, y in zip(ma, mb))])
+            for i, ma in enumerate(idx) for j, mb in enumerate(idx)
+            if sum(ma) + sum(mb) <= order]
+
 
 def _ref_mul(order, a, b):
-    if order == 0:
-        return a * b
-    if order == 1:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-        out[..., 0] = a[..., 0] * b[..., 0]
-        out[..., 1:] = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
-        return out
-    ia, ib, scatter = jets._MUL[order]
+    """Each product coefficient summed left to right over its pairs: an
+    order no BLAS kernel or batch size can change."""
+    out = [None] * len(jets.INDICES[order])
+    for i, j, k in _pairs(order):
+        term = a[..., i] * b[..., j]
+        out[k] = term if out[k] is None else out[k] + term
+    return np.stack(np.broadcast_arrays(*out), axis=-1)
+
+
+def _scatter_mul(order, a, b):
+    """The product as a dense 0/1 scatter matmul, (pairs) @ S, as RJet took
+    it before its step plan; BLAS picks the order of each sum."""
+    ia, ib, ik = np.array(_pairs(order)).T
+    scatter = np.zeros((len(ik), len(jets.INDICES[order])))
+    scatter[np.arange(len(ik)), ik] = 1.0
     return (a[..., ia] * b[..., ib]) @ scatter
 
 
@@ -278,6 +295,30 @@ class TestCoefficientMajorLayout:
                     assert got.c.shape == want.shape
                     assert np.array_equal(got.c, want)
                     assert _batch_major(got)
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_product_sums_pairs_left_to_right(self, order):
+        rng = np.random.default_rng(20 + order)
+        cases = [(batch, batch)
+                 for batch in ((), (1,), (2,), (7,), (300,), (1000,))]
+        cases += [((1000,), ()), ((), (1000,))]  # as in fueter_laplacian
+        for ba, bb in cases:
+            a, b = _random_jet(rng, order, ba), _random_jet(rng, order, bb)
+            got, want = (a * b).c, _ref_mul(order, a.c, b.c)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_product_matches_dense_scatter(self, order):
+        # Same sums as the scatter matmul up to their order, which BLAS
+        # may choose per row (it does at order 3 on batch tails).
+        rng = np.random.default_rng(30 + order)
+        for batch in ((), (7,), (300,), (1001,)):
+            a, b = _random_jet(rng, order, batch), _random_jet(rng, order,
+                                                              batch)
+            old = _scatter_mul(order, a.c, b.c)
+            scale = _scatter_mul(order, np.abs(a.c), np.abs(b.c))
+            assert np.all(np.abs((a * b).c - old) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("order", range(4))
     def test_scalar_and_array_operands(self, order):
