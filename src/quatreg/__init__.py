@@ -39,8 +39,8 @@ from .regularity import (slice_parts, lemma1_residual, theorem1_residuals,
                          iota_compose_regularity)
 from .integral import (sphere3, surface_integral_left, volume_integral,
                        gauss_report, minus_two_v_over_r, theorem2_report,
-                       theorem2_residual, generalized_regularity_test,
-                       parse_surface, standard_family)
+                       generalized_regularity_test, parse_surface,
+                       standard_family)
 from .cli import SuiteConfig, run_suite, list_catalog
 
 __version__ = "0.1.0"
@@ -63,8 +63,8 @@ __all__ = [
     "slice_parts", "lemma1_residual", "theorem1_residuals",
     "hyperholomorphy_report", "regularity_verdict", "iota_compose_regularity",
     "sphere3", "surface_integral_left", "volume_integral", "gauss_report",
-    "minus_two_v_over_r", "theorem2_report", "theorem2_residual",
-    "generalized_regularity_test", "parse_surface", "standard_family",
+    "minus_two_v_over_r", "theorem2_report", "generalized_regularity_test",
+    "parse_surface", "standard_family",
     "SuiteConfig", "run_suite", "list_catalog",
     "__version__",
 ]

@@ -42,17 +42,13 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, integral, regularity
-from .errors import (BadParams, ConfigError, DegenerateChart, DomainError,
-                     EmptyDomain, OnRealAxis, TouchesRealAxis, UnknownFunction,
-                     ZeroDivisor, residual_status)
+from .errors import (RUNTIME_ERRORS, BadParams, ConfigError, EmptyDomain,
+                     TouchesRealAxis, UnknownFunction, residual_status)
 from .operators import fueter_laplacian
 from .quaternion import Quaternion, SampleDomain
 
 SUITES = ("theorem1", "lemma1", "hyperholomorphy", "fueter_theorem",
           "integral", "generalized")
-
-_RUNTIME_ERRORS = (DomainError, OnRealAxis, DegenerateChart, ZeroDivisor,
-                   TouchesRealAxis)
 
 
 # -- configuration ---------------------------------------------------------
@@ -209,7 +205,7 @@ def _robust(batch_fn, pts):
         lo, hi = todo.pop()
         try:
             outs.append(batch_fn(pts[lo:hi]))
-        except _RUNTIME_ERRORS as exc:
+        except RUNTIME_ERRORS as exc:
             first = first or exc
             if hi > lo + 1:
                 todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
@@ -367,7 +363,7 @@ def _run_integral(cfg: SuiteConfig, members) -> list:
         for K in surfaces:
             try:
                 rep = integral.theorem2_report(f, K)
-            except _RUNTIME_ERRORS as exc:
+            except RUNTIME_ERRORS as exc:
                 rows.append(_error_row("integral", "jets", f,
                                        f"{anchor} on {K.name}", exc,
                                        expected))
@@ -387,17 +383,15 @@ def _run_generalized(cfg: SuiteConfig, members) -> list:
     rows = []
     anchor = "Generalized Cullen-regularity (Integral Theorem family)"
     family = _surfaces(cfg, integral.standard_family)
-    for f in members:
+    verdicts = integral._generalized_sweep(members, family,
+                                           cfg.tol_generalized)
+    for f, verdict in zip(members, verdicts):
         expected = "pass" if f.expected_regular else "fail"
-        try:
-            verdict = integral.generalized_regularity_test(
-                f, family, cfg.tol_generalized)
-        except _RUNTIME_ERRORS as exc:
-            rows.append(_error_row("generalized", "jets", f, anchor, exc,
-                                   expected))
+        if isinstance(verdict, Exception):
+            rows.append(_error_row("generalized", "jets", f, anchor,
+                                   verdict, expected))
             continue
-        worst_f = max(r[1] / r[2] for r in verdict.rows)
-        worst_if = max(r[3] / r[4] for r in verdict.rows)
+        worst_f, worst_if = verdict.worst_rel()
         stats = {"surfaces": len(verdict.rows), "worst_rel_f": worst_f,
                  "worst_rel_iota_f": worst_if, "tol": cfg.tol_generalized}
         rows.append(Row("generalized", "jets", f.fid, anchor, stats,

@@ -56,6 +56,12 @@ class ConfigError(QuatRegError):
     """Suite configuration could not be parsed or validated."""
 
 
+#: The errors a point or a surface raises at run time.  The suite runners
+#: record them against the member that raised them and go on.
+RUNTIME_ERRORS = (DomainError, OnRealAxis, DegenerateChart, ZeroDivisor,
+                  TouchesRealAxis)
+
+
 def residual_status(residuals, bound) -> str:
     """'pass' when every residual is below bound, 'fail' when one is not,
     'error' when any residual is NaN or infinite.

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import iota_elem, parse_quaternion_literal
-from .errors import BadParams, TouchesRealAxis, residual_status
+from .errors import (RUNTIME_ERRORS, BadParams, TouchesRealAxis,
+                     residual_status)
 from .jets import QJet
 from .operators import fueter_of_jet
 from .quaternion import Quaternion, iota_of
@@ -171,7 +172,7 @@ def divergence(fs, pts: Quaternion) -> Quaternion:
     seed = QJet.seed_cartesian(pts, 1)
     total = None
     for var, f in enumerate(fs):
-        d = f.eval_jet(seed).derivative(var).value
+        d = f.eval_jet(seed).first_partials()[var]
         total = d if total is None else total + d
     return total
 
@@ -187,13 +188,13 @@ def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     return lhs, rhs, rep.residual, rep.scale
 
 
-def _minus_two_v_over_r_of(g: QJet, pts: Quaternion) -> Quaternion:
-    """-2v/r at pts from g, an order-1 Cartesian jet of f there."""
-    r = pts.imag_norm()
-    dr = (g.derivative(1).value * pts.x + g.derivative(2).value * pts.y
-          + g.derivative(3).value * pts.z) * (1.0 / r)
-    cullen = g.derivative(0).value + iota_of(pts) * dr
-    return fueter_of_jet(g) - cullen
+def _minus_two_v_over_r_of(g: QJet, pts: Quaternion, inv_r,
+                           iota: Quaternion) -> Quaternion:
+    """-2v/r at pts from g, an order-1 Cartesian jet of f there, with
+    inv_r = 1/r and iota = iota_of(pts) at the same points."""
+    dt, dx, dy, dz = g.first_partials()
+    dr = (dx * pts.x + dy * pts.y + dz * pts.z) * inv_r
+    return fueter_of_jet(g) - (dt + iota * dr)
 
 
 def minus_two_v_over_r(f):
@@ -203,8 +204,9 @@ def minus_two_v_over_r(f):
     point, with df/dr the radial directional derivative.
     """
     def integrand(pts: Quaternion) -> Quaternion:
-        return _minus_two_v_over_r_of(
-            f.eval_jet(QJet.seed_cartesian(pts, 1)), pts)
+        g = f.eval_jet(QJet.seed_cartesian(pts, 1))
+        return _minus_two_v_over_r_of(g, pts, 1.0 / pts.imag_norm(),
+                                      iota_of(pts))
     return integrand
 
 
@@ -244,26 +246,38 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
                    volume_integral(minus_two_v_over_r(f), K))
 
 
-def theorem2_residual(f, K: Hypersurface) -> float:
-    return theorem2_report(f, K).residual
+class _SphereJets:
+    """What the integral-theorem reports of every member on one sphere K
+    share, built once: the interior nodes and weights, the order-1
+    Cartesian seed jet there and iota_elem of it, 1/r and iota at the
+    interior nodes, and iota_elem at the surface nodes."""
 
+    def __init__(self, K: Hypersurface):
+        _require_off_axis(K)
+        self.K = K
+        self.pts, self.w = K.volume_nodes()
+        self.seed = QJet.seed_cartesian(self.pts, 1)
+        self.iota_seed = iota_elem(self.seed)
+        self.inv_r = 1.0 / self.pts.imag_norm()
+        self.iota = iota_of(self.pts)
+        self.iota_surface = iota_elem(K.points)
 
-def _theorem2_with_iota(f, K: Hypersurface):
-    """theorem2_report of f and of iota_times(f) on K, equal to them bit
-    for bit, from one evaluation of f: its values at the surface nodes and
-    one order-1 Cartesian jet at the interior nodes.  iota*f is derived
-    from these by left multiplication with iota_elem, the operations
-    iota_times(f) performs."""
-    _require_off_axis(K)
-    fid = getattr(f, "fid", "?")
-    pts, w = K.volume_nodes()
-    seed = QJet.seed_cartesian(pts, 1)
-    vals, g = f.eval_point(K.points), f.eval_jet(seed)
-    return tuple(
-        _report(name, K, _flux(v, K), _wsum(_minus_two_v_over_r_of(h, pts), w))
-        for name, v, h in (
-            (fid, vals, g),
-            (f"iota*({fid})", iota_elem(K.points) * vals, iota_elem(seed) * g)))
+    def reports(self, f):
+        """theorem2_report of f and of iota_times(f) on K, equal to them
+        bit for bit, from one evaluation of f: its values at the surface
+        nodes and one order-1 Cartesian jet at the interior nodes.  iota*f
+        is derived from these by left multiplication with iota_elem, the
+        operations iota_times(f) performs."""
+        K, fid = self.K, getattr(f, "fid", "?")
+        vals, g = f.eval_point(K.points), f.eval_jet(self.seed)
+        return tuple(
+            _report(name, K, _flux(v, K),
+                    _wsum(_minus_two_v_over_r_of(h, self.pts, self.inv_r,
+                                                 self.iota), self.w))
+            for name, v, h in (
+                (fid, vals, g),
+                (f"iota*({fid})", self.iota_surface * vals,
+                 self.iota_seed * g)))
 
 
 @dataclass(frozen=True)
@@ -277,23 +291,76 @@ class GeneralizedVerdict:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def worst_rel(self) -> tuple:
+        """The largest relative residual over the rows, of f and of
+        iota*f; NaN when any of them is NaN."""
+        rel = np.array([(r[1] / r[2], r[3] / r[4]) for r in self.rows])
+        return tuple(float(v) for v in np.max(rel, axis=0))
+
     def summary(self) -> str:
         state = {"pass": "generalized-regular", "fail": "fails"}.get(
             self.status, "error")
-        worst = max(max(r[1] / r[2], r[3] / r[4]) for r in self.rows)
+        worst = float(np.max(self.worst_rel()))
         return (f"{self.fid}: {state} over {len(self.rows)} surfaces, "
                 f"worst relative residual {worst:.3e} (tol {self.tol:g})")
 
 
-def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
-    """Integral-theorem conformance for f and iota*f over a surface family."""
-    reports = [_theorem2_with_iota(f, K) for K in family]
+def _verdict(f, reports, tol: float) -> GeneralizedVerdict:
+    """The verdict on f from its (f, iota*f) report pair per surface."""
     rows = tuple((rep_f.surface, rep_f.residual, rep_f.scale,
                   rep_i.residual, rep_i.scale) for rep_f, rep_i in reports)
     every = [rep for pair in reports for rep in pair]
     status = residual_status([rep.residual for rep in every],
                              [tol * rep.scale for rep in every])
     return GeneralizedVerdict(getattr(f, "fid", "?"), tol, rows, status)
+
+
+def _without_locals(exc: Exception) -> Exception:
+    """exc with the locals of its traceback's frames cleared, its lines
+    kept: a kept error then keeps no sphere's jets alive."""
+    # Imported here, on the error path only: at import time it would add
+    # 0.1 MB to the resident memory of every process.
+    import traceback
+    traceback.clear_frames(exc.__traceback__)
+    return exc
+
+
+def _generalized_sweep(members, family, tol: float) -> list:
+    """Per member, its GeneralizedVerdict over family or the first runtime
+    error it raised.
+
+    The family is visited one sphere at a time: what the members' reports
+    share on a sphere is built once, every member still without an error
+    is evaluated on it, and it is dropped before the next sphere's is
+    built.  A member that raised is skipped on later spheres."""
+    found = [[] for _ in members]   # per member: its report pairs, or error
+    for K in family:
+        live = [i for i, out in enumerate(found) if isinstance(out, list)]
+        if not live:
+            break
+        try:
+            sphere = _SphereJets(K)
+        except RUNTIME_ERRORS as exc:
+            kept = _without_locals(exc)
+            for i in live:
+                found[i] = kept
+            continue
+        for i in live:
+            try:
+                found[i].append(sphere.reports(members[i]))
+            except RUNTIME_ERRORS as exc:
+                found[i] = _without_locals(exc)
+        del sphere      # else held while the next sphere's jets are built
+    return [_verdict(f, out, tol) if isinstance(out, list) else out
+            for f, out in zip(members, found)]
+
+
+def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
+    """Integral-theorem conformance for f and iota*f over a surface family."""
+    (verdict,) = _generalized_sweep([f], family, tol)
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
 
 
 # -- surface descriptors ---------------------------------------------------

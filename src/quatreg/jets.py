@@ -491,5 +491,16 @@ class QJet:
     def derivative(self, var: int) -> "QJet":
         return QJet(*(comp.derivative(var) for comp in self.components()))
 
+    def first_partials(self) -> tuple:
+        """(d/dt, d/dx, d/dy, d/dz) of the jet at the base point, as views
+        of coefficient rows 1 to 4.  A first-order coefficient carries no
+        factorial, so the rows are the partials at every order >= 1; no
+        jet is built to read them."""
+        if self.order < 1:
+            raise IndexTooDeep("an order-0 jet has no first partials")
+        rows = [comp._cm for comp in self.components()]
+        return tuple(Quaternion(*(cm[1 + var, ...] for cm in rows))
+                     for var in range(NVARS))
+
     def __repr__(self):
         return f"QJet(order={self.order}, value={self.value!r})"

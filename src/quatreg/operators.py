@@ -44,8 +44,6 @@ S_MIN = 1e-6
 FD_STEP1 = 1e-5
 FD_STEP2 = 1e-3
 
-_E = {0: (1, 0, 0, 0), 1: (0, 1, 0, 0), 2: (0, 0, 1, 0), 3: (0, 0, 0, 1)}
-
 
 @dataclass(frozen=True)
 class OperatorResult:
@@ -116,14 +114,15 @@ def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:
 
 def fueter_of_jet(g: QJet) -> Quaternion:
     """D_l from the first-order coefficients of a Cartesian-seeded jet."""
-    return (g.partial(_E[0]) + I * g.partial(_E[1])
-            + J * g.partial(_E[2]) + K * g.partial(_E[3]))
+    dt, dx, dy, dz = g.first_partials()
+    return dt + I * dx + J * dy + K * dz
 
 
 def cullen_of_jet(g: QJet, iota0: Quaternion) -> Quaternion:
     """(d/dt + iota d/dr) g from a chart-frame jet (order >= 1), with iota0
     the value of iota at the base point."""
-    return g.derivative(0).value + iota0 * g.derivative(1).value
+    dt, dr, _, _ = g.first_partials()
+    return dt + iota0 * dr
 
 
 def spherical_fueter_of_jet(frame: SphericalFrame, g: QJet,

@@ -187,8 +187,10 @@ def hyperholomorphy_report(f, p: Quaternion) -> HyperholoReport:
     g = f.eval_jet(frame.seed)
     uj, vj, _, _ = _uv(frame, g)
     sb_inv = 1.0 / frame.sin_beta
-    eq1 = vj.derivative(2).value * sb_inv + uj.derivative(3).value
-    eq2 = uj.derivative(2).value * sb_inv - vj.derivative(3).value
+    _, _, du_da, du_db = uj.first_partials()
+    _, _, dv_da, dv_db = vj.first_partials()
+    eq1 = dv_da * sb_inv + du_db
+    eq2 = du_da * sb_inv - dv_db
     # iota_of(p), not frame.iota.value: the Cullen value is then the
     # one cullen_left gives, bit for bit.
     return HyperholoReport(getattr(f, "fid", "?"), p, eq1, eq2,

@@ -1,13 +1,16 @@
 """Command-line front-end tests: config grammar, report shape, exit codes."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
 
-from quatreg import (ConfigError, EmptyDomain, OnRealAxis, QFunction,
-                     Quaternion, SampleDomain, SuiteConfig, from_string,
-                     lemma1_residual, list_catalog, run_suite)
+from quatreg import (ConfigError, DomainError, EmptyDomain, OnRealAxis,
+                     QFunction, QJet, Quaternion, SampleDomain, SuiteConfig,
+                     from_string, generalized_regularity_test, integral,
+                     lemma1_residual, list_catalog, parse_surface, run_suite,
+                     theorem2_report)
 from quatreg.cli import SUITES, _RUNNERS, _robust, main
 
 
@@ -200,6 +203,107 @@ class TestNonFiniteResiduals:
             for row in rows:
                 assert row.status == "error", (suite, row.render())
                 assert row.outcome == "FAIL", (suite, row.render())
+
+
+_GENERALIZED_ANCHOR = "Generalized Cullen-regularity (Integral Theorem family)"
+
+
+class TestGeneralizedSweep:
+    """The generalized suite visits its family one sphere at a time."""
+
+    def test_shared_jets_built_once_per_sphere(self, monkeypatch):
+        # 3 members on 5 spheres: the interior seed jet and iota of it
+        # are built 5 times, not 15.
+        calls = {"seed": 0, "iota_jet": 0}
+        seed_cartesian, iota_elem = QJet.seed_cartesian, integral.iota_elem
+
+        def counted_seed(cls, p, order):
+            calls["seed"] += 1
+            return seed_cartesian(p, order)
+
+        def counted_iota(p):
+            calls["iota_jet"] += isinstance(p, QJet)
+            return iota_elem(p)
+
+        monkeypatch.setattr(QJet, "seed_cartesian",
+                            classmethod(counted_seed))
+        monkeypatch.setattr(integral, "iota_elem", counted_iota)
+        members = [from_string(s) for s in ("power:2", "power:3", "conj")]
+        rows = _RUNNERS["generalized"](SuiteConfig(resolution=4), members)
+        assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
+        assert calls == {"seed": 5, "iota_jet": 5}
+
+    def test_error_on_the_second_sphere_only(self):
+        # arctan_ex:1 crosses its arctanh margin near the z-axis, which
+        # the second sphere's nodes come within 1e-3 of.
+        surfaces = ("sphere:center=0+1.3i+1.3j+1.3k,r=0.6,res=8",
+                    "sphere:center=0+0i+0j+2k,r=0.01,res=8")
+        cfg = SuiteConfig(surfaces=surfaces)
+        family = [parse_surface(s) for s in surfaces]
+        arctan = from_string("arctan_ex:1")
+        assert generalized_regularity_test(arctan, family[:1], 1e-3).passed
+        with pytest.raises(DomainError) as on_second:
+            theorem2_report(arctan, family[1])
+        members = [from_string(s) for s in ("power:2", "arctan_ex:1", "conj")]
+        rows = _RUNNERS["generalized"](cfg, members)
+        assert rows[1].render() == (
+            f"generalized|jets|arctan_ex:1|{_GENERALIZED_ANCHOR}|"
+            "error=DomainError: arctanh argument outside the 1 - 1e-6 "
+            "safety margin|error|pass|FAIL")
+        assert rows[1].stats["error"] == f"DomainError: {on_second.value}"
+        # The members around it keep the rows they have on their own.
+        for f, row in zip(members[::2], rows[::2]):
+            (alone,) = _RUNNERS["generalized"](cfg, [f])
+            assert row.render() == alone.render()
+            assert row.stats["surfaces"] == 2
+        with pytest.raises(DomainError, match="arctanh argument"):
+            generalized_regularity_test(arctan, family, 1e-3)
+
+    def test_sphere_on_the_axis_is_every_members_error(self):
+        # axis_clear=0 lets the descriptor through; the sphere's shared
+        # jets are then refused, for each member still running.
+        cfg = SuiteConfig(surfaces=(
+            "sphere:center=0+1.3i+1.3j+1.3k,r=0.6,res=4",
+            "sphere:center=0+0.5i,r=1,res=4,axis_clear=0"))
+        rows = _RUNNERS["generalized"](
+            cfg, [from_string(s) for s in ("power:2", "arctan_ex:1")])
+        assert [row.stats for row in rows] == 2 * [{
+            "error": "TouchesRealAxis: integral theorem needs K and its "
+                     "interior off the real axis"}]
+
+    def test_kept_error_holds_no_sphere_jets(self):
+        # A member that fails on the first sphere's interior jets: its
+        # kept error must not pin that sphere's jets while later spheres
+        # are evaluated.
+        def raise_on_jets(p):
+            if isinstance(p, QJet):
+                raise DomainError("no jets here")
+            return p
+
+        f = QFunction("points-only", raise_on_jets, expected_regular=True)
+        family = integral.standard_family(4)
+        exc, ok = integral._generalized_sweep(
+            [f, from_string("power:2")], family, 1e-3)
+        assert isinstance(exc, DomainError) and len(ok.rows) == 5
+        assert "raise_on_jets" in "".join(traceback.format_tb(
+            exc.__traceback__))
+        for frame, _ in traceback.walk_tb(exc.__traceback__):
+            assert not any(isinstance(v, (QJet, integral._SphereJets))
+                           for v in frame.f_locals.values()), frame
+
+    def test_nan_on_a_later_sphere_is_the_worst_value(self):
+        # NaN on the second standard sphere (x < 0) only; the first lies
+        # in x > 0.
+        def nan_where_x_negative(p):
+            x = p.x.value if isinstance(p, QJet) else p.x
+            return p * np.where(np.asarray(x) < 0.0, np.nan, 1.0)
+
+        f = QFunction("nan-later", nan_where_x_negative,
+                      expected_regular=True)
+        (row,) = _RUNNERS["generalized"](SuiteConfig(resolution=4), [f])
+        assert row.status == "error"
+        assert math.isnan(row.stats["worst_rel_f"])
+        assert "worst_rel_f=nan" in row.render()
 
 
 class TestRobust:

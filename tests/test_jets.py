@@ -210,6 +210,30 @@ class TestQJet:
         want = p * p + p.conjugate() * 2.0 - p
         assert float((f.value - want).norm()) < 1e-12
 
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    @pytest.mark.parametrize("batched", (True, False))
+    def test_first_partials_are_the_partial_rows(self, order, batched):
+        p = (SampleDomain().sample(7, seed=order) if batched
+             else q(0.3, 1.1, -0.7, 0.4))
+        s = QJet.seed_cartesian(p, order)
+        g = s * s * s + s.inverse() * q(0.5, -1, 2, 0.25)
+
+        def bits(quat):
+            return np.stack([np.asarray(c, dtype=float)
+                             for c in quat.components()]).view(np.int64)
+
+        rows = g.first_partials()
+        assert len(rows) == 4
+        for var, row in enumerate(rows):
+            unit = tuple(int(v == var) for v in range(4))
+            assert np.array_equal(bits(row), bits(g.partial(unit)))
+            assert np.array_equal(bits(row), bits(g.derivative(var).value))
+            assert np.shape(row.t) == np.shape(g.value.t)
+            # a view of the jet's coefficients, not a copy
+            assert np.shares_memory(row.z, g.z.c)
+        with pytest.raises(IndexTooDeep):
+            QJet.seed_cartesian(p, 0).first_partials()
+
     def test_float_jet_near_associativity(self):
         rng = np.random.default_rng(5)
         vals = rng.uniform(-2.0, 2.0, size=(3, 4))
