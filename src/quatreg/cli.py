@@ -7,7 +7,7 @@ Subcommands:
 
 Config files are flat key=value text (see SuiteConfig); a serialized
 config parses back unchanged.  Reports are line-oriented: '#' lines carry
-metadata (timestamps, wall time) and every other line is one record
+metadata (timestamps, wall times) and every other line is one record
 
     suite|backend|function|anchor|stats|status|expected|outcome
 
@@ -428,13 +428,17 @@ def run_suite(cfg: SuiteConfig):
     """Execute every configured suite; return (report text, exit code)."""
     cfg.validate()
     t0 = time.time()
-    rows = []
+    rows, timing = [], []
     for suite in cfg.suites:
+        start, before = time.perf_counter(), len(rows)
         members = _members_for(suite, cfg)
         try:
             rows.extend(_RUNNERS[suite](cfg, members))
         except EmptyDomain as exc:
             raise ConfigError(f"{suite}: {exc}") from None
+        timing.append(f"# timing: suite={suite} wall_s="
+                      f"{time.perf_counter() - start:.3f} "
+                      f"rows={len(rows) - before}")
     wall = time.time() - t0
     failures = sum(1 for r in rows if r.outcome != "ok")
     header = [
@@ -445,6 +449,7 @@ def run_suite(cfg: SuiteConfig):
     ]
     header.extend(f"# config: {line}"
                   for line in cfg.to_text().strip().splitlines())
+    header.extend(timing)
     body = [row.render() for row in rows]
     body.append(f"summary|all|all|totals|rows={len(rows)};"
                 f"failures={failures}|"

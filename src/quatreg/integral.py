@@ -357,6 +357,9 @@ def _generalized_sweep(members, family, tol: float) -> list:
 
 def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
     """Integral-theorem conformance for f and iota*f over a surface family."""
+    family = tuple(family)
+    if not family:
+        raise BadParams("an empty surface family would pass any function")
     (verdict,) = _generalized_sweep([f], family, tol)
     if isinstance(verdict, Exception):
         raise verdict

@@ -20,6 +20,10 @@ A product coefficient sums its pair products a[i] * b[j] left to right, i
 outer (Griewank & Walther, *Evaluating Derivatives*, ch. 13); at orders 2
 and 3 a step plan takes those sums over whole rows, with no BLAS call.
 
+A QJet product adds the terms sign * a_k * b_q of the table ``_HAMILTON``
+in place, in the Hamilton formula's order; at order 1 into reused buffers
+with RJet's own operations, so it keeps the written-out formula's bits.
+
 Orders above 3 are rejected: third derivatives are the deepest anything
 here needs (the Fueter operator applied to a Laplacian).
 """
@@ -374,6 +378,16 @@ def atanh(a):
     return np.arctanh(a)
 
 
+# Per component (t, x, y, z) of a * b, its terms (k, q, sign) of
+# sign * a_k * b_q in the formula's order; every first term is positive.
+_HAMILTON = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
+)
+
+
 class QJet:
     """Quaternion-valued jet: four RJets sharing order and batch shape."""
 
@@ -446,13 +460,37 @@ class QJet:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        return QJet(
-            a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.t * b.x + a.x * b.t + a.y * b.z - a.z * b.y,
-            a.t * b.y - a.x * b.z + a.y * b.t + a.z * b.x,
-            a.t * b.z + a.x * b.y - a.y * b.x + a.z * b.t,
-        )
+        a, b = self.components(), other.components()
+        a[0]._binary_check(b[0])
+        order = a[0].order
+        shapes = {c._cm.shape[1:] for c in a + b}
+        batch = (shapes.pop() if len(shapes) == 1
+                 else np.broadcast_shapes(*shapes))
+        full = (_NCOEF[order],) + batch
+        if order == 1:
+            scratch, tail = np.empty(full), np.empty((NVARS,) + batch)
+            xa, yb = ([_lift(c._cm, len(batch)) for c in s] for s in (a, b))
+        out = []
+        for terms in _HAMILTON:
+            acc = None
+            for k, q, sign in terms:
+                if order == 1:      # RJet's order-1 product, into a buffer
+                    p = np.empty(full) if acc is None else scratch
+                    np.multiply(xa[k][:1], yb[q], out=p)
+                    np.multiply(xa[k][1:], yb[q][:1], out=tail)
+                    p[1:] += tail
+                else:
+                    p = _lift((a[k] * b[q])._cm, len(batch))
+                if acc is None:
+                    acc = (p if p.shape == full
+                           else np.broadcast_to(p, full).copy())
+                elif sign > 0:
+                    acc += p
+                else:
+                    acc -= p
+                del p       # freed before the next pair's product is made
+            out.append(RJet._wrap(order, acc))
+        return QJet(*out)
 
     def __rmul__(self, other):
         if isinstance(other, (RJet,) + _SCALARS):

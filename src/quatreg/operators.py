@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DegenerateChart, OnRealAxis
 from .jets import QJet, RJet
-from .quaternion import (I, J, K, Quaternion, SphericalPoint, from_spherical,
-                         iota_of, to_spherical)
+from .quaternion import (Quaternion, SphericalPoint, from_spherical, iota_of,
+                         to_spherical)
 
 #: Fixed guards: the spherical chart is refused at r <= R_MIN and at
 #: sin(beta) <= S_MIN.
@@ -112,10 +112,17 @@ def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:
             + frame.iota_beta_inv * g.derivative(3))
 
 
+def _fueter_sum(dt, dx, dy, dz) -> Quaternion:
+    """dt + i dx + j dy + k dz, the unit products as signed components."""
+    return Quaternion(dt.t - dx.x - dy.y - dz.z,
+                      dt.x + dx.t + dy.z - dz.y,
+                      dt.y - dx.z + dy.t + dz.x,
+                      dt.z + dx.y - dy.x + dz.t)
+
+
 def fueter_of_jet(g: QJet) -> Quaternion:
     """D_l from the first-order coefficients of a Cartesian-seeded jet."""
-    dt, dx, dy, dz = g.first_partials()
-    return dt + I * dx + J * dy + K * dz
+    return _fueter_sum(*g.first_partials())
 
 
 def cullen_of_jet(g: QJet, iota0: Quaternion) -> Quaternion:
@@ -174,8 +181,7 @@ def fueter_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Cartesian left-Fueter operator D_l f at p."""
     if backend == "jets":
         return fueter_of_jet(f.eval_jet(QJet.seed_cartesian(p, 1)))
-    parts = [_fd_cart_partial(f, p, v) for v in range(4)]
-    return parts[0] + I * parts[1] + J * parts[2] + K * parts[3]
+    return _fueter_sum(*(_fd_cart_partial(f, p, v) for v in range(4)))
 
 
 def fueter_left_spherical(f, p: Quaternion, backend: str = "jets") -> Quaternion:

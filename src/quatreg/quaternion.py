@@ -143,11 +143,6 @@ def _coerce(value):
     return None
 
 
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 def iota_of(p: Quaternion) -> Quaternion:
     """Unit imaginary direction (x*i + y*j + z*k) / r; satisfies iota**2 == -1."""
     r = p.imag_norm()

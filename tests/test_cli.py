@@ -1,11 +1,17 @@
 """Command-line front-end tests: config grammar, report shape, exit codes."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import quatreg
 from quatreg import (ConfigError, DomainError, EmptyDomain, OnRealAxis,
                      QFunction, QJet, Quaternion, SampleDomain, SuiteConfig,
                      from_string, generalized_regularity_test, integral,
@@ -109,6 +115,27 @@ class TestReports:
                            if not l.startswith("#")]
         assert strip(a) == strip(b)
 
+    def test_one_timing_line_per_suite(self):
+        # Timing goes in '#' lines only: the records of a two-suite run are
+        # those of its suites run one at a time.
+        suites = ("lemma1", "fueter_theorem")
+        cfg = small_cfg(suites=suites, functions=("power:2", "conj"))
+        text, _ = run_suite(cfg)
+        timing = [l.split() for l in text.splitlines()
+                  if l.startswith("# timing:")]
+        assert [t[2] for t in timing] == [f"suite={s}" for s in suites]
+        body = [l for l in text.splitlines() if not l.startswith("#")]
+        alone = []
+        for suite in suites:
+            one, _ = run_suite(replace(cfg, suites=(suite,)))
+            alone += [l for l in one.splitlines()
+                      if not l.startswith(("#", "summary"))]
+        assert body[:-1] == alone and body[-1].startswith("summary|")
+        for (_, _, suite, wall, rows), name in zip(timing, suites):
+            assert float(wall.removeprefix("wall_s=")) >= 0.0
+            assert int(rows.removeprefix("rows=")) == sum(
+                1 for l in body if l.startswith(name + "|"))
+
     def test_stats_formatting(self):
         text, _ = run_suite(small_cfg())
         row = next(l for l in text.splitlines()
@@ -168,6 +195,17 @@ class TestMain:
         out_path = tmp_path / "rep.txt"
         assert main(["run", str(cfg_path),
                      "--output", str(out_path)]) == 1
+
+    def test_python_dash_m(self):
+        # python -m quatreg runs the command line without the runpy
+        # warning that python -m quatreg.cli prints.
+        src = pathlib.Path(quatreg.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+        done = subprocess.run([sys.executable, "-m", "quatreg", "list"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == list_catalog()
 
     def test_list(self, capsys):
         assert main(["list"]) == 0

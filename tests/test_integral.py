@@ -273,6 +273,14 @@ class TestGeneralized:
             verdict = generalized_regularity_test(f, family, 1e-3)
             assert verdict.passed == f.expected_regular, f.fid
 
+    def test_empty_family_is_refused(self):
+        # Over no surface every residual check would hold vacuously, so
+        # even the control conj would read pass.
+        with pytest.raises(BadParams):
+            generalized_regularity_test(catalog_get("conj"), (), 1e-3)
+        with pytest.raises(BadParams):
+            generalized_regularity_test(catalog_get("conj"), iter(()), 1e-3)
+
     def test_worst_keeps_a_nan_on_a_later_row(self):
         # Python's max keeps its first argument against a NaN, so a NaN
         # on any row but the first would print a finite worst value.

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (DomainError, IndexTooDeep, OrderTooHigh, Quaternion,
-                     QJet, RJet, SampleDomain, ZeroDivisor, default_inventory)
+from quatreg import (BasisMismatch, DomainError, IndexTooDeep, OrderTooHigh,
+                     Quaternion, QJet, RJet, SampleDomain, ZeroDivisor,
+                     default_inventory)
 from quatreg import jets
 from conftest import assert_close, q
 
@@ -402,6 +403,68 @@ def _fd_second(f, pts, va, vb, h=1e-3):
             mm = f.eval_point(_shift(_shift(pts, va, -hh), vb, -hh))
             return (pp - pm - mp + mm) * (0.25 / (hh * hh))
     return (stencil(0.5 * h) * 4.0 - stencil(h)) * (1.0 / 3.0)
+
+
+def _ref_hamilton(a, b):
+    """The Hamilton product of two QJets written out over RJet operations,
+    left to right."""
+    return (a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.t * b.x + a.x * b.t + a.y * b.z - a.z * b.y,
+            a.t * b.y - a.x * b.z + a.y * b.t + a.z * b.x,
+            a.t * b.z + a.x * b.y - a.y * b.x + a.z * b.t)
+
+
+def _special_qjet(rng, order, batches):
+    """A QJet with one batch shape per component, its coefficients random
+    apart from a -0.0, an inf and a NaN."""
+    comps = []
+    for batch in batches:
+        c = rng.uniform(-2.0, 2.0, batch + (len(jets.INDICES[order]),))
+        flat = c.reshape(-1)
+        for pos, v in zip((1, 4, 6), (-0.0, math.inf, math.nan)):
+            if flat.size > pos:
+                flat[pos] = v
+        comps.append(RJet(order, c))
+    return QJet(*comps)
+
+
+class TestHamiltonProduct:
+    @staticmethod
+    def assert_bits(got, want):
+        for g, w in zip(got.components(), want):
+            assert g.c.shape == w.c.shape
+            assert np.array_equal(g.c.view(np.int64), w.c.view(np.int64))
+            assert _batch_major(g)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_product_matches_written_out_formula(self, order):
+        rng = np.random.default_rng(40 + order)
+        batches = [(), (1,), (7,), (1000,)] + [(10000,)] * (order == 1)
+        with np.errstate(invalid="ignore"):
+            for batch in batches:
+                a = _special_qjet(rng, order, [batch] * 4)
+                b = _special_qjet(rng, order, [batch] * 4)
+                self.assert_bits(a * b, _ref_hamilton(a, b))
+            # components of different batch ranks and shapes
+            a = _special_qjet(rng, order, [(), (7,), (1, 7), (7,)])
+            b = _special_qjet(rng, order, [(3, 1), (), (7,), (3, 7)])
+            self.assert_bits(a * b, _ref_hamilton(a, b))
+            self.assert_bits(b * a, _ref_hamilton(b, a))
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_constant_times_batched_jet(self, order):
+        rng = np.random.default_rng(50 + order)
+        g = _special_qjet(rng, order, [(300,)] * 4)
+        c = Quaternion(0.5, -0.0, 1.0, -2.0)
+        const = QJet.from_quaternion(c, order)
+        with np.errstate(invalid="ignore"):
+            self.assert_bits(c * g, _ref_hamilton(const, g))
+            self.assert_bits(g * c, _ref_hamilton(g, const))
+
+    def test_order_mismatch(self):
+        p = q(1, 2, 3, 4)
+        with pytest.raises(BasisMismatch):
+            QJet.seed_cartesian(p, 1) * QJet.seed_cartesian(p, 2)
 
 
 class TestNumpyOperands:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (DegenerateChart, OnRealAxis, Quaternion, SampleDomain,
-                     angular_derivative, catalog_get, cullen_left,
-                     default_inventory, evaluate_operator, fueter_laplacian,
-                     fueter_left, fueter_left_spherical, iota_of, laplacian,
-                     spherical_frame)
+from quatreg import (DegenerateChart, OnRealAxis, QJet, Quaternion,
+                     SampleDomain, angular_derivative, catalog_get,
+                     cullen_left, default_inventory, evaluate_operator,
+                     fueter_laplacian, fueter_left, fueter_left_spherical,
+                     iota_of, laplacian, spherical_frame)
+from quatreg import operators
 from quatreg.operators import CROSS_CHECKED
 from conftest import FnWrap, assert_close, q
 
@@ -115,6 +116,37 @@ class TestCrossChecks:
             scale = 1.0 + float(np.max(rhs.norm()))
             gap = float(np.max((lhs - rhs).norm()))
             assert gap < 1e-11 * scale, (name, gap)
+
+
+def _units_sum(dt, dx, dy, dz):
+    """D_l with the units applied by Hamilton products."""
+    i, j, k = q(x=1), q(y=1), q(z=1)
+    return dt + i * dx + j * dy + k * dz
+
+
+class TestFueterSum:
+    def test_signed_sum_equals_unit_products(self):
+        # Through every D_l route on every default member: the jets and
+        # fd backends of fueter_left, and fueter_laplacian.
+        dom = SampleDomain()
+        for f in default_inventory():
+            pts = dom.merge(f.domain).sample(200, seed=13)
+            partials = QJet.seed_cartesian(pts, 1)
+            fd = [operators._fd_cart_partial(f, pts, v) for v in range(4)]
+            lap = operators._laplacian_jet(
+                f.eval_jet(QJet.seed_cartesian(pts, 3)))
+            cases = (
+                (fueter_left(f, pts),
+                 f.eval_jet(partials).first_partials()),
+                (fueter_left(f, pts, backend="fd"), fd),
+                (fueter_laplacian(f, pts), lap.first_partials()))
+            for got, parts in cases:
+                assert np.array_equal(
+                    np.stack(operators._fueter_sum(*parts).components()),
+                    np.stack(_units_sum(*parts).components())), f.fid
+                assert np.array_equal(np.stack(got.components()),
+                                      np.stack(_units_sum(*parts)
+                                               .components())), f.fid
 
 
 class TestGuards:
