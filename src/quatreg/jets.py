@@ -20,9 +20,8 @@ A product coefficient sums its pair products a[i] * b[j] left to right, i
 outer (Griewank & Walther, *Evaluating Derivatives*, ch. 13); at orders 2
 and 3 a step plan takes those sums over whole rows, with no BLAS call.
 
-A QJet product adds the terms sign * a_k * b_q of the table ``_HAMILTON``
-in place, in the Hamilton formula's order; at order 1 into reused buffers
-with RJet's own operations, so it keeps the written-out formula's bits.
+A QJet product adds the pair products sign * a_k * b_q of ``_HAMILTON``
+in place, in the Hamilton formula's order, so it keeps the formula's bits.
 
 Orders above 3 are rejected: third derivatives are the deepest anything
 here needs (the Fueter operator applied to a Laplacian).
@@ -123,6 +122,25 @@ def _aligned(a, b):
     return _lift(a, ndim), _lift(b, ndim)
 
 
+def _product(order, a, b, out=None, tail=None):
+    """Product of coefficient-major a and b of one batch rank.  Each output
+    sums its pairs left to right, a0*bi first, ai*b0 last: with row slices
+    at orders 0 and 1 (at order 1 into out and, for the ai*b0 rows, tail
+    when given), in the steps of _mul_plan at orders 2 and 3."""
+    if order == 0:
+        return a * b
+    if order == 1:
+        out = np.multiply(a[:1], b, out=out)
+        out[1:] += np.multiply(a[1:], b[:1], out=tail)
+        return out
+    steps, unrank = _MUL[order]
+    (ia, ib), *rest = steps
+    acc = a[ia] * b[ib]
+    for ia, ib in rest:
+        acc[:len(ia)] += a[ia] * b[ib]
+    return acc[unrank]
+
+
 class RJet:
     """Real-valued truncated Taylor expansion.
 
@@ -218,22 +236,8 @@ class RJet:
     def __mul__(self, other):
         if isinstance(other, RJet):
             self._binary_check(other)
-            a, b = _aligned(self._cm, other._cm)
-            # Each output sums its pairs left to right, a0*bi first, ai*b0
-            # last: with row slices at orders 0 and 1 (the quadrature hot
-            # path), in the steps of _mul_plan at orders 2 and 3.
-            if self.order == 0:
-                return RJet._wrap(0, a * b)
-            if self.order == 1:
-                out = a[:1] * b
-                out[1:] += a[1:] * b[:1]
-                return RJet._wrap(1, out)
-            steps, unrank = _MUL[self.order]
-            (ia, ib), *rest = steps
-            acc = a[ia] * b[ib]
-            for ia, ib in rest:
-                acc[:len(ia)] += a[ia] * b[ib]
-            return RJet._wrap(self.order, acc[unrank])
+            return RJet._wrap(self.order, _product(
+                self.order, *_aligned(self._cm, other._cm)))
         if isinstance(other, _SCALARS):
             return RJet._wrap(self.order,
                               _lift(self._cm, np.ndim(other)) * other)
@@ -380,12 +384,10 @@ def atanh(a):
 
 # Per component (t, x, y, z) of a * b, its terms (k, q, sign) of
 # sign * a_k * b_q in the formula's order; every first term is positive.
-_HAMILTON = (
-    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
-    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
-    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
-    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
-)
+_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
 
 
 class QJet:
@@ -467,27 +469,20 @@ class QJet:
         batch = (shapes.pop() if len(shapes) == 1
                  else np.broadcast_shapes(*shapes))
         full = (_NCOEF[order],) + batch
-        if order == 1:
-            scratch, tail = np.empty(full), np.empty((NVARS,) + batch)
-            xa, yb = ([_lift(c._cm, len(batch)) for c in s] for s in (a, b))
+        x, y = ([_lift(c._cm, len(batch)) for c in s] for s in (a, b))
+        # At order 1 every pair product goes into an array made here: four
+        # results, a scratch and a tail (fresh ones cost 5 % on quadrature).
+        *accs, scratch, tail = ([np.empty(full) for _ in range(5)]
+                                + [np.empty((NVARS,) + batch)]
+                                if order == 1 else [None] * 6)
         out = []
-        for terms in _HAMILTON:
-            acc = None
-            for k, q, sign in terms:
-                if order == 1:      # RJet's order-1 product, into a buffer
-                    p = np.empty(full) if acc is None else scratch
-                    np.multiply(xa[k][:1], yb[q], out=p)
-                    np.multiply(xa[k][1:], yb[q][:1], out=tail)
-                    p[1:] += tail
-                else:
-                    p = _lift((a[k] * b[q])._cm, len(batch))
-                if acc is None:
-                    acc = (p if p.shape == full
-                           else np.broadcast_to(p, full).copy())
-                elif sign > 0:
-                    acc += p
-                else:
-                    acc -= p
+        for ((k, q, _), *rest), acc in zip(_HAMILTON, accs):
+            acc = _product(order, x[k], y[q], acc, tail)
+            if acc.shape != full:
+                acc = np.broadcast_to(acc, full).copy()
+            for k, q, sign in rest:
+                p = _product(order, x[k], y[q], scratch, tail)
+                (np.add if sign > 0 else np.subtract)(acc, p, out=acc)
                 del p       # freed before the next pair's product is made
             out.append(RJet._wrap(order, acc))
         return QJet(*out)
