@@ -30,13 +30,11 @@ from .quaternion import (Quaternion, SampleDomain, iota_of, to_spherical,
 from .jets import RJet, QJet
 from .operators import (spherical_frame, fueter_left, fueter_left_spherical,
                         cullen_left, angular_derivative, laplacian,
-                        fueter_laplacian, evaluate_operator)
+                        fueter_laplacian)
 from .catalog import (QFunction, catalog_get, from_string, default_inventory,
-                      inventory_ids, product, iota_times, over_r2,
-                      parse_quaternion_literal)
+                      product, iota_times, over_r2, parse_quaternion_literal)
 from .regularity import (slice_parts, lemma1_residual, theorem1_residuals,
-                         hyperholomorphy_report, regularity_verdict,
-                         iota_compose_regularity)
+                         hyperholomorphy_report)
 from .integral import (sphere3, surface_integral_left, volume_integral,
                        gauss_report, minus_two_v_over_r, theorem2_report,
                        generalized_regularity_test, parse_surface,
@@ -56,12 +54,10 @@ __all__ = [
     "RJet", "QJet",
     "spherical_frame", "fueter_left", "fueter_left_spherical", "cullen_left",
     "angular_derivative", "laplacian", "fueter_laplacian",
-    "evaluate_operator",
     "QFunction", "catalog_get", "from_string", "default_inventory",
-    "inventory_ids", "product", "iota_times", "over_r2",
-    "parse_quaternion_literal",
+    "product", "iota_times", "over_r2", "parse_quaternion_literal",
     "slice_parts", "lemma1_residual", "theorem1_residuals",
-    "hyperholomorphy_report", "regularity_verdict", "iota_compose_regularity",
+    "hyperholomorphy_report",
     "sphere3", "surface_integral_left", "volume_integral", "gauss_report",
     "minus_two_v_over_r", "theorem2_report", "generalized_regularity_test",
     "parse_surface", "standard_family",

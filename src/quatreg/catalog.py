@@ -379,7 +379,3 @@ def default_inventory() -> tuple:
     members.append(catalog_get("conj"))
     members.append(catalog_get("coord", "x"))
     return tuple(members)
-
-
-def inventory_ids() -> tuple:
-    return tuple(f.fid for f in default_inventory())

@@ -25,13 +25,14 @@ the rows made from them.  The integral suites have runners of their own.
 
 Exit status: 0 when every record's outcome is ok (controls failing count
 as ok), 1 when any record misbehaves, 2 for configuration errors, a
-surface that meets the real axis among them.
+non-finite number and a surface that meets the real axis among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 import time
 import zlib
@@ -121,6 +122,12 @@ class SuiteConfig:
         return cfg
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v!r}")
+            if f.name.startswith("tol_") and v <= 0:
+                raise ConfigError(f"{f.name} must be positive")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; "
@@ -138,9 +145,6 @@ class SuiteConfig:
             raise ConfigError("s_min must lie in (0, 1]")
         if self.resolution < 2:
             raise ConfigError("resolution must be at least 2")
-        for f in fields(self):
-            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
 
     def base_domain(self) -> SampleDomain:
         return SampleDomain(t_range=(self.t_min, self.t_max),

@@ -111,8 +111,10 @@ def sphere3(center: Quaternion, radius: float, resolution: int,
     """
     if not isinstance(center, Quaternion):
         center = Quaternion(float(center), 0.0, 0.0, 0.0)
-    if radius <= 0:
-        raise BadParams("sphere radius must be positive")
+    if not np.all(np.isfinite(center.components())):
+        raise BadParams("sphere center must be finite")
+    if not (0 < radius < math.inf):
+        raise BadParams("sphere radius must be positive and finite")
     if resolution < 2:
         raise BadParams("sphere resolution must be at least 2")
     axis_distance = float(center.imag_norm()) - radius
@@ -184,7 +186,7 @@ def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     flux = (vals[0] * n.t + vals[1] * n.x + vals[2] * n.y + vals[3] * n.z)
     lhs = _wsum(flux, K.weights)
     rhs = volume_integral(lambda pts: divergence(fs, pts), K)
-    rep = _report("?", K, lhs, rhs)
+    rep = _report(K, lhs, rhs)
     return lhs, rhs, rep.residual, rep.scale
 
 
@@ -212,7 +214,6 @@ def minus_two_v_over_r(f):
 
 @dataclass(frozen=True)
 class TheoremTwoReport:
-    fid: str
     surface: str
     lhs: Quaternion
     rhs: Quaternion
@@ -233,16 +234,16 @@ def _require_off_axis(K: Hypersurface) -> None:
             "integral theorem needs K and its interior off the real axis")
 
 
-def _report(fid: str, K: Hypersurface, lhs: Quaternion,
+def _report(K: Hypersurface, lhs: Quaternion,
             rhs: Quaternion) -> TheoremTwoReport:
     residual = float((lhs - rhs).norm())
     scale = float(lhs.norm() + rhs.norm() + 1.0)
-    return TheoremTwoReport(fid, K.name, lhs, rhs, residual, scale)
+    return TheoremTwoReport(K.name, lhs, rhs, residual, scale)
 
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
     _require_off_axis(K)
-    return _report(getattr(f, "fid", "?"), K, surface_integral_left(f, K),
+    return _report(K, surface_integral_left(f, K),
                    volume_integral(minus_two_v_over_r(f), K))
 
 
@@ -268,16 +269,14 @@ class _SphereJets:
         nodes and one order-1 Cartesian jet at the interior nodes.  iota*f
         is derived from these by left multiplication with iota_elem, the
         operations iota_times(f) performs."""
-        K, fid = self.K, getattr(f, "fid", "?")
+        K = self.K
         vals, g = f.eval_point(K.points), f.eval_jet(self.seed)
         return tuple(
-            _report(name, K, _flux(v, K),
+            _report(K, _flux(v, K),
                     _wsum(_minus_two_v_over_r_of(h, self.pts, self.inv_r,
                                                  self.iota), self.w))
-            for name, v, h in (
-                (fid, vals, g),
-                (f"iota*({fid})", self.iota_surface * vals,
-                 self.iota_seed * g)))
+            for v, h in ((vals, g),
+                         (self.iota_surface * vals, self.iota_seed * g)))
 
 
 @dataclass(frozen=True)

@@ -45,15 +45,6 @@ FD_STEP1 = 1e-5
 FD_STEP2 = 1e-3
 
 
-@dataclass(frozen=True)
-class OperatorResult:
-    """One operator evaluation; backends agree on smooth functions."""
-
-    value: Quaternion
-    backend: str
-    point: Quaternion
-
-
 # -- chart frames ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -239,24 +230,3 @@ def fueter_laplacian(f, p: Quaternion) -> Quaternion:
     g = f.eval_jet(QJet.seed_cartesian(p, 3))
     return fueter_of_jet(_laplacian_jet(g))
 
-
-_OPERATORS = {
-    "fueter_left": fueter_left,
-    "fueter_left_spherical": fueter_left_spherical,
-    "cullen_left": cullen_left,
-    "angular_derivative": angular_derivative,
-    "laplacian": laplacian,
-}
-
-#: Operators with both a jets and an fd backend, for cross-checking.
-CROSS_CHECKED = tuple(_OPERATORS)
-
-
-def evaluate_operator(name: str, f, p: Quaternion,
-                      backend: str = "jets") -> OperatorResult:
-    try:
-        op = _OPERATORS[name]
-    except KeyError:
-        raise KeyError(f"unknown operator {name!r}; "
-                       f"choose from {sorted(_OPERATORS)}") from None
-    return OperatorResult(op(f, p, backend=backend), backend, p)

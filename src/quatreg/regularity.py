@@ -51,7 +51,7 @@ from .jets import QJet, RJet
 from .operators import (SphericalFrame, angular_derivative, angular_jet,
                         cullen_left, cullen_of_jet, fueter_left,
                         spherical_frame, spherical_fueter_of_jet)
-from .quaternion import Quaternion, SampleDomain, iota_of
+from .quaternion import Quaternion, iota_of
 
 ITEM_NAMES = ("item1", "item2", "item3a", "item3b", "item4a", "item4b")
 
@@ -61,7 +61,6 @@ class SliceParts:
     u: Quaternion
     v: Quaternion
     reconstruction: Quaternion
-    point: Quaternion
 
 
 def _uv(frame: SphericalFrame, g: QJet, ig: QJet | None = None):
@@ -78,7 +77,7 @@ def slice_parts(f, p: Quaternion) -> SliceParts:
     frame = spherical_frame(p, 1)
     uj, vj, _, _ = _uv(frame, f.eval_jet(frame.seed))
     u, v = uj.value, vj.value
-    return SliceParts(u, v, u + frame.iota.value * v, p)
+    return SliceParts(u, v, u + frame.iota.value * v)
 
 
 def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
@@ -98,27 +97,25 @@ def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
 
 @dataclass(frozen=True)
 class TheoremOneReport:
-    fid: str
-    point: Quaternion
     item1: np.ndarray
     item2: np.ndarray
     item3a: np.ndarray
     item3b: np.ndarray
     item4a: np.ndarray
     item4b: np.ndarray
-    value_norm: np.ndarray
 
     def items(self) -> dict:
         return {name: getattr(self, name) for name in ITEM_NAMES}
 
     def max_residual(self) -> float:
-        return float(max(np.max(res) for res in self.items().values()))
+        """The largest item residual; NaN when any of them is NaN."""
+        return float(np.max([np.max(res) for res in self.items().values()]))
 
     def passes(self, tol: float) -> bool:
-        return self.max_residual() < tol
+        return residual_status(self.max_residual(), tol) == "pass"
 
 
-def _theorem1_report(f, p, iota0, r0, fval, u, v, cullen, dlf, dlif,
+def _theorem1_report(iota0, r0, fval, u, v, cullen, dlf, dlif,
                      dl4a, dl4b) -> TheoremOneReport:
     """The six item residuals from f(p), u, v, the Cullen value and D_l of
     f, iota f, f/r^2 and iota f/r^2, as either backend computed them."""
@@ -128,9 +125,7 @@ def _theorem1_report(f, p, iota0, r0, fval, u, v, cullen, dlf, dlif,
              dlif + u * (2.0 / r0),
              dl4a + iota0 * u * (2.0 / r0 ** 3),
              dl4b - iota0 * v * (2.0 / r0 ** 3))
-    return TheoremOneReport(getattr(f, "fid", "?"), p,
-                            *(np.asarray(q.norm()) for q in items),
-                            np.asarray(fval.norm()))
+    return TheoremOneReport(*(np.asarray(q.norm()) for q in items))
 
 
 def theorem1_residuals(f, p: Quaternion,
@@ -147,7 +142,7 @@ def theorem1_residuals(f, p: Quaternion,
         dlif = fueter_left(g2, p, backend="fd")
         cullen = cullen_left(f, p, backend="fd")
         return _theorem1_report(
-            f, p, iota0, p.imag_norm(), fval, u, v, cullen, dlf, dlif,
+            iota0, p.imag_norm(), fval, u, v, cullen, dlf, dlif,
             fueter_left(over_r2(f), p, backend="fd"),
             fueter_left(over_r2(g2), p, backend="fd"))
     frame = spherical_frame(p, 1)
@@ -160,7 +155,7 @@ def theorem1_residuals(f, p: Quaternion,
     u, v, a_ig, a_g = _uv(frame, g, ig)
     g4a, g4b = g * r2_inv, ig * r2_inv
     return _theorem1_report(
-        f, p, iota0, r0, g.value, u.value, v.value, cullen_of_jet(g, iota0),
+        iota0, r0, g.value, u.value, v.value, cullen_of_jet(g, iota0),
         spherical_fueter_of_jet(frame, g, a_g),
         spherical_fueter_of_jet(frame, ig, a_ig),
         spherical_fueter_of_jet(frame, g4a, angular_jet(frame, g4a)),
@@ -169,8 +164,6 @@ def theorem1_residuals(f, p: Quaternion,
 
 @dataclass(frozen=True)
 class HyperholoReport:
-    fid: str
-    point: Quaternion
     eq1: Quaternion
     eq2: Quaternion
     u: Quaternion
@@ -178,7 +171,9 @@ class HyperholoReport:
     cullen: Quaternion
 
     def max_uv_imag(self) -> float:
-        return float(max(np.max(self.u.imag_norm()), np.max(self.v.imag_norm())))
+        """The larger imaginary norm of u and v; NaN when either has one."""
+        return float(np.max([np.max(self.u.imag_norm()),
+                             np.max(self.v.imag_norm())]))
 
 
 def hyperholomorphy_report(f, p: Quaternion) -> HyperholoReport:
@@ -193,88 +188,6 @@ def hyperholomorphy_report(f, p: Quaternion) -> HyperholoReport:
     eq2 = du_da * sb_inv - dv_db
     # iota_of(p), not frame.iota.value: the Cullen value is then the
     # one cullen_left gives, bit for bit.
-    return HyperholoReport(getattr(f, "fid", "?"), p, eq1, eq2,
-                           uj.value, vj.value, cullen_of_jet(g, iota_of(p)))
+    return HyperholoReport(eq1, eq2, uj.value, vj.value,
+                           cullen_of_jet(g, iota_of(p)))
 
-
-# -- sample-sweep verdicts -------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularityVerdict:
-    fid: str
-    tol: float
-    n_samples: int
-    item_max: dict
-    item_mean: dict
-    item_pass: dict
-    regular: bool
-    consistent: bool
-    margin: float
-    status: str        # pass / fail / error (an item is not finite)
-
-    def summary(self) -> str:
-        worst = max(self.item_max.values())
-        state = {"pass": "regular", "fail": "not-regular"}.get(
-            self.status, "error")
-        cons = "consistent" if self.consistent else "INCONSISTENT"
-        return (f"{self.fid}: {state} ({cons}) max_residual={worst:.3e} "
-                f"tol={self.tol:g} n={self.n_samples}")
-
-
-def regularity_verdict(f, sampler: SampleDomain, tol: float,
-                       n: int = 200, seed: int = 0) -> RegularityVerdict:
-    """Aggregate Theorem 1 residuals over a seeded sample sweep.
-
-    The verdict's consistency flag records whether all six items agree on
-    pass/fail, which is the computable content of the items being
-    equivalent characterizations.  An item with a non-finite residual
-    measured nothing: the status is then error and the items never count
-    as consistent.
-    """
-    domain = sampler.merge(f.domain)
-    pts = domain.sample(n, seed=seed)
-    rep = theorem1_residuals(f, pts)
-    item_max = {k: float(np.max(vals)) for k, vals in rep.items().items()}
-    item_mean = {k: float(np.mean(vals)) for k, vals in rep.items().items()}
-    item_status = {k: residual_status(vals, tol)
-                   for k, vals in rep.items().items()}
-    item_pass = {k: s == "pass" for k, s in item_status.items()}
-    votes = set(item_status.values())
-    status = ("error" if "error" in votes
-              else "pass" if votes == {"pass"} else "fail")
-    worst = max(item_max.values())
-    return RegularityVerdict(getattr(f, "fid", "?"), tol, n, item_max,
-                             item_mean, item_pass, status == "pass",
-                             len(votes) == 1 and status != "error",
-                             tol - worst, status)
-
-
-@dataclass(frozen=True)
-class IotaComposeVerdict:
-    fid: str
-    tol: float
-    max_f: float
-    max_iota_f: float
-    passes_f: bool
-    passes_iota_f: bool
-    error: bool            # a residual is not finite: nothing was measured
-
-    @property
-    def together(self) -> bool:
-        return not self.error and self.passes_f == self.passes_iota_f
-
-
-def iota_compose_regularity(f, sampler: SampleDomain, tol: float,
-                            n: int = 200, seed: int = 0) -> IotaComposeVerdict:
-    """Check that f and iota*f are Cullen-regular together or fail together."""
-    domain = sampler.merge(f.domain)
-    pts = domain.sample(n, seed=seed)
-    frame = spherical_frame(pts, 1)
-    g = f.eval_jet(frame.seed)
-    iota0 = frame.iota.value
-    norms = [cullen_of_jet(h, iota0).norm() for h in (g, frame.iota * g)]
-    status = [residual_status(nm, tol) for nm in norms]
-    return IotaComposeVerdict(getattr(f, "fid", "?"), tol,
-                              *(float(np.max(nm)) for nm in norms),
-                              *(s == "pass" for s in status),
-                              "error" in status)

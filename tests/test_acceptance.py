@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from quatreg import (DegenerateChart, Quaternion, QJet, RJet, SampleDomain,
-                     SuiteConfig, catalog_get, cullen_left, default_inventory,
-                     evaluate_operator, from_string, fueter_laplacian,
-                     fueter_left, fueter_left_spherical, gauss_report,
-                     generalized_regularity_test, hyperholomorphy_report,
-                     lemma1_residual, product, run_suite, sphere3,
-                     standard_family, surface_integral_left,
-                     theorem1_residuals, theorem2_report)
+                     SuiteConfig, angular_derivative, catalog_get,
+                     cullen_left, default_inventory, from_string,
+                     fueter_laplacian, fueter_left, fueter_left_spherical,
+                     gauss_report, generalized_regularity_test,
+                     hyperholomorphy_report, laplacian, lemma1_residual,
+                     product, run_suite, sphere3, standard_family,
+                     surface_integral_left, theorem1_residuals,
+                     theorem2_report)
 from conftest import PolyField
 
 BASE = SampleDomain(t_range=(-1.5, 1.5), r_range=(0.5, 2.0), s_min=0.1)
@@ -203,16 +204,16 @@ def test_criterion_08_generalized_conformance():
 
 
 def test_criterion_09_backend_cross_check():
-    names = ("fueter_left", "fueter_left_spherical", "cullen_left",
-             "angular_derivative", "laplacian")
+    ops = (fueter_left, fueter_left_spherical, cullen_left,
+           angular_derivative, laplacian)
     worst = 0.0
     for f in default_inventory():
         pts = _samples(f, 25, seed=110)
-        for name in names:
-            a = evaluate_operator(name, f, pts, backend="jets").value
-            b = evaluate_operator(name, f, pts, backend="fd").value
+        for op in ops:
+            a = op(f, pts, backend="jets")
+            b = op(f, pts, backend="fd")
             rel = float(np.max((a - b).norm() / (1.0 + a.norm())))
-            assert rel < 1e-5, f"{f.fid}/{name}: {rel:.2e}"
+            assert rel < 1e-5, f"{f.fid}/{op.__name__}: {rel:.2e}"
             worst = max(worst, rel)
     _outcome(9, True, f"jets vs finite differences within 1e-5 relative "
                       f"on 5 operators x 16 members (worst {worst:.2e})")

@@ -60,6 +60,10 @@ class TestConfig:
             SuiteConfig.from_text("r_min=-1.0\n")
         with pytest.raises(ConfigError):
             SuiteConfig.from_text("tol_fueter=0.0\n")
+        for text in ("tol_theorem1=nan\n", "t_min=-inf\nt_max=inf\n",
+                     "r_max=inf\n"):
+            with pytest.raises(ConfigError, match="finite"):
+                SuiteConfig.from_text(text)
 
 
 class TestReports:
@@ -167,6 +171,20 @@ class TestMain:
         badsurf.write_text("suites=integral\n"
                            "surfaces=sphere:center=0+2i+0j+0k,r=1\n")
         assert main(["run", str(badsurf)]) == 2
+        # Non-finite numbers: a tolerance, the sample box, a sphere.
+        capsys.readouterr()
+        assert main(["check", "theorem1", "power:2", "--tol", "nan"]) == 2
+        for text in ("tol_theorem1=nan", "t_min=-inf\nt_max=inf",
+                     "r_max=inf",
+                     "suites=integral\nfunctions=power:2\n"
+                     "surfaces=sphere:center=0+2i,r=nan,res=6",
+                     "suites=integral\nfunctions=power:2\n"
+                     "surfaces=sphere:center=0+1e999i,r=1,res=6"):
+            bad.write_text(text + "\n")
+            assert main(["run", str(bad)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 6
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("suite", ("integral", "generalized"))
     def test_surface_meeting_real_axis_exits_two(self, suite, tmp_path,

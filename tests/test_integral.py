@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from quatreg import (BadParams, Quaternion, SampleDomain, TouchesRealAxis,
-                     catalog_get, default_inventory, from_string, fueter_left,
-                     gauss_report, iota_times, generalized_regularity_test,
-                     minus_two_v_over_r, parse_surface, product,
-                     regularity_verdict, slice_parts, sphere3,
+from quatreg import (BadParams, Quaternion, SampleDomain, SuiteConfig,
+                     TouchesRealAxis, catalog_get, default_inventory,
+                     from_string, fueter_left, gauss_report, iota_times,
+                     generalized_regularity_test, minus_two_v_over_r,
+                     parse_surface, product, run_suite, slice_parts, sphere3,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
 from quatreg.integral import GeneralizedVerdict
@@ -204,12 +204,14 @@ class TestIntegralTheorem:
 
     def test_agrees_with_pointwise_verdict(self):
         K = unit_sphere(12)
-        dom = SampleDomain()
         for fid in ("power:2", "conj"):
-            f = from_string(fid)
-            pointwise = regularity_verdict(f, dom, 1e-8, n=60, seed=62)
-            integral_pass = theorem2_report(f, K).passes(1e-3)
-            assert pointwise.regular == integral_pass, fid
+            text, _ = run_suite(SuiteConfig(suites=("theorem1",),
+                                            functions=(fid,), samples=60,
+                                            seed=62))
+            statuses = {line.split("|")[5] for line in text.splitlines()
+                        if line.startswith("theorem1|")}
+            integral_pass = theorem2_report(from_string(fid), K).passes(1e-3)
+            assert (statuses == {"pass"}) == integral_pass, fid
 
 
 class TestBridgeIdentity:

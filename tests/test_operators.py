@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from quatreg import (DegenerateChart, OnRealAxis, QJet, Quaternion,
                      SampleDomain, angular_derivative, catalog_get,
-                     cullen_left, default_inventory, evaluate_operator,
-                     fueter_laplacian, fueter_left, fueter_left_spherical,
-                     iota_of, laplacian, spherical_frame)
+                     cullen_left, default_inventory, fueter_laplacian,
+                     fueter_left, fueter_left_spherical, iota_of, laplacian,
+                     spherical_frame)
 from quatreg import operators
-from quatreg.operators import CROSS_CHECKED
 from conftest import FnWrap, assert_close, q
 
 P0 = q(1, 2, 3, 6)          # r = 7, well off the axis and the plane
@@ -24,6 +23,10 @@ POWER2 = catalog_get("power", 2)
 POWER3 = catalog_get("power", 3)
 CONJ = catalog_get("conj")
 IOTA = catalog_get("iota")
+
+#: The operators with both a jets and an fd backend.
+FD_OPERATORS = (fueter_left, fueter_left_spherical, cullen_left,
+                angular_derivative, laplacian)
 
 
 class TestClosedForms:
@@ -78,18 +81,14 @@ class TestCrossChecks:
 
     def test_fd_matches_jets(self):
         pts = SampleDomain().sample(20, seed=5)
-        for name in CROSS_CHECKED:
+        for op in FD_OPERATORS:
             for f in (POWER2, CONJ):
-                a = evaluate_operator(name, f, pts, backend="jets")
-                b = evaluate_operator(name, f, pts, backend="fd")
-                assert a.backend == "jets" and b.backend == "fd"
-                scale = 1.0 + float(np.max(a.value.norm()))
-                gap = float(np.max((a.value - b.value).norm()))
-                assert gap < 1e-6 * scale, f"{name}/{f.fid}: {gap:.2e}"
-
-    def test_unknown_operator(self):
-        with pytest.raises(KeyError):
-            evaluate_operator("fueter_right", POWER1, P0)
+                a = op(f, pts, backend="jets")
+                b = op(f, pts, backend="fd")
+                scale = 1.0 + float(np.max(a.norm()))
+                gap = float(np.max((a - b).norm()))
+                assert gap < 1e-6 * scale, \
+                    f"{op.__name__}/{f.fid}: {gap:.2e}"
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
@@ -109,13 +108,12 @@ class TestCrossChecks:
         f1 = FnWrap(lambda g: g * g)
         f2 = FnWrap(lambda g: g.conjugate() * g)
         combo = FnWrap(lambda g: (g * g) * cst + g.conjugate() * g)
-        for name in CROSS_CHECKED:
-            lhs = evaluate_operator(name, combo, P0).value
-            rhs = (evaluate_operator(name, f1, P0).value * cst
-                   + evaluate_operator(name, f2, P0).value)
+        for op in FD_OPERATORS:
+            lhs = op(combo, P0)
+            rhs = op(f1, P0) * cst + op(f2, P0)
             scale = 1.0 + float(np.max(rhs.norm()))
             gap = float(np.max((lhs - rhs).norm()))
-            assert gap < 1e-11 * scale, (name, gap)
+            assert gap < 1e-11 * scale, (op.__name__, gap)
 
 
 def _units_sum(dt, dx, dy, dz):

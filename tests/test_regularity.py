@@ -16,18 +16,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (QFunction, Quaternion, SampleDomain, catalog_get,
-                     cullen_left, default_inventory, from_string, fueter_left,
-                     fueter_left_spherical, hyperholomorphy_report,
-                     iota_compose_regularity, iota_of, iota_times,
+from quatreg import (QFunction, Quaternion, SampleDomain, SuiteConfig,
+                     catalog_get, cullen_left, default_inventory, from_string,
+                     fueter_left, fueter_left_spherical,
+                     hyperholomorphy_report, iota_of, iota_times,
                      lemma1_residual, operators, over_r2, product,
-                     regularity, regularity_verdict, slice_parts,
-                     spherical_frame, theorem1_residuals)
+                     regularity, run_suite, slice_parts, spherical_frame,
+                     theorem1_residuals)
+from quatreg.cli import _RUNNERS
+from quatreg.errors import residual_status
 from quatreg.operators import angular_jet
+from quatreg.regularity import HyperholoReport, TheoremOneReport
 from conftest import assert_close, q
 
 P0 = q(1, 2, 3, 6)      # r = 7
 DOM = SampleDomain()
+
+
+def theorem1_statuses(n, seed, *fids) -> dict:
+    """{fid: the statuses of its six Theorem 1 rows} from a theorem1 run
+    over the members fids, every default member when none is given."""
+    text, _ = run_suite(SuiteConfig(suites=("theorem1",), functions=fids,
+                                    samples=n, seed=seed))
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("theorem1|"):
+            fields = line.split("|")
+            out.setdefault(fields[2], []).append(fields[5])
+    return out
+
+
+def cullen_statuses(f, n, seed) -> tuple:
+    """The Cullen residual statuses of f and iota*f at tol 1e-8."""
+    pts = DOM.merge(f.domain).sample(n, seed=seed)
+    return tuple(residual_status(cullen_left(g, pts).norm(), 1e-8)
+                 for g in (f, iota_times(f)))
 
 
 class TestSliceParts:
@@ -177,50 +200,42 @@ class TestHyperholomorphy:
 
 
 class TestVerdicts:
+    # The six items are equivalent characterizations: a theorem1 run
+    # must give every member six equal statuses.
     def test_regular_verdict(self):
-        v = regularity_verdict(catalog_get("power", 2), DOM, 1e-8,
-                               n=100, seed=52)
-        assert v.regular and v.consistent
-        assert all(v.item_pass.values())
-        assert "consistent" in v.summary()
+        (statuses,) = theorem1_statuses(100, 52, "power:2").values()
+        assert statuses == ["pass"] * 6
 
     def test_control_verdict(self):
-        v = regularity_verdict(catalog_get("conj"), DOM, 1e-8,
-                               n=100, seed=53)
-        assert not v.regular
-        assert v.consistent
-        assert not any(v.item_pass.values())
+        (statuses,) = theorem1_statuses(100, 53, "conj").values()
+        assert statuses == ["fail"] * 6
 
     def test_iota_compose(self):
-        good = iota_compose_regularity(catalog_get("power", 2), DOM,
-                                       1e-8, n=60, seed=54)
-        assert good.passes_f and good.passes_iota_f and good.together
-        bad = iota_compose_regularity(catalog_get("conj"), DOM,
-                                      1e-8, n=60, seed=55)
-        assert not bad.passes_f and not bad.passes_iota_f
-        assert bad.together
+        # f and iota*f are Cullen-regular together or fail together.
+        assert cullen_statuses(catalog_get("power", 2), 60, 54) == \
+            ("pass", "pass")
+        assert cullen_statuses(catalog_get("conj"), 60, 55) == \
+            ("fail", "fail")
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=4))
     def test_power_family_verdicts(self, n):
-        v = regularity_verdict(catalog_get("power", n), DOM, 1e-8,
-                               n=40, seed=56)
-        assert v.regular and v.consistent
+        (statuses,) = theorem1_statuses(40, 56, f"power:{n}").values()
+        assert statuses == ["pass"] * 6
 
     def test_all_members_consistent(self):
-        # The six items are equivalent characterizations, so every
-        # member must get a unanimous vote matching its expected flag.
+        by_member = theorem1_statuses(80, 57)
+        assert len(by_member) == len(default_inventory())
         for f in default_inventory():
-            v = regularity_verdict(f, DOM, 1e-8, n=80, seed=57)
-            assert v.consistent, f.fid
-            assert v.regular == f.expected_regular, f.fid
+            want = "pass" if f.expected_regular else "fail"
+            assert by_member[f.fid] == [want] * 6, f.fid
 
     def test_truncated_exponential_verdict(self):
         # 1 + p + p^2/2 + p^3/6 has real right coefficients, hence is
         # Cullen-regular.
-        f = from_string(f"series:1,1,0.5,{1.0 / 6.0!r}")
-        v = regularity_verdict(f, DOM, 1e-8, n=80, seed=58)
-        assert v.regular and v.consistent
+        (statuses,) = theorem1_statuses(
+            80, 58, f"series:1,1,0.5,{1.0 / 6.0!r}").values()
+        assert statuses == ["pass"] * 6
 
     def test_product_closure_with_powers(self):
         # f * g stays regular when g is p^2 or p^3, even though the
@@ -295,13 +310,22 @@ class TestNonFiniteVerdicts:
                             expected_regular=False, control=True)
 
     def test_regularity_verdict(self):
-        v = regularity_verdict(self.NAN_CONTROL, DOM, 1e-8, n=20, seed=72)
-        assert v.status == "error"
-        assert not v.regular and not v.consistent
-        assert "error" in v.summary()
+        rows = _RUNNERS["theorem1"](
+            SuiteConfig(suites=("theorem1",), samples=20, seed=72),
+            [self.NAN_CONTROL])
+        assert [row.status for row in rows] == ["error"] * 6
+        assert all(row.outcome == "FAIL" for row in rows)
 
     def test_iota_compose(self):
-        v = iota_compose_regularity(self.NAN_CONTROL, DOM, 1e-8, n=20,
-                                    seed=73)
-        assert v.error
-        assert not v.together
+        assert cullen_statuses(self.NAN_CONTROL, 20, 73) == \
+            ("error", "error")
+
+    def test_report_maxima_keep_nan(self):
+        # A NaN in a later item, or in v alone, must not be dropped.
+        zero, nan = np.zeros(3), np.array([0.0, math.nan, 0.0])
+        rep = TheoremOneReport(zero, zero, zero, zero, zero, nan)
+        assert math.isnan(rep.max_residual())
+        assert not rep.passes(1e-8)
+        u = Quaternion(zero, zero, zero, zero)
+        hh = HyperholoReport(u, u, u, Quaternion(zero, nan, zero, zero), u)
+        assert math.isnan(hh.max_uv_imag())
