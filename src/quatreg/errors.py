@@ -37,7 +37,8 @@ class IndexTooDeep(QuatRegError):
 
 
 class TouchesRealAxis(QuatRegError):
-    """Hypersurface (or its interior) intersects the real axis where it must not."""
+    """A surface or its interior meets the real axis; raised while the
+    surface is built."""
 
 
 class UnknownFunction(QuatRegError):
@@ -56,10 +57,11 @@ class ConfigError(QuatRegError):
     """Suite configuration could not be parsed or validated."""
 
 
-#: The errors a point or a surface raises at run time.  The suite runners
+#: The errors evaluating a member raises at run time.  The suite runners
 #: record them against the member that raised them and go on.
-RUNTIME_ERRORS = (DomainError, OnRealAxis, DegenerateChart, ZeroDivisor,
-                  TouchesRealAxis)
+#: TouchesRealAxis is not among them: only building a surface raises it,
+#: and the CLI turns that into a configuration error.
+RUNTIME_ERRORS = (DomainError, OnRealAxis, DegenerateChart, ZeroDivisor)
 
 
 def residual_status(residuals, bound) -> str:

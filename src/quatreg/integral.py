@@ -45,18 +45,24 @@ from .quaternion import Quaternion, iota_of
 
 
 class Hypersurface:
-    """A radius-R 3-sphere with batched surface and (lazy) interior nodes."""
+    """A radius-R 3-sphere with batched surface and (lazy) interior nodes.
+    A ball that meets the real axis, where iota is undefined, is refused
+    (TouchesRealAxis), so every surface meets the integral theorem's
+    precondition."""
 
-    def __init__(self, name, center, radius, resolution,
-                 points, normals, weights, axis_distance, radial_nodes):
+    def __init__(self, name, center, radius, points, normals, weights,
+                 radial_nodes):
+        if float(center.imag_norm()) <= radius:
+            raise TouchesRealAxis(
+                f"ball around ({float(center.t):g},{float(center.x):g},"
+                f"{float(center.y):g},{float(center.z):g}) with radius "
+                f"{radius:g} meets the real axis")
         self.name = name
         self.center = center
         self.radius = float(radius)
-        self.resolution = int(resolution)
         self.points = points
         self.normals = normals
         self.weights = weights
-        self.axis_distance = float(axis_distance)
         self._radial_nodes = int(radial_nodes)
         self._volume_cache = None
 
@@ -88,13 +94,6 @@ class Hypersurface:
     def volume(self) -> float:
         return float(np.sum(self.volume_nodes()[1]))
 
-    def describe(self) -> str:
-        c = self.center
-        return (f"{self.name}: center=({float(c.t):g},{float(c.x):g},"
-                f"{float(c.y):g},{float(c.z):g}) r={self.radius:g} "
-                f"res={self.resolution} nodes={self.node_count} "
-                f"axis_distance={self.axis_distance:g}")
-
 
 def _gl_nodes(n, lo, hi):
     xs, ws = np.polynomial.legendre.leggauss(int(n))
@@ -102,13 +101,13 @@ def _gl_nodes(n, lo, hi):
     return lo + (xs + 1.0) * half, ws * half
 
 
-def sphere3(center: Quaternion, radius: float, resolution: int,
-            axis_clear: bool = True) -> Hypersurface:
+def sphere3(center: Quaternion, radius: float,
+            resolution: int) -> Hypersurface:
     """Round 3-sphere; outward normal is (point - center)/radius exactly.
 
-    With axis_clear (the default) the surface and its whole interior must
-    stay off the real axis, the integral-theorem precondition.
-    """
+    Needs a finite center, a positive finite radius and a resolution of at
+    least 2 (BadParams); Hypersurface refuses a ball that meets the real
+    axis (TouchesRealAxis)."""
     if not isinstance(center, Quaternion):
         center = Quaternion(float(center), 0.0, 0.0, 0.0)
     if not np.all(np.isfinite(center.components())):
@@ -117,12 +116,6 @@ def sphere3(center: Quaternion, radius: float, resolution: int,
         raise BadParams("sphere radius must be positive and finite")
     if resolution < 2:
         raise BadParams("sphere resolution must be at least 2")
-    axis_distance = float(center.imag_norm()) - radius
-    if axis_clear and axis_distance <= 0.0:
-        raise TouchesRealAxis(
-            f"ball around ({float(center.t):g},{float(center.x):g},"
-            f"{float(center.y):g},{float(center.z):g}) with radius "
-            f"{radius:g} meets the real axis")
     chi, wchi = _gl_nodes(resolution, 0.0, math.pi)
     theta, wtheta = _gl_nodes(resolution, 0.0, math.pi)
     nphi = max(4, 2 * int(resolution))
@@ -143,8 +136,7 @@ def sphere3(center: Quaternion, radius: float, resolution: int,
                         flat(center.z + radius * n3))
     weights = flat(radius ** 3 * schi ** 2 * stheta * wgrid)
     name = f"sphere(r={radius:g},res={int(resolution)})"
-    return Hypersurface(name, center, radius, resolution, points, normals,
-                        weights, axis_distance,
+    return Hypersurface(name, center, radius, points, normals, weights,
                         radial_nodes=max(3, int(resolution) // 2))
 
 
@@ -228,12 +220,6 @@ class TheoremTwoReport:
         return self.status(tol) == "pass"
 
 
-def _require_off_axis(K: Hypersurface) -> None:
-    if K.axis_distance <= 0.0:
-        raise TouchesRealAxis(
-            "integral theorem needs K and its interior off the real axis")
-
-
 def _report(K: Hypersurface, lhs: Quaternion,
             rhs: Quaternion) -> TheoremTwoReport:
     residual = float((lhs - rhs).norm())
@@ -242,7 +228,6 @@ def _report(K: Hypersurface, lhs: Quaternion,
 
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
-    _require_off_axis(K)
     return _report(K, surface_integral_left(f, K),
                    volume_integral(minus_two_v_over_r(f), K))
 
@@ -254,7 +239,6 @@ class _SphereJets:
     interior nodes, and iota_elem at the surface nodes."""
 
     def __init__(self, K: Hypersurface):
-        _require_off_axis(K)
         self.K = K
         self.pts, self.w = K.volume_nodes()
         self.seed = QJet.seed_cartesian(self.pts, 1)
@@ -281,8 +265,6 @@ class _SphereJets:
 
 @dataclass(frozen=True)
 class GeneralizedVerdict:
-    fid: str
-    tol: float
     rows: tuple        # (surface, residual_f, scale_f, residual_iota_f, scale_iota_f)
     status: str        # pass / fail / error (a residual is not finite)
 
@@ -296,22 +278,15 @@ class GeneralizedVerdict:
         rel = np.array([(r[1] / r[2], r[3] / r[4]) for r in self.rows])
         return tuple(float(v) for v in np.max(rel, axis=0))
 
-    def summary(self) -> str:
-        state = {"pass": "generalized-regular", "fail": "fails"}.get(
-            self.status, "error")
-        worst = float(np.max(self.worst_rel()))
-        return (f"{self.fid}: {state} over {len(self.rows)} surfaces, "
-                f"worst relative residual {worst:.3e} (tol {self.tol:g})")
 
-
-def _verdict(f, reports, tol: float) -> GeneralizedVerdict:
+def _verdict(reports, tol: float) -> GeneralizedVerdict:
     """The verdict on f from its (f, iota*f) report pair per surface."""
     rows = tuple((rep_f.surface, rep_f.residual, rep_f.scale,
                   rep_i.residual, rep_i.scale) for rep_f, rep_i in reports)
     every = [rep for pair in reports for rep in pair]
     status = residual_status([rep.residual for rep in every],
                              [tol * rep.scale for rep in every])
-    return GeneralizedVerdict(getattr(f, "fid", "?"), tol, rows, status)
+    return GeneralizedVerdict(rows, status)
 
 
 def _without_locals(exc: Exception) -> Exception:
@@ -337,21 +312,15 @@ def _generalized_sweep(members, family, tol: float) -> list:
         live = [i for i, out in enumerate(found) if isinstance(out, list)]
         if not live:
             break
-        try:
-            sphere = _SphereJets(K)
-        except RUNTIME_ERRORS as exc:
-            kept = _without_locals(exc)
-            for i in live:
-                found[i] = kept
-            continue
+        sphere = _SphereJets(K)
         for i in live:
             try:
                 found[i].append(sphere.reports(members[i]))
             except RUNTIME_ERRORS as exc:
                 found[i] = _without_locals(exc)
         del sphere      # else held while the next sphere's jets are built
-    return [_verdict(f, out, tol) if isinstance(out, list) else out
-            for f, out in zip(members, found)]
+    return [_verdict(out, tol) if isinstance(out, list) else out
+            for out in found]
 
 
 def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
@@ -390,10 +359,9 @@ def parse_surface(text: str) -> Hypersurface:
         res = int(fields.pop("res"))
     except KeyError as missing:
         raise BadParams(f"surface descriptor missing {missing}") from None
-    axis_clear = fields.pop("axis_clear", "1") not in ("0", "false", "no")
     if fields:
         raise BadParams(f"unknown surface parameters {sorted(fields)}")
-    return sphere3(center, radius, res, axis_clear=axis_clear)
+    return sphere3(center, radius, res)
 
 
 def standard_family(resolution: int = 12) -> tuple:

@@ -187,11 +187,11 @@ class RJet:
         return cls._wrap(order, cm)
 
     @classmethod
-    def seed(cls, value, var: int | None, order: int) -> "RJet":
+    def seed(cls, value, var: int, order: int) -> "RJet":
         """Constant `value` carrying a unit first-order coefficient in its
-        own variable (none when var is None)."""
+        own variable."""
         jet = cls.constant(value, order)
-        if var is not None and order >= 1:
+        if order >= 1:
             jet._cm[_POS[order][_unit(var)]] = 1.0
         return jet
 
@@ -244,16 +244,6 @@ class RJet:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, RJet):
-            return self * other.recip()
-        if isinstance(other, _SCALARS):
-            return self * (1.0 / np.asarray(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.recip() * other
 
     # -- structure ---------------------------------------------------------
 
@@ -399,15 +389,10 @@ class QJet:
     __array_ufunc__ = None
 
     def __init__(self, t, x, y, z):
-        parts = [t, x, y, z]
-        template = next((p for p in parts if isinstance(p, RJet)), None)
-        if template is None:
-            raise BasisMismatch("QJet needs at least one RJet component")
-        for i, p in enumerate(parts):
-            if not isinstance(p, RJet):
-                parts[i] = RJet.constant(p, template.order)
-            elif p.order != template.order:
-                raise BasisMismatch("QJet components must share one order")
+        parts = (t, x, y, z)
+        if not (all(isinstance(p, RJet) for p in parts)
+                and t.order == x.order == y.order == z.order):
+            raise BasisMismatch("QJet needs four RJet components of one order")
         self.t, self.x, self.y, self.z = parts
 
     @classmethod

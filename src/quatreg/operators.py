@@ -52,7 +52,6 @@ class SphericalFrame:
     """Jets of the chart variables (t, r, alpha, beta) at a base point,
     with the Cartesian components and iota expressed through them."""
 
-    point: Quaternion
     chart: SphericalPoint
     seed: QJet            # (t, x, y, z) as jets of the chart variables
     iota: QJet
@@ -94,7 +93,7 @@ def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
     ix, iy, iz = ca * sb, sa * sb, cb
     seed = QJet(jt, jr * ix, jr * iy, jr * iz)
     iota = QJet(jt * 0.0, ix, iy, iz)
-    return SphericalFrame(p, sp, seed, iota, sin_beta)
+    return SphericalFrame(sp, seed, iota, sin_beta)
 
 
 def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:

@@ -239,9 +239,12 @@ class SampleDomain:
 
     def sample(self, n: int, seed: int = 0) -> Quaternion:
         """Draw n admissible points as one batched Quaternion."""
+        # rng.uniform needs a finite width; an infinite bound has none.
         if not (self.t_range[0] <= self.t_range[1]
                 and 0.0 < self.r_range[0] <= self.r_range[1]
-                and 0.0 < self.s_min <= 1.0):
+                and 0.0 < self.s_min <= 1.0
+                and math.isfinite(self.t_range[1] - self.t_range[0])
+                and math.isfinite(self.r_range[1] - self.r_range[0])):
             raise EmptyDomain(f"empty or invalid sample domain: {self}")
         rng = np.random.default_rng(seed)
         beta_lo = math.asin(min(self.s_min, 1.0))

@@ -205,6 +205,11 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         with pytest.raises(EmptyDomain):
             SampleDomain(t_range=(1.0, 0.0)).sample(4)
+        # An infinite bound leaves no finite width to draw from.
+        with pytest.raises(EmptyDomain):
+            SampleDomain(r_range=(0.5, math.inf)).sample(3)
+        with pytest.raises(EmptyDomain):
+            SampleDomain(t_range=(-math.inf, 0.0)).sample(3)
 
     def test_exit_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -317,18 +322,6 @@ class TestGeneralizedSweep:
             assert row.stats["surfaces"] == 2
         with pytest.raises(DomainError, match="arctanh argument"):
             generalized_regularity_test(arctan, family, 1e-3)
-
-    def test_sphere_on_the_axis_is_every_members_error(self):
-        # axis_clear=0 lets the descriptor through; the sphere's shared
-        # jets are then refused, for each member still running.
-        cfg = SuiteConfig(surfaces=(
-            "sphere:center=0+1.3i+1.3j+1.3k,r=0.6,res=4",
-            "sphere:center=0+0.5i,r=1,res=4,axis_clear=0"))
-        rows = _RUNNERS["generalized"](
-            cfg, [from_string(s) for s in ("power:2", "arctan_ex:1")])
-        assert [row.stats for row in rows] == 2 * [{
-            "error": "TouchesRealAxis: integral theorem needs K and its "
-                     "interior off the real axis"}]
 
     def test_kept_error_holds_no_sphere_jets(self):
         # A member that fails on the first sphere's interior jets: its

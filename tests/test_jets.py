@@ -465,6 +465,10 @@ class TestHamiltonProduct:
         p = q(1, 2, 3, 4)
         with pytest.raises(BasisMismatch):
             QJet.seed_cartesian(p, 1) * QJet.seed_cartesian(p, 2)
+        # every component must be a jet: a plain number is not promoted
+        g = QJet.seed_cartesian(p, 1)
+        with pytest.raises(BasisMismatch):
+            QJet(g.t, g.x, g.y, 0.0)
 
 
 class TestNumpyOperands:
