@@ -93,11 +93,10 @@ def _series_body(coeffs):
     def body(p):
         # Right-Horner: a0 + p*(a1 + p*(a2 + ...)) keeps every
         # coefficient on the right of its power of p.
-        out = None
-        for a in reversed(coeffs):
-            term = _const_elem(p, a)
-            out = term if out is None else term + p * out
-        return out if out is not None else _one_like(p) * 0.0
+        out = _const_elem(p, coeffs[-1])
+        for a in reversed(coeffs[:-1]):
+            out = _const_elem(p, a) + p * out
+        return out
     return body
 
 
@@ -156,18 +155,13 @@ class QFunction:
     def eval_jet(self, g: QJet) -> QJet:
         return self.body(g)
 
-    def __call__(self, p):
-        return self.body(p)
 
-
-def product(f: QFunction, g: QFunction, **flag_overrides) -> QFunction:
-    """Pointwise product f*g; expectation flags default to pessimistic."""
-    flags = dict(expected_regular=False, expected_hyperholomorphic=False,
-                 control=False)
-    flags.update(flag_overrides)
+def product(f: QFunction, g: QFunction) -> QFunction:
+    """Pointwise product f*g, expected neither regular nor
+    hyperholomorphic."""
     return QFunction(fid=f"({f.fid})*({g.fid})",
                      body=lambda p: f.body(p) * g.body(p),
-                     domain=f.domain.merge(g.domain), **flags)
+                     domain=f.domain.merge(g.domain), expected_regular=False)
 
 
 def iota_times(f: QFunction) -> QFunction:
@@ -252,51 +246,25 @@ def _parse_int(text, what):
         raise BadParams(f"{what} must be an integer, got {text!r}") from None
 
 
-def _coerce_coeffs(params):
-    if params is None:
+def _coerce_coeffs(text):
+    """The coefficients of a series id's text, '1,1i,0.5j'; at least one."""
+    toks = [tk for tk in (text or "").split(",") if tk.strip()]
+    if not toks:
         raise BadParams("series needs at least one coefficient")
-    if isinstance(params, str):
-        toks = [tk for tk in params.split(",") if tk.strip()]
-        return tuple(parse_quaternion_literal(tk) for tk in toks)
-    out = []
-    for a in params:
-        if isinstance(a, Quaternion):
-            out.append(a)
-        elif isinstance(a, str):
-            out.append(parse_quaternion_literal(a))
-        else:
-            out.append(Quaternion(float(a), 0.0, 0.0, 0.0))
-    if not out:
-        raise BadParams("series needs at least one coefficient")
-    return tuple(out)
+    return tuple(parse_quaternion_literal(tk) for tk in toks)
 
 
-def _coerce_laurent(params):
-    """Accept '-1', '-2=k,1=i', [(deg, coeff), ...] or [deg, ...]."""
-    if params is None:
-        raise BadParams("laurent needs at least one term")
+def _coerce_laurent(text):
+    """The (degree, coefficient) terms of a laurent id's text, '-2=k,1=i';
+    a bare degree '-1' has coefficient 1.  At least one term."""
     terms = []
-    if isinstance(params, str):
-        for tk in params.split(","):
-            tk = tk.strip()
-            if not tk:
-                continue
-            if "=" in tk:
-                d, c = tk.split("=", 1)
-                terms.append((_parse_int(d, "laurent degree"),
-                              parse_quaternion_literal(c)))
-            else:
-                terms.append((_parse_int(tk, "laurent degree"),
-                              Quaternion(1.0, 0.0, 0.0, 0.0)))
-    else:
-        for item in params:
-            if isinstance(item, (tuple, list)):
-                deg, c = item
-                if not isinstance(c, Quaternion):
-                    c = parse_quaternion_literal(str(c))
-                terms.append((int(deg), c))
-            else:
-                terms.append((int(item), Quaternion(1.0, 0.0, 0.0, 0.0)))
+    for tk in (text or "").split(","):
+        tk = tk.strip()
+        if not tk:
+            continue
+        d, c = tk.split("=", 1) if "=" in tk else (tk, "1")
+        terms.append((_parse_int(d, "laurent degree"),
+                      parse_quaternion_literal(c)))
     if not terms:
         raise BadParams("laurent needs at least one term")
     return tuple(terms)
@@ -306,9 +274,12 @@ _SHELL = SampleDomain(t_range=(-np.inf, np.inf), r_range=(1e-300, np.inf),
                       s_min=1e-300, p_norm_range=(0.2, np.inf))
 
 
-def catalog_get(name: str, params=None) -> QFunction:
-    """Build a catalog member by name; params as string or Python values."""
+def catalog_get(name: str, params: str | None = None) -> QFunction:
+    """Build a catalog member from the parts of its id: the name and the
+    text after the colon, or None for an id without one."""
     name = name.strip()
+    if params is not None and not isinstance(params, str):
+        raise BadParams(f"{name} parameters must be id text, got {params!r}")
     if name == "power":
         n = _parse_int(params, "power exponent")
         dom = UNRESTRICTED if n >= 0 else _SHELL
@@ -349,7 +320,7 @@ def catalog_get(name: str, params=None) -> QFunction:
                          expected_regular=False,
                          expected_hyperholomorphic=False, control=True)
     if name == "coord":
-        which = (params or "").strip() if isinstance(params, str) else params
+        which = (params or "").strip()
         if which not in ("t", "x", "y", "z"):
             raise BadParams("coord needs one of t, x, y, z")
         return QFunction(f"coord:{which}", _coord_body(which), UNRESTRICTED,
@@ -367,15 +338,12 @@ def from_string(spec: str) -> QFunction:
     return catalog_get(spec, None)
 
 
+_INVENTORY = ("power:-3", "power:-2", "power:-1", "power:1", "power:2",
+              "power:3", "power:4", "power:5", "series:1,1i,0.5j",
+              "laurent:-2=1k", "iota", "arctan_ex:1", "arctan_ex:2",
+              "arctan_ex:3", "conj", "coord:x")
+
+
 def default_inventory() -> tuple:
     """The standard member list exercised by the verification suites."""
-    members = [catalog_get("power", n) for n in (-3, -2, -1, 1, 2, 3, 4, 5)]
-    members.append(catalog_get("series", (Quaternion(1, 0, 0, 0),
-                                          Quaternion(0, 1, 0, 0),
-                                          Quaternion(0, 0, 0.5, 0))))
-    members.append(catalog_get("laurent", ((-2, Quaternion(0, 0, 0, 1)),)))
-    members.append(catalog_get("iota"))
-    members.extend(catalog_get("arctan_ex", k) for k in (1, 2, 3))
-    members.append(catalog_get("conj"))
-    members.append(catalog_get("coord", "x"))
-    return tuple(members)
+    return tuple(from_string(fid) for fid in _INVENTORY)

@@ -178,9 +178,7 @@ class Row:
     def render(self) -> str:
         parts = []
         for key, val in self.stats.items():
-            if isinstance(val, bool):
-                txt = "yes" if val else "no"
-            elif isinstance(val, (int, np.integer)):
+            if isinstance(val, (int, np.integer)):
                 txt = str(int(val))
             elif isinstance(val, float):
                 txt = f"{val:.6e}"

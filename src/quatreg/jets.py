@@ -333,16 +333,8 @@ def _unit(var):
     return tuple(m)
 
 
-# Dispatchers usable on jets, floats and numpy arrays alike; catalog bodies
-# are written against these so one body serves point and jet evaluation.
-
-def sin(a):
-    return a.sin() if isinstance(a, RJet) else np.sin(a)
-
-
-def cos(a):
-    return a.cos() if isinstance(a, RJet) else np.cos(a)
-
+# The elementary functions the catalog bodies call, on jets, floats and
+# numpy arrays alike, so one body serves point and jet evaluation.
 
 def sqrt(a):
     if isinstance(a, RJet):
@@ -433,12 +425,6 @@ class QJet:
             return NotImplemented
         return QJet(self.t - other.t, self.x - other.x,
                     self.y - other.y, self.z - other.z)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return QJet(-self.t, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
         if isinstance(other, (RJet,) + _SCALARS):

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateChart, OnRealAxis
+from .errors import BadParams, DegenerateChart, OnRealAxis
 from .jets import QJet, RJet
 from .quaternion import (Quaternion, SphericalPoint, from_spherical, iota_of,
                          to_spherical)
@@ -167,16 +167,23 @@ def _fd_sph_partial(f, sp, var, h=FD_STEP1):
 
 # -- the operators ---------------------------------------------------------
 
+def _fd(backend: str) -> bool:
+    """True for the "fd" backend, False for "jets"; any other is refused."""
+    if backend not in ("jets", "fd"):
+        raise BadParams(f"backend must be jets or fd, got {backend!r}")
+    return backend == "fd"
+
+
 def fueter_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Cartesian left-Fueter operator D_l f at p."""
-    if backend == "jets":
+    if not _fd(backend):
         return fueter_of_jet(f.eval_jet(QJet.seed_cartesian(p, 1)))
     return _fueter_sum(*(_fd_cart_partial(f, p, v) for v in range(4)))
 
 
 def fueter_left_spherical(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Spherical form of D_l; matches fueter_left off the plane t + z*k."""
-    if backend == "jets":
+    if not _fd(backend):
         frame = spherical_frame(p, 1)
         g = f.eval_jet(frame.seed)
         return spherical_fueter_of_jet(frame, g, angular_jet(frame, g))
@@ -186,7 +193,7 @@ def fueter_left_spherical(f, p: Quaternion, backend: str = "jets") -> Quaternion
 
 def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Cullen operator (d/dt + iota d/dr) f at p."""
-    if backend == "jets":
+    if not _fd(backend):
         frame = spherical_frame(p, 1)
         return cullen_of_jet(f.eval_jet(frame.seed), iota_of(p))
     sp = _chart(p)
@@ -196,7 +203,7 @@ def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """The angular operator d/d_l(iota) applied to f at p."""
     frame = spherical_frame(p, 1)
-    if backend == "jets":
+    if not _fd(backend):
         return angular_jet(frame, f.eval_jet(frame.seed)).value
     sp = frame.chart
     da = _fd_sph_partial(f, sp, 2)
@@ -214,7 +221,7 @@ def _laplacian_jet(g: QJet) -> QJet:
 
 def laplacian(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """Four-dimensional Laplacian of f at p."""
-    if backend == "jets":
+    if not _fd(backend):
         return _laplacian_jet(f.eval_jet(QJet.seed_cartesian(p, 2))).value
     f0 = f.eval_point(p)
     out = None

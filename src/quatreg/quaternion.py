@@ -56,12 +56,6 @@ class Quaternion:
         return Quaternion(self.t - other.t, self.x - other.x,
                           self.y - other.y, self.z - other.z)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return Quaternion(-self.t, -self.x, -self.y, -self.z)
 
@@ -84,14 +78,6 @@ class Quaternion:
         # Real scalars commute, so scalar * q == q * scalar.
         if isinstance(other, (int, float, np.ndarray, np.floating)):
             return self.__mul__(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, Quaternion):
-            return self * other.inverse()
-        if isinstance(other, (int, float, np.ndarray, np.floating)):
-            return Quaternion(self.t / other, self.x / other,
-                              self.y / other, self.z / other)
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":

@@ -48,7 +48,7 @@ import numpy as np
 from .catalog import iota_times, over_r2
 from .errors import residual_status
 from .jets import QJet, RJet
-from .operators import (SphericalFrame, angular_derivative, angular_jet,
+from .operators import (SphericalFrame, _fd, angular_derivative, angular_jet,
                         cullen_left, cullen_of_jet, fueter_left,
                         spherical_frame, spherical_fueter_of_jet)
 from .quaternion import Quaternion, iota_of
@@ -85,7 +85,7 @@ def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
 
     On jets this is 2 (u + iota v - f), which scaling by two leaves
     exact."""
-    if backend == "fd":
+    if _fd(backend):
         lhs = (angular_derivative(iota_times(f), p, backend="fd")
                + iota_of(p) * angular_derivative(f, p, backend="fd"))
         return (lhs - f.eval_point(p) * 2.0).norm()
@@ -130,7 +130,7 @@ def _theorem1_report(iota0, r0, fval, u, v, cullen, dlf, dlif,
 
 def theorem1_residuals(f, p: Quaternion,
                        backend: str = "jets") -> TheoremOneReport:
-    if backend == "fd":
+    if _fd(backend):
         # Independent oracle; the order of evaluation fixes which error
         # a point outside the domain reports first.
         g2 = iota_times(f)

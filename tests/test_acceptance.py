@@ -125,7 +125,7 @@ def test_criterion_05_hyperholomorphy():
         rep = hyperholomorphy_report(f, _samples(f, 200, seed=108))
         worst_eq = max(worst_eq, float(np.max(rep.eq1.norm())),
                        float(np.max(rep.eq2.norm())))
-    prod = product(catalog_get("arctan_ex", 1), catalog_get("power", 2))
+    prod = product(catalog_get("arctan_ex", "1"), catalog_get("power", "2"))
     rep = hyperholomorphy_report(prod, _samples(prod, 200, seed=109))
     prod_eq = max(float(np.max(rep.eq1.norm())),
                   float(np.max(rep.eq2.norm())))

@@ -15,32 +15,39 @@ from quatreg import (BadParams, DomainError, QJet, Quaternion, SampleDomain,
                      default_inventory, from_string, hyperholomorphy_report,
                      iota_of, iota_times, over_r2, parse_quaternion_literal,
                      product)
+from quatreg.catalog import _INVENTORY
 from conftest import assert_close, q
 
 coef = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
 
 
+def series_text(coeffs):
+    """Series id text whose coefficient literals parse back exactly."""
+    return ",".join("%.17g%+.17gi%+.17gj%+.17gk" % a.components()
+                    for a in coeffs)
+
+
 class TestPointValues:
     def test_power_positive(self):
-        f = catalog_get("power", 2)
+        f = catalog_get("power", "2")
         assert_close(f.eval_point(q(1, 1, 0, 0)), q(x=2), tol=1e-15)
-        g = catalog_get("power", 3)
+        g = catalog_get("power", "3")
         assert_close(g.eval_point(q(1, 1, 0, 0)), q(-2, 2, 0, 0), tol=1e-15)
-        assert_close(catalog_get("power", 0).eval_point(q(3, 1, 4, 1)),
+        assert_close(catalog_get("power", "0").eval_point(q(3, 1, 4, 1)),
                      q(t=1), tol=1e-15)
 
     def test_power_negative(self):
-        f = catalog_get("power", -1)
+        f = catalog_get("power", "-1")
         assert_close(f.eval_point(q(0, 1, 0, 0)), q(x=-1), tol=1e-15)
-        g = catalog_get("power", -2)
+        g = catalog_get("power", "-2")
         assert_close(g.eval_point(q(0, 1, 0, 0)), q(t=-1), tol=1e-15)
 
     def test_series_right_coefficients(self):
         # f(p) = p * j must give i * j = k at p = i; left coefficients
         # would give j * i = -k, so this pins the convention.
-        f = catalog_get("series", (Quaternion(0, 0, 0, 0),
-                                   Quaternion(0, 0, 1, 0)))
+        f = catalog_get("series", series_text((Quaternion(0, 0, 0, 0),
+                                               Quaternion(0, 0, 1, 0))))
         assert_close(f.eval_point(q(0, 1, 0, 0)), q(z=1), tol=1e-15)
 
     def test_series_example(self):
@@ -62,7 +69,7 @@ class TestPointValues:
     def test_arctan_quarter_pi(self):
         # x = y with z = 0 gives atan(1) = pi/4 and vanishing
         # arctanh part.
-        f = catalog_get("arctan_ex", 1)
+        f = catalog_get("arctan_ex", "1")
         got = f.eval_point(q(0.3, 1.1, 1.1, 0))
         assert_close(got, q(t=math.pi / 4), tol=1e-15)
 
@@ -73,7 +80,7 @@ class TestPointValues:
         w = math.atan(0.6 / 1.2)
         v = math.atanh(0.3 / r)
         want = q(t=w) + iota_of(p) * v
-        got = catalog_get("arctan_ex", 1).eval_point(p)
+        got = catalog_get("arctan_ex", "1").eval_point(p)
         assert_close(got, want, tol=1e-14)
 
     def test_controls(self):
@@ -86,18 +93,18 @@ class TestPointValues:
 
 class TestDomainGuards:
     def test_arctan_zero_denominator(self):
-        f = catalog_get("arctan_ex", 1)
+        f = catalog_get("arctan_ex", "1")
         with pytest.raises(DomainError):
             f.eval_point(q(0.3, 1.0, 0.0, 0.2))
 
     def test_arctan_atanh_margin(self):
-        f = catalog_get("arctan_ex", 1)
+        f = catalog_get("arctan_ex", "1")
         with pytest.raises(DomainError):
             f.eval_point(q(0.3, 1e-4, 1e-4, 1.0))
 
     def test_domain_excludes_cut(self):
         from quatreg import SampleDomain
-        f = catalog_get("arctan_ex", 1)
+        f = catalog_get("arctan_ex", "1")
         pts = SampleDomain().merge(f.domain).sample(500, seed=2)
         # never within the excluded slab around the denominator cut
         assert np.all(np.abs(pts.y) >= 0.05 - 1e-12)
@@ -105,7 +112,7 @@ class TestDomainGuards:
         assert np.all(np.isfinite(np.stack(vals.components())))
 
     def test_negative_power_shell(self):
-        f = catalog_get("power", -1)
+        f = catalog_get("power", "-1")
         tiny = q(0.05, 0.05, 0.05, 0.05)
         assert not bool(np.all(f.domain.contains(tiny)))
 
@@ -127,11 +134,6 @@ class TestJetConsistency:
             gap = (f.eval_jet(seed).value - f.eval_point(pts)).norm()
             assert float(np.max(gap)) < 1e-12, f.fid
 
-    def test_call_is_eval_point(self):
-        f = catalog_get("power", 2)
-        p = q(1, 1, 0, 0)
-        assert_close(f(p), f.eval_point(p), tol=0.0 + 1e-15)
-
 
 class TestGrammar:
     def test_literal_parsing(self):
@@ -152,6 +154,8 @@ class TestGrammar:
     def test_ids_roundtrip(self):
         for fid in [f.fid for f in default_inventory()]:
             assert from_string(fid).fid == fid
+        # The inventory is built from ids written as their members' fids.
+        assert tuple(f.fid for f in default_inventory()) == _INVENTORY
 
     def test_inventory_contents(self):
         ids = [f.fid for f in default_inventory()]
@@ -172,6 +176,14 @@ class TestGrammar:
             from_string("coord:w")
         with pytest.raises(BadParams):
             catalog_get("iota", "1")
+        # Parameters are id text, with at least one series or laurent term.
+        for bad in ("series:", "series:,", "laurent:", "laurent: , "):
+            with pytest.raises(BadParams):
+                from_string(bad)
+        # The old Python-value forms are refused.
+        for name, params in (("series", (Quaternion(1.0),)), ("power", 2)):
+            with pytest.raises(BadParams):
+                catalog_get(name, params)
 
     def test_flags(self):
         f = from_string("power:2")
@@ -183,15 +195,15 @@ class TestGrammar:
 
 class TestCombinators:
     def test_product_values(self):
-        f = product(catalog_get("power", 1), catalog_get("power", 2))
+        f = product(catalog_get("power", "1"), catalog_get("power", "2"))
         p = q(0.5, 1, -2, 0.25)
         assert_close(f.eval_point(p),
-                     catalog_get("power", 3).eval_point(p), tol=1e-13)
-        # pessimistic flags unless overridden
+                     catalog_get("power", "3").eval_point(p), tol=1e-13)
+        # a product of regular members is not expected to be regular
         assert not f.expected_regular
 
     def test_iota_times(self):
-        base = catalog_get("power", 2)
+        base = catalog_get("power", "2")
         f = iota_times(base)
         p = q(1, 2, 3, 6)
         assert_close(f.eval_point(p), iota_of(p) * base.eval_point(p),
@@ -199,7 +211,7 @@ class TestCombinators:
         assert f.expected_regular == base.expected_regular
 
     def test_over_r2(self):
-        base = catalog_get("power", 1)
+        base = catalog_get("power", "1")
         f = over_r2(base)
         p = q(1, 2, 3, 6)
         assert_close(f.eval_point(p), p * (1.0 / 49.0), tol=1e-14)
@@ -212,9 +224,9 @@ class TestCombinators:
         cb = (Quaternion(b0, 0, b1, 0), Quaternion(b1, 0, 0, b0))
         csum = tuple(u + v for u, v in zip(ca, cb))
         p = Quaternion(t, x, 0.7, -0.4)
-        fa = catalog_get("series", ca).eval_point(p)
-        fb = catalog_get("series", cb).eval_point(p)
-        fs = catalog_get("series", csum).eval_point(p)
+        fa = catalog_get("series", series_text(ca)).eval_point(p)
+        fb = catalog_get("series", series_text(cb)).eval_point(p)
+        fs = catalog_get("series", series_text(csum)).eval_point(p)
         assert float((fs - (fa + fb)).norm()) < 1e-12
 
     def test_random_series_stay_regular(self):
@@ -225,7 +237,7 @@ class TestCombinators:
         for trial in range(3):
             coeffs = tuple(Quaternion(*rng.uniform(-1.0, 1.0, size=4))
                            for _ in range(7))
-            f = catalog_get("series", coeffs)
+            f = catalog_get("series", series_text(coeffs))
             pts = dom.sample(60, seed=100 + trial)
             rep = hyperholomorphy_report(f, pts)
             assert float(np.max(rep.eq1.norm())) < 1e-8

@@ -60,6 +60,10 @@ class TestConfig:
             SuiteConfig.from_text("r_min=-1.0\n")
         with pytest.raises(ConfigError):
             SuiteConfig.from_text("tol_fueter=0.0\n")
+        for text in ("t_min=1\nt_max=0\n", "s_min=0\n", "s_min=1.5\n",
+                     "resolution=1\n"):
+            with pytest.raises(ConfigError):
+                SuiteConfig.from_text(text)
         for text in ("tol_theorem1=nan\n", "t_min=-inf\nt_max=inf\n",
                      "r_max=inf\n"):
             with pytest.raises(ConfigError, match="finite"):
@@ -174,6 +178,9 @@ class TestMain:
         # Non-finite numbers: a tolerance, the sample box, a sphere.
         capsys.readouterr()
         assert main(["check", "theorem1", "power:2", "--tol", "nan"]) == 2
+        # A series without a coefficient, not the zero function.
+        for fid in ("series:", "series:,"):
+            assert main(["check", "theorem1", fid]) == 2, fid
         for text in ("tol_theorem1=nan", "t_min=-inf\nt_max=inf",
                      "r_max=inf",
                      "suites=integral\nfunctions=power:2\n"
@@ -183,7 +190,7 @@ class TestMain:
             bad.write_text(text + "\n")
             assert main(["run", str(bad)]) == 2, text
         err = capsys.readouterr().err
-        assert err.count("config error:") == 6
+        assert err.count("config error:") == 8
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("suite", ("integral", "generalized"))
@@ -267,6 +274,36 @@ class TestNonFiniteResiduals:
             for row in rows:
                 assert row.status == "error", (suite, row.render())
                 assert row.outcome == "FAIL", (suite, row.render())
+
+
+class TestErrorRows:
+    def test_every_point_raising_gives_one_error_row(self, tmp_path,
+                                                     capsys):
+        # Every sample lies within the chart's R_MIN of the real axis.
+        cfg_path = tmp_path / "axis.txt"
+        cfg_path.write_text("suites=theorem1\nfunctions=power:2\n"
+                            "samples=8\nr_min=1e-8\nr_max=1e-7\n")
+        assert main(["run", str(cfg_path)]) == 1
+        rows = [l for l in capsys.readouterr().out.splitlines()
+                if not l.startswith(("#", "summary"))]
+        assert len(rows) == 1
+        fields = rows[0].split("|")
+        assert fields[3] == "Theorem 1"
+        assert fields[4].startswith("error=OnRealAxis: ")
+        assert fields[5:] == ["error", "pass", "FAIL"]
+
+    def test_integral_member_raising_on_a_surface(self):
+        def body(p):
+            raise DomainError("outside the member's domain")
+
+        member = QFunction("raises", body)
+        rows = _RUNNERS["integral"](small_cfg(resolution=4), [member])
+        assert len(rows) == 2       # one per default surface
+        for row in rows:
+            assert row.anchor.startswith("Integral Theorem on ")
+            assert row.stats == {"error": "DomainError: outside the "
+                                          "member's domain"}
+            assert (row.status, row.outcome) == ("error", "FAIL")
 
 
 _GENERALIZED_ANCHOR = "Generalized Cullen-regularity (Integral Theorem family)"

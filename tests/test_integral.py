@@ -81,13 +81,13 @@ class TestSurfaceIntegrals:
         # center: the n c term averages out and n^2 has mean -1/2.
         for radius in (1.0, 0.8):
             K = sphere3(q(0.3, 0, 2, 0.5), radius, 16)
-            got = surface_integral_left(catalog_get("power", 1), K)
+            got = surface_integral_left(catalog_get("power", "1"), K)
             want = -math.pi ** 2 * radius ** 4
             assert abs(float(got.t) - want) < 1e-9 * abs(want)
             assert float(got.imag_norm()) < 1e-9 * abs(want)
 
     def test_moment_converges_to_closed_form(self):
-        f = catalog_get("power", 1)
+        f = catalog_get("power", "1")
         want = q(t=-math.pi ** 2)
         errs = []
         for res in (4, 8, 16):
@@ -128,8 +128,8 @@ class TestGaussLemma:
 
     def test_quaternion_valued_fields(self):
         K = unit_sphere(12)
-        fs = (catalog_get("power", 2), catalog_get("conj"),
-              catalog_get("iota"), catalog_get("power", 1))
+        fs = (catalog_get("power", "2"), catalog_get("conj"),
+              catalog_get("iota"), catalog_get("power", "1"))
         _, _, residual, scale = gauss_report(*fs, K)
         assert residual < 1e-8 * scale
 
@@ -147,7 +147,7 @@ class TestGaussLemma:
 
 class TestChartFreeIntegrand:
     def test_matches_slice_parts(self):
-        f = catalog_get("power", 2)
+        f = catalog_get("power", "2")
         integrand = minus_two_v_over_r(f)
         pts = SampleDomain().sample(100, seed=61)
         got = integrand(pts)
@@ -158,7 +158,7 @@ class TestChartFreeIntegrand:
     def test_defined_on_degenerate_plane(self):
         # the whole point of the chart-free form: interior quadrature
         # nodes may land on the plane t + z k
-        f = catalog_get("power", 3)
+        f = catalog_get("power", "3")
         integrand = minus_two_v_over_r(f)
         pts = Quaternion(np.array([0.2, -0.5]), np.zeros(2),
                          np.zeros(2), np.array([1.0, 2.0]))
@@ -183,7 +183,7 @@ class TestIntegralTheorem:
         assert not rep.passes(1e-3)
 
     def test_convergence_in_resolution(self):
-        f = catalog_get("power", 3)
+        f = catalog_get("power", "3")
         errs = []
         for res in (4, 8, 16):
             K = unit_sphere(res)
@@ -224,7 +224,7 @@ class TestGeneralized:
         assert all(float(K.center.imag_norm()) > K.radius for K in family)
 
     def test_regular_member_passes(self):
-        verdict = generalized_regularity_test(catalog_get("power", 2),
+        verdict = generalized_regularity_test(catalog_get("power", "2"),
                                               standard_family(8), 1e-3)
         assert verdict.passed
         assert len(verdict.rows) == 5
@@ -292,6 +292,7 @@ class TestSurfaceParsing:
         for bad in ("cube:r=1", "sphere:radius=1", "sphere:center=0,r=1",
                     "sphere:center=0+2i+0j+0k,r=-1,res=8",
                     "sphere:center=0+2i+0j+0k,r=1,res=8,shiny=1",
-                    "sphere:center=0+2i+0j+0k,r=1,res=8,axis_clear=0"):
+                    "sphere:center=0+2i+0j+0k,r=1,res=8,axis_clear=0",
+                    "sphere", "sphere:center=0+2i+0j+0k,r=1,res=8,flat"):
             with pytest.raises(BadParams):
                 parse_surface(bad)

@@ -76,12 +76,12 @@ class TestRJetBasics:
 class TestElementary:
     def test_sin_cos_taylor(self):
         a = 0.7
-        j = jets.sin(seeded(a))
+        j = seeded(a).sin()
         assert abs(j.value - math.sin(a)) < 1e-15
         assert abs(j.partial((1, 0, 0, 0)) - math.cos(a)) < 1e-15
         assert abs(j.partial((2, 0, 0, 0)) - (-math.sin(a))) < 1e-15
         assert abs(j.partial((3, 0, 0, 0)) - (-math.cos(a))) < 1e-15
-        k = jets.cos(seeded(a))
+        k = seeded(a).cos()
         assert abs(k.partial((1, 0, 0, 0)) + math.sin(a)) < 1e-15
 
     def test_sqrt_taylor(self):
@@ -130,7 +130,7 @@ class TestElementary:
 
     def test_scalar_fallbacks(self):
         # Dispatchers accept plain floats too.
-        assert jets.sin(0.25) == math.sin(0.25)
+        assert jets.atan(0.25) == math.atan(0.25)
         with pytest.raises(DomainError):
             jets.sqrt(-2.0)
 
@@ -138,7 +138,7 @@ class TestElementary:
     @given(st.floats(-1.4, 1.4))
     def test_sin_sq_plus_cos_sq(self, a):
         j = seeded(a)
-        one = jets.sin(j) * jets.sin(j) + jets.cos(j) * jets.cos(j)
+        one = j.sin() * j.sin() + j.cos() * j.cos()
         assert abs(one.value - 1.0) < 1e-14
         for multi in ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)):
             assert abs(one.partial(multi)) < 1e-13

@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (DegenerateChart, OnRealAxis, QJet, Quaternion,
+from quatreg import (BadParams, DegenerateChart, OnRealAxis, QJet, Quaternion,
                      SampleDomain, angular_derivative, catalog_get,
                      cullen_left, default_inventory, fueter_laplacian,
                      fueter_left, fueter_left_spherical, iota_of, laplacian,
-                     spherical_frame)
+                     lemma1_residual, spherical_frame, theorem1_residuals)
 from quatreg import operators
 from conftest import FnWrap, assert_close, q
 
 P0 = q(1, 2, 3, 6)          # r = 7, well off the axis and the plane
-POWER1 = catalog_get("power", 1)
-POWER2 = catalog_get("power", 2)
-POWER3 = catalog_get("power", 3)
+POWER1 = catalog_get("power", "1")
+POWER2 = catalog_get("power", "2")
+POWER3 = catalog_get("power", "3")
 CONJ = catalog_get("conj")
 IOTA = catalog_get("iota")
 
@@ -62,7 +62,7 @@ class TestClosedForms:
 
     def test_fueter_laplacian(self):
         assert float(fueter_laplacian(POWER3, P0).norm()) < 1e-11
-        assert float(fueter_laplacian(catalog_get("power", -1),
+        assert float(fueter_laplacian(catalog_get("power", "-1"),
                                       P0).norm()) < 1e-11
         # D_l Delta conj(p)^3 = -24: a nonlinear function that fails it.
         cube_bar = FnWrap(lambda g: (g * g * g).conjugate())
@@ -162,6 +162,13 @@ class TestGuards:
             angular_derivative(IOTA, bad)
         # the Cartesian route does not care about the chart
         assert_close(fueter_left(POWER1, bad), q(t=-2), tol=1e-14)
+
+    @pytest.mark.parametrize("check", FD_OPERATORS + (lemma1_residual,
+                                                      theorem1_residuals))
+    def test_unknown_backend(self, check):
+        # Neither backend stands in for a name that is not one.
+        with pytest.raises(BadParams, match="backend"):
+            check(POWER2, P0, backend="both")
 
     def test_frame_fields(self):
         fr = spherical_frame(P0, 2)

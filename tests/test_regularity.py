@@ -60,7 +60,7 @@ class TestSliceParts:
         assert_close(sp.v, q(t=1), tol=1e-12)
 
     def test_identity(self):
-        sp = slice_parts(catalog_get("power", 1), P0)
+        sp = slice_parts(catalog_get("power", "1"), P0)
         assert_close(sp.u, q(t=1), tol=1e-12)
         assert_close(sp.v, q(t=7), tol=1e-12)
 
@@ -71,7 +71,7 @@ class TestSliceParts:
 
     def test_square(self):
         # p^2 = (t^2 - r^2) + 2 t r iota
-        sp = slice_parts(catalog_get("power", 2), P0)
+        sp = slice_parts(catalog_get("power", "2"), P0)
         assert_close(sp.u, q(t=1 - 49), tol=1e-11)
         assert_close(sp.v, q(t=14), tol=1e-11)
 
@@ -121,15 +121,15 @@ class TestTheoremOneRegular:
     def test_item4b_sign_pin(self):
         # D_l(iota p / r^2) = 2 iota / r^2 for f = p; the wrong sign in
         # the fourth-item pairing would leave a 4/r^2 residual here.
-        f = over_r2(iota_times(catalog_get("power", 1)))
+        f = over_r2(iota_times(catalog_get("power", "1")))
         got = fueter_left(f, P0)
         want = iota_of(P0) * (2.0 / 49.0)
         assert_close(got, want, tol=1e-13)
-        rep = theorem1_residuals(catalog_get("power", 1), P0)
+        rep = theorem1_residuals(catalog_get("power", "1"), P0)
         assert float(rep.item4b) < 1e-13
 
     def test_report_helpers(self):
-        rep = theorem1_residuals(catalog_get("power", 2), P0)
+        rep = theorem1_residuals(catalog_get("power", "2"), P0)
         assert rep.passes(1e-8)
         assert rep.max_residual() < 1e-12
         assert set(rep.items()) == {"item1", "item2", "item3a",
@@ -212,7 +212,7 @@ class TestVerdicts:
 
     def test_iota_compose(self):
         # f and iota*f are Cullen-regular together or fail together.
-        assert cullen_statuses(catalog_get("power", 2), 60, 54) == \
+        assert cullen_statuses(catalog_get("power", "2"), 60, 54) == \
             ("pass", "pass")
         assert cullen_statuses(catalog_get("conj"), 60, 55) == \
             ("fail", "fail")
@@ -240,8 +240,8 @@ class TestVerdicts:
     def test_product_closure_with_powers(self):
         # f * g stays regular when g is p^2 or p^3, even though the
         # pointwise product of two regular functions generally is not.
-        f = catalog_get("arctan_ex", 1)
-        for n in (2, 3):
+        f = catalog_get("arctan_ex", "1")
+        for n in ("2", "3"):
             prod = product(f, catalog_get("power", n))
             pts = DOM.merge(prod.domain).sample(80, seed=59)
             rep = theorem1_residuals(prod, pts)
@@ -270,7 +270,7 @@ class TestSharedPaths:
         for f in default_inventory():
             pts = DOM.merge(f.domain).sample(60, seed=71)
             chart_pts = spherical_frame(pts, 1).seed.value
-            gap = slice_parts(f, pts).reconstruction - f(chart_pts)
+            gap = slice_parts(f, pts).reconstruction - f.eval_point(chart_pts)
             assert np.array_equal(lemma1_residual(f, pts),
                                   (gap * 2.0).norm()), f.fid
 
@@ -295,7 +295,7 @@ class TestSharedPaths:
 
         for module in (operators, regularity):
             monkeypatch.setattr(module, "angular_jet", counted)
-        f = catalog_get("power", 3)
+        f = catalog_get("power", "3")
         for check, want in ((theorem1_residuals, 4), (lemma1_residual, 2),
                             (hyperholomorphy_report, 2)):
             calls.clear()
