@@ -73,9 +73,7 @@ def _ipow(p, n: int):
 
 def iota_elem(p):
     """iota = (x i + y j + z k)/r in the algebra of p: a Quaternion for a
-    point, a QJet for a jet.  iota_times and the generalized integral
-    test both build iota*f with it, so they evaluate it with the same
-    operations."""
+    point, a QJet for a jet."""
     x, y, z = p.x, p.y, p.z
     s = jm.recip(jm.sqrt(x * x + y * y + z * z))
     return _rebuild(p, p.t * 0.0, x * s, y * s, z * s)
@@ -211,12 +209,15 @@ def parse_quaternion_literal(text: str) -> Quaternion:
 
 
 def _format_const(q: Quaternion) -> str:
+    """q as a literal that parses back to q exactly: each component in %g
+    where that is exact, else in its shortest round-trip form."""
     parts = []
     for val, unit in zip((q.t, q.x, q.y, q.z), ("", "i", "j", "k")):
         v = float(val)
         if v == 0.0:
             continue
-        parts.append(f"{v:+g}{unit}")
+        text = f"{v:+g}"
+        parts.append((text if float(text) == v else f"{v:+}") + unit)
     if not parts:
         return "0"
     out = "".join(parts)

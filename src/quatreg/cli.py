@@ -308,9 +308,9 @@ _POINTWISE = {
 }
 
 
-def _run_pointwise(suite: str, cfg: SuiteConfig, members) -> list:
+def _run_pointwise(suite: str, cfg: SuiteConfig, members):
     spec = _POINTWISE[suite]
-    rows = []
+    rows, points = [], 0
     base = cfg.base_domain()
     for backend, tol_key in zip(("jets", "fd"), spec.tol_keys):
         # A suite without an fd backend runs on jets whatever cfg says.
@@ -321,6 +321,7 @@ def _run_pointwise(suite: str, cfg: SuiteConfig, members) -> list:
             expected = spec.expected(f)
             pts = base.merge(f.domain).sample(
                 cfg.samples, seed=_mix_seed(cfg.seed, suite, f.fid))
+            points += int(np.size(pts.t))
             data, skipped, exc, kept = _robust(
                 lambda p: spec.batch(f, p, backend), pts)
             if data is None:
@@ -336,7 +337,7 @@ def _run_pointwise(suite: str, cfg: SuiteConfig, members) -> list:
                     stats["skip"] = type(exc).__name__
                 rows.append(Row(suite, backend, f.fid, anchor, stats,
                                 residual_status(arr, tol), expected))
-    return rows
+    return rows, {"points": points}
 
 
 def _surfaces(cfg: SuiteConfig, default):
@@ -356,10 +357,12 @@ def _integral_default(resolution: int):
             integral.sphere3(Quaternion(1.0, 0.0, 2.0, 0.0), 0.8, resolution)]
 
 
-def _run_integral(cfg: SuiteConfig, members) -> list:
+def _run_integral(cfg: SuiteConfig, members):
     rows = []
     anchor = "Integral Theorem"
     surfaces = _surfaces(cfg, _integral_default)
+    nodes = len(members) * sum(K.node_count + K.interior_count
+                               for K in surfaces)
     for f in members:
         expected = "fail" if f.control else "pass"
         for K in surfaces:
@@ -378,15 +381,15 @@ def _run_integral(cfg: SuiteConfig, members) -> list:
             rows.append(Row("integral", "jets", f.fid,
                             f"{anchor} on {K.name}", stats,
                             rep.status(cfg.tol_integral), expected))
-    return rows
+    return rows, {"nodes": nodes}
 
 
-def _run_generalized(cfg: SuiteConfig, members) -> list:
+def _run_generalized(cfg: SuiteConfig, members):
     rows = []
     anchor = "Generalized Cullen-regularity (Integral Theorem family)"
     family = _surfaces(cfg, integral.standard_family)
-    verdicts = integral._generalized_sweep(members, family,
-                                           cfg.tol_generalized)
+    verdicts, nodes = integral._generalized_sweep(members, family,
+                                                  cfg.tol_generalized)
     for f, verdict in zip(members, verdicts):
         expected = "pass" if f.expected_regular else "fail"
         if isinstance(verdict, Exception):
@@ -398,9 +401,11 @@ def _run_generalized(cfg: SuiteConfig, members) -> list:
                  "worst_rel_iota_f": worst_if, "tol": cfg.tol_generalized}
         rows.append(Row("generalized", "jets", f.fid, anchor, stats,
                         verdict.status, expected))
-    return rows
+    return rows, {"nodes": nodes}
 
 
+# A runner returns its rows and its work, points sampled or quadrature nodes
+# evaluated, for the suite's timing line.
 _RUNNERS = {suite: partial(_run_pointwise, suite) for suite in _POINTWISE}
 _RUNNERS.update(integral=_run_integral, generalized=_run_generalized)
 
@@ -432,15 +437,17 @@ def run_suite(cfg: SuiteConfig):
     t0 = time.time()
     rows, timing = [], []
     for suite in cfg.suites:
-        start, before = time.perf_counter(), len(rows)
+        start = time.perf_counter()
         members = _members_for(suite, cfg)
         try:
-            rows.extend(_RUNNERS[suite](cfg, members))
+            found, work = _RUNNERS[suite](cfg, members)
         except EmptyDomain as exc:
             raise ConfigError(f"{suite}: {exc}") from None
+        rows.extend(found)
         timing.append(f"# timing: suite={suite} wall_s="
                       f"{time.perf_counter() - start:.3f} "
-                      f"rows={len(rows) - before}")
+                      f"rows={len(found)} " + " ".join(
+                          f"{key}={n}" for key, n in work.items()))
     wall = time.time() - t0
     failures = sum(1 for r in rows if r.outcome != "ok")
     header = [

@@ -70,6 +70,11 @@ class Hypersurface:
     def node_count(self) -> int:
         return int(self.weights.size)
 
+    @property
+    def interior_count(self) -> int:
+        """The number of interior nodes, without building them."""
+        return self._radial_nodes * self.node_count
+
     def area(self) -> float:
         return float(np.sum(self.weights))
 
@@ -235,32 +240,30 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
     share, built once: the interior nodes and weights, the order-1
-    Cartesian seed jet there and iota_elem of it, 1/r and iota at the
-    interior nodes, and iota_elem at the surface nodes."""
+    Cartesian seed jet there, 1/r and iota at the interior nodes, and
+    iota_elem at the surface nodes."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
         self.pts, self.w = K.volume_nodes()
         self.seed = QJet.seed_cartesian(self.pts, 1)
-        self.iota_seed = iota_elem(self.seed)
         self.inv_r = 1.0 / self.pts.imag_norm()
         self.iota = iota_of(self.pts)
         self.iota_surface = iota_elem(K.points)
 
     def reports(self, f):
-        """theorem2_report of f and of iota_times(f) on K, equal to them
-        bit for bit, from one evaluation of f: its values at the surface
-        nodes and one order-1 Cartesian jet at the interior nodes.  iota*f
-        is derived from these by left multiplication with iota_elem, the
-        operations iota_times(f) performs."""
+        """theorem2_report of f and of iota_times(f) on K from one
+        evaluation of f: its values at the surface nodes and one order-1
+        Cartesian jet at the interior nodes.  iota*f's surface values are
+        iota_elem times f's, as in iota_times(f); its integrand is f's
+        -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no jet of iota*f."""
         K = self.K
         vals, g = f.eval_point(K.points), f.eval_jet(self.seed)
-        return tuple(
-            _report(K, _flux(v, K),
-                    _wsum(_minus_two_v_over_r_of(h, self.pts, self.inv_r,
-                                                 self.iota), self.w))
-            for v, h in ((vals, g),
-                         (self.iota_surface * vals, self.iota_seed * g)))
+        mv_f = _minus_two_v_over_r_of(g, self.pts, self.inv_r, self.iota)
+        mv_iota_f = g.value * (-2.0 * self.inv_r) - self.iota * mv_f
+        return (_report(K, _flux(vals, K), _wsum(mv_f, self.w)),
+                _report(K, _flux(self.iota_surface * vals, K),
+                        _wsum(mv_iota_f, self.w)))
 
 
 @dataclass(frozen=True)
@@ -299,19 +302,22 @@ def _without_locals(exc: Exception) -> Exception:
     return exc
 
 
-def _generalized_sweep(members, family, tol: float) -> list:
+def _generalized_sweep(members, family, tol: float):
     """Per member, its GeneralizedVerdict over family or the first runtime
-    error it raised.
+    error it raised; and the surface plus interior nodes of every
+    (member, sphere) pair evaluated.
 
     The family is visited one sphere at a time: what the members' reports
     share on a sphere is built once, every member still without an error
     is evaluated on it, and it is dropped before the next sphere's is
     built.  A member that raised is skipped on later spheres."""
     found = [[] for _ in members]   # per member: its report pairs, or error
+    nodes = 0
     for K in family:
         live = [i for i, out in enumerate(found) if isinstance(out, list)]
         if not live:
             break
+        nodes += len(live) * (K.node_count + K.interior_count)
         sphere = _SphereJets(K)
         for i in live:
             try:
@@ -320,7 +326,7 @@ def _generalized_sweep(members, family, tol: float) -> list:
                 found[i] = _without_locals(exc)
         del sphere      # else held while the next sphere's jets are built
     return [_verdict(out, tol) if isinstance(out, list) else out
-            for out in found]
+            for out in found], nodes
 
 
 def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
@@ -328,7 +334,7 @@ def generalized_regularity_test(f, family, tol: float) -> GeneralizedVerdict:
     family = tuple(family)
     if not family:
         raise BadParams("an empty surface family would pass any function")
-    (verdict,) = _generalized_sweep([f], family, tol)
+    (verdict,), _ = _generalized_sweep([f], family, tol)
     if isinstance(verdict, Exception):
         raise verdict
     return verdict

@@ -22,6 +22,16 @@ coef = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
 
 
+# Components from short decimals to full-precision and tiny floats; -0.0
+# is folded to 0.0, since a zero component is not written in an id.
+component = st.one_of(
+    st.sampled_from((0.0, 1.0, -0.5, 2.25, 1e-9)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(-1e-6, 1e-6, allow_nan=False, allow_infinity=False),
+).map(lambda v: v + 0.0)
+quat_coef = st.builds(Quaternion, component, component, component, component)
+
+
 def series_text(coeffs):
     """Series id text whose coefficient literals parse back exactly."""
     return ",".join("%.17g%+.17gi%+.17gj%+.17gk" % a.components()
@@ -156,6 +166,30 @@ class TestGrammar:
             assert from_string(fid).fid == fid
         # The inventory is built from ids written as their members' fids.
         assert tuple(f.fid for f in default_inventory()) == _INVENTORY
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(quat_coef, min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(-3, 3), quat_coef),
+                    min_size=1, max_size=4))
+    def test_fid_keeps_every_coefficient(self, coeffs, terms):
+        # A member's fid names exactly the function it evaluates: its
+        # constants parse back bit for bit, and it is its own fid.
+        laurent = ",".join(f"{d}={series_text([c])}" for d, c in terms)
+        for spec, want in ((f"series:{series_text(coeffs)}", coeffs),
+                           (f"laurent:{laurent}", [c for _, c in terms])):
+            fid = from_string(spec).fid
+            got = [parse_quaternion_literal(tk.split("=")[-1])
+                   for tk in fid.split(":", 1)[1].split(",")]
+            assert ([c.components() for c in got]
+                    == [c.components() for c in want]), fid
+            assert from_string(fid).fid == fid
+
+    def test_fid_short_forms(self):
+        # %g where it is exact, the shortest round-trip digits otherwise.
+        assert (from_string("series:0.1234567,1e-9k").fid
+                == "series:0.1234567,1e-09k")
+        assert (from_string("laurent:-1=0.5+1.0000000000000002j").fid
+                == "laurent:-1=0.5+1.0000000000000002j")
 
     def test_inventory_contents(self):
         ids = [f.fid for f in default_inventory()]

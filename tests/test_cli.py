@@ -106,6 +106,8 @@ class TestReports:
         backends = {l.split("|")[1] for l in text.splitlines()
                     if not l.startswith(("#", "summary"))}
         assert backends == {"jets", "fd"}
+        # Points are counted per backend and member.
+        assert " points=16" in text
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
@@ -139,10 +141,12 @@ class TestReports:
             alone += [l for l in one.splitlines()
                       if not l.startswith(("#", "summary"))]
         assert body[:-1] == alone and body[-1].startswith("summary|")
-        for (_, _, suite, wall, rows), name in zip(timing, suites):
+        for (_, _, suite, wall, rows, work), name in zip(timing, suites):
             assert float(wall.removeprefix("wall_s=")) >= 0.0
             assert int(rows.removeprefix("rows=")) == sum(
                 1 for l in body if l.startswith(name + "|"))
+            # Two members of cfg.samples points each.
+            assert work == f"points={2 * cfg.samples}"
 
     def test_stats_formatting(self):
         text, _ = run_suite(small_cfg())
@@ -269,7 +273,7 @@ class TestNonFiniteResiduals:
                                 expected_regular=False, control=True)
         cfg = SuiteConfig(samples=6, resolution=4, backend="both")
         for suite in SUITES:
-            rows = _RUNNERS[suite](cfg, [nan_control])
+            rows, _ = _RUNNERS[suite](cfg, [nan_control])
             assert rows, suite
             for row in rows:
                 assert row.status == "error", (suite, row.render())
@@ -297,7 +301,7 @@ class TestErrorRows:
             raise DomainError("outside the member's domain")
 
         member = QFunction("raises", body)
-        rows = _RUNNERS["integral"](small_cfg(resolution=4), [member])
+        rows, _ = _RUNNERS["integral"](small_cfg(resolution=4), [member])
         assert len(rows) == 2       # one per default surface
         for row in rows:
             assert row.anchor.startswith("Integral Theorem on ")
@@ -313,8 +317,9 @@ class TestGeneralizedSweep:
     """The generalized suite visits its family one sphere at a time."""
 
     def test_shared_jets_built_once_per_sphere(self, monkeypatch):
-        # 3 members on 5 spheres: the interior seed jet and iota of it
-        # are built 5 times, not 15.
+        # 3 members on 5 spheres: the interior seed jet is built 5 times,
+        # not 15, and iota*f's integrand comes from f's jet by Lemma 1, so
+        # no jet of iota is built.
         calls = {"seed": 0, "iota_jet": 0}
         seed_cartesian, iota_elem = QJet.seed_cartesian, integral.iota_elem
 
@@ -330,9 +335,15 @@ class TestGeneralizedSweep:
                             classmethod(counted_seed))
         monkeypatch.setattr(integral, "iota_elem", counted_iota)
         members = [from_string(s) for s in ("power:2", "power:3", "conj")]
-        rows = _RUNNERS["generalized"](SuiteConfig(resolution=4), members)
+        rows, work = _RUNNERS["generalized"](SuiteConfig(resolution=4),
+                                             members)
         assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
-        assert calls == {"seed": 5, "iota_jet": 5}
+        assert calls == {"seed": 5, "iota_jet": 0}
+        family = integral.standard_family(4)
+        assert work == {"nodes": 3 * sum(K.node_count + K.interior_count
+                                         for K in family)}
+        assert all(K.interior_count == K.volume_nodes()[1].size
+                   for K in family)
 
     def test_error_on_the_second_sphere_only(self):
         # arctan_ex:1 crosses its arctanh margin near the z-axis, which
@@ -346,7 +357,7 @@ class TestGeneralizedSweep:
         with pytest.raises(DomainError) as on_second:
             theorem2_report(arctan, family[1])
         members = [from_string(s) for s in ("power:2", "arctan_ex:1", "conj")]
-        rows = _RUNNERS["generalized"](cfg, members)
+        rows, _ = _RUNNERS["generalized"](cfg, members)
         assert rows[1].render() == (
             f"generalized|jets|arctan_ex:1|{_GENERALIZED_ANCHOR}|"
             "error=DomainError: arctanh argument outside the 1 - 1e-6 "
@@ -354,7 +365,7 @@ class TestGeneralizedSweep:
         assert rows[1].stats["error"] == f"DomainError: {on_second.value}"
         # The members around it keep the rows they have on their own.
         for f, row in zip(members[::2], rows[::2]):
-            (alone,) = _RUNNERS["generalized"](cfg, [f])
+            (alone,), _ = _RUNNERS["generalized"](cfg, [f])
             assert row.render() == alone.render()
             assert row.stats["surfaces"] == 2
         with pytest.raises(DomainError, match="arctanh argument"):
@@ -371,9 +382,12 @@ class TestGeneralizedSweep:
 
         f = QFunction("points-only", raise_on_jets, expected_regular=True)
         family = integral.standard_family(4)
-        exc, ok = integral._generalized_sweep(
+        (exc, ok), nodes = integral._generalized_sweep(
             [f, from_string("power:2")], family, 1e-3)
         assert isinstance(exc, DomainError) and len(ok.rows) == 5
+        # The member that raised is counted on the first sphere only.
+        per_sphere = [K.node_count + K.interior_count for K in family]
+        assert nodes == per_sphere[0] + sum(per_sphere)
         assert "raise_on_jets" in "".join(traceback.format_tb(
             exc.__traceback__))
         for frame, _ in traceback.walk_tb(exc.__traceback__):
@@ -389,7 +403,7 @@ class TestGeneralizedSweep:
 
         f = QFunction("nan-later", nan_where_x_negative,
                       expected_regular=True)
-        (row,) = _RUNNERS["generalized"](SuiteConfig(resolution=4), [f])
+        (row,), _ = _RUNNERS["generalized"](SuiteConfig(resolution=4), [f])
         assert row.status == "error"
         assert math.isnan(row.stats["worst_rel_f"])
         assert "worst_rel_f=nan" in row.render()

@@ -13,12 +13,14 @@ import pytest
 
 from quatreg import (BadParams, Quaternion, SampleDomain, SuiteConfig,
                      TouchesRealAxis, catalog_get, default_inventory,
-                     from_string, fueter_left, gauss_report, iota_times,
-                     generalized_regularity_test, minus_two_v_over_r,
+                     from_string, fueter_left, gauss_report, iota_of,
+                     iota_times, generalized_regularity_test,
+                     minus_two_v_over_r,
                      parse_surface, product, run_suite, slice_parts, sphere3,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
-from quatreg.integral import GeneralizedVerdict
+from quatreg.integral import (GeneralizedVerdict, _SphereJets,
+                              _generalized_sweep, _verdict)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
@@ -165,6 +167,21 @@ class TestChartFreeIntegrand:
         got = integrand(pts)
         assert np.all(np.isfinite(np.stack(got.components())))
 
+    def test_iota_multiple_by_lemma1(self):
+        # Lemma 1 (u = f - iota v, for any C^1 f) makes -2v/r of iota*f,
+        # which is -2u/r of f, equal to -2f/r - iota (-2v/r of f).  No
+        # regularity is needed, so the controls and a product hold too.
+        pts = standard_family(8)[1].volume_nodes()[0]
+        r, iota = pts.imag_norm(), iota_of(pts)
+        members = default_inventory() + (
+            product(from_string("power:2"), from_string("conj")),)
+        for f in members:
+            got = (f.eval_point(pts) * (-2.0 / r)
+                   - iota * minus_two_v_over_r(f)(pts))
+            ref = minus_two_v_over_r(iota_times(f))(pts)
+            err = np.asarray((got - ref).norm())
+            assert np.all(err <= 1e-11 * np.maximum(1.0, ref.norm())), f.fid
+
 
 class TestIntegralTheorem:
     def test_regular_members(self):
@@ -243,17 +260,28 @@ class TestGeneralized:
         assert not verdict.passed
 
     def test_rows_equal_theorem2_reports(self):
-        # f is evaluated once per sphere and iota*f derived from it; the
-        # rows must equal the two separate integral-theorem reports
-        family = standard_family(6)
-        for fid in ("power:5", "arctan_ex:1", "conj"):
-            f = from_string(fid)
-            verdict = generalized_regularity_test(f, family, 1e-3)
-            for K, row in zip(family, verdict.rows):
+        # f is evaluated once per sphere and iota*f derived from it.  f's
+        # report and both surface sides equal the separate integral-theorem
+        # reports bit for bit; iota*f's interior side comes from Lemma 1,
+        # so its rhs and residual agree with the jet route to rounding.
+        family = standard_family(10)
+        members = default_inventory()
+        spheres = [_SphereJets(K) for K in family]
+        pairs = [[sphere.reports(f) for sphere in spheres] for f in members]
+        verdicts, _ = _generalized_sweep(members, family, 1e-3)
+        for f, reports, verdict in zip(members, pairs, verdicts):
+            assert verdict == _verdict(reports, 1e-3), f.fid
+            for K, (got_f, got_i) in zip(family, reports):
                 rep_f = theorem2_report(f, K)
                 rep_i = theorem2_report(iota_times(f), K)
-                assert row == (K.name, rep_f.residual, rep_f.scale,
-                               rep_i.residual, rep_i.scale), fid
+                for got, rep in ((got_f, rep_f), (got_i, rep_i)):
+                    assert got.lhs.components() == rep.lhs.components()
+                assert got_f.rhs.components() == rep_f.rhs.components()
+                assert (got_f.residual, got_f.scale) == (rep_f.residual,
+                                                         rep_f.scale)
+                bound = 1e-12 * rep_i.scale
+                assert float((got_i.rhs - rep_i.rhs).norm()) <= bound, f.fid
+                assert abs(got_i.residual - rep_i.residual) <= bound, f.fid
 
     def test_agreement_all_members(self):
         # integral verdicts track the pointwise expectation for the

@@ -310,7 +310,7 @@ class TestNonFiniteVerdicts:
                             expected_regular=False, control=True)
 
     def test_regularity_verdict(self):
-        rows = _RUNNERS["theorem1"](
+        rows, _ = _RUNNERS["theorem1"](
             SuiteConfig(suites=("theorem1",), samples=20, seed=72),
             [self.NAN_CONTROL])
         assert [row.status for row in rows] == ["error"] * 6
