@@ -339,6 +339,21 @@ def from_string(spec: str) -> QFunction:
     return catalog_get(spec, None)
 
 
+def split_ids(text: str) -> tuple:
+    """The ids in a comma list such as a config's functions=.  A token
+    continues the series or laurent id before it unless it has a ':' or
+    names a member without parameters (iota, conj)."""
+    ids = []
+    for tok in filter(None, (tk.strip() for tk in text.split(","))):
+        name, colon, _ = ids[-1].partition(":") if ids else ("", "", "")
+        if (colon and name.strip() in ("series", "laurent")
+                and ":" not in tok and tok not in ("iota", "conj")):
+            ids[-1] += "," + tok
+        else:
+            ids.append(tok)
+    return tuple(ids)
+
+
 _INVENTORY = ("power:-3", "power:-2", "power:-1", "power:1", "power:2",
               "power:3", "power:4", "power:5", "series:1,1i,0.5j",
               "laurent:-2=1k", "iota", "arctan_ex:1", "arctan_ex:2",

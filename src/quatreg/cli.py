@@ -94,7 +94,7 @@ class SuiteConfig:
     @classmethod
     def from_text(cls, text: str) -> "SuiteConfig":
         convert = {
-            "suites": _split_commas, "functions": _split_commas,
+            "suites": _split_commas, "functions": catalog.split_ids,
             "surfaces": lambda s: tuple(
                 tok.strip() for tok in s.split(";") if tok.strip()),
             "samples": int, "seed": int, "resolution": int,

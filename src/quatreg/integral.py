@@ -45,10 +45,10 @@ from .quaternion import Quaternion, iota_of
 
 
 class Hypersurface:
-    """A radius-R 3-sphere with batched surface and (lazy) interior nodes.
-    A ball that meets the real axis, where iota is undefined, is refused
-    (TouchesRealAxis), so every surface meets the integral theorem's
-    precondition."""
+    """A radius-R 3-sphere: its geometry only, batched surface nodes and
+    the rule for the interior ones.  A ball that meets the real axis, where
+    iota is undefined, is refused (TouchesRealAxis), so every surface meets
+    the integral theorem's precondition."""
 
     def __init__(self, name, center, radius, points, normals, weights,
                  radial_nodes):
@@ -64,7 +64,6 @@ class Hypersurface:
         self.normals = normals
         self.weights = weights
         self._radial_nodes = int(radial_nodes)
-        self._volume_cache = None
 
     @property
     def node_count(self) -> int:
@@ -79,22 +78,19 @@ class Hypersurface:
         return float(np.sum(self.weights))
 
     def volume_nodes(self):
-        """Interior nodes (points, weights); built on first use."""
-        if self._volume_cache is None:
-            rho, wrho = _gl_nodes(self._radial_nodes, 0.0, 1.0)
-            shell = self.points - self.center       # radius * unit normal
-            pts = Quaternion(self.center.t + shell.t * rho[:, None],
-                             self.center.x + shell.x * rho[:, None],
-                             self.center.y + shell.y * rho[:, None],
-                             self.center.z + shell.z * rho[:, None])
-            # dV = (rho R)^3 drho/R * dS/R^3 * R ... collapses to
-            # rho^3 * R * wrho * surface weight.
-            w = (rho ** 3 * wrho)[:, None] * self.weights[None, :] * self.radius
-            flat = lambda a: a.reshape(-1)
-            self._volume_cache = (Quaternion(flat(pts.t), flat(pts.x),
-                                             flat(pts.y), flat(pts.z)),
-                                  flat(w))
-        return self._volume_cache
+        """Interior nodes (points, weights), built anew on each call."""
+        rho, wrho = _gl_nodes(self._radial_nodes, 0.0, 1.0)
+        shell = self.points - self.center       # radius * unit normal
+        pts = Quaternion(self.center.t + shell.t * rho[:, None],
+                         self.center.x + shell.x * rho[:, None],
+                         self.center.y + shell.y * rho[:, None],
+                         self.center.z + shell.z * rho[:, None])
+        # dV = (rho R)^3 drho/R * dS/R^3 * R ... collapses to
+        # rho^3 * R * wrho * surface weight.
+        w = (rho ** 3 * wrho)[:, None] * self.weights[None, :] * self.radius
+        flat = lambda a: a.reshape(-1)
+        return (Quaternion(flat(pts.t), flat(pts.x), flat(pts.y),
+                           flat(pts.z)), flat(w))
 
     def volume(self) -> float:
         return float(np.sum(self.volume_nodes()[1]))
@@ -365,6 +361,9 @@ def parse_surface(text: str) -> Hypersurface:
         res = int(fields.pop("res"))
     except KeyError as missing:
         raise BadParams(f"surface descriptor missing {missing}") from None
+    except ValueError as exc:
+        raise BadParams(f"bad number in surface descriptor {text!r}: "
+                        f"{exc}") from None
     if fields:
         raise BadParams(f"unknown surface parameters {sorted(fields)}")
     return sphere3(center, radius, res)

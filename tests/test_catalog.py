@@ -15,7 +15,7 @@ from quatreg import (BadParams, DomainError, QJet, Quaternion, SampleDomain,
                      default_inventory, from_string, hyperholomorphy_report,
                      iota_of, iota_times, over_r2, parse_quaternion_literal,
                      product)
-from quatreg.catalog import _INVENTORY
+from quatreg.catalog import _INVENTORY, split_ids
 from conftest import assert_close, q
 
 coef = st.floats(min_value=-2.0, max_value=2.0,
@@ -198,6 +198,15 @@ class TestGrammar:
                     "laurent:-2=1k", "iota", "arctan_ex:2", "conj",
                     "coord:x"):
             assert fid in ids
+
+    def test_split_ids(self):
+        # Commas inside a series or laurent id do not split it; a token
+        # with a ':' or a parameterless name starts the next id.
+        assert split_ids(",".join(_INVENTORY)) == _INVENTORY
+        assert split_ids(" laurent:-2=1k, 1=1i ,iota,conj,series:1,2,"
+                         "power:2,, ") == ("laurent:-2=1k,1=1i", "iota",
+                                           "conj", "series:1,2", "power:2")
+        assert split_ids("series:1,powr:3") == ("series:1", "powr:3")
 
     def test_unknown_and_bad(self):
         with pytest.raises(UnknownFunction):

@@ -1,11 +1,13 @@
 """Command-line front-end tests: config grammar, report shape, exit codes."""
 
+import gc
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import traceback
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -28,11 +30,15 @@ def small_cfg(**kw):
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = SuiteConfig(suites=("lemma1", "integral"),
-                          functions=("power:2", "iota"), samples=17,
-                          seed=3, backend="both", tol_lemma1=2e-9,
-                          surfaces=("sphere:center=0+2i+0j+0k,r=1,res=8",))
-        assert SuiteConfig.from_text(cfg.to_text()) == cfg
+        # Series and laurent ids keep the commas inside them.
+        for functions in (("power:2", "iota"),
+                          ("series:1,1i,0.5j", "laurent:-2=1k,1=1i", "iota",
+                           "power:2")):
+            cfg = SuiteConfig(suites=("lemma1", "integral"),
+                              functions=functions, samples=17,
+                              seed=3, backend="both", tol_lemma1=2e-9,
+                              surfaces=("sphere:center=0+2i+0j+0k,r=1,res=8",))
+            assert SuiteConfig.from_text(cfg.to_text()) == cfg
 
     def test_defaults_roundtrip(self):
         cfg = SuiteConfig()
@@ -190,12 +196,29 @@ class TestMain:
                      "suites=integral\nfunctions=power:2\n"
                      "surfaces=sphere:center=0+2i,r=nan,res=6",
                      "suites=integral\nfunctions=power:2\n"
-                     "surfaces=sphere:center=0+1e999i,r=1,res=6"):
+                     "surfaces=sphere:center=0+1e999i,r=1,res=6",
+                     # A radius that is not a number.
+                     "suites=integral\nfunctions=power:2\n"
+                     "surfaces=sphere:center=0+2i,r=abc,res=8"):
             bad.write_text(text + "\n")
             assert main(["run", str(bad)]) == 2, text
         err = capsys.readouterr().err
-        assert err.count("config error:") == 8
+        assert err.count("config error:") == 9
         assert "Traceback" not in err
+
+    def test_functions_list_keeps_series_commas(self, tmp_path, capsys):
+        # A default-inventory series id in functions= is one member.
+        cfg_path = tmp_path / "series.txt"
+        cfg_path.write_text("suites=lemma1\nsamples=10\n"
+                            "functions=series:1,1i,0.5j,iota\n")
+        out_path = tmp_path / "report.txt"
+        assert main(["run", str(cfg_path), "--output", str(out_path)]) == 0
+        rows = [ln.split("|")[2] for ln in out_path.read_text().splitlines()
+                if ln.startswith("lemma1|")]
+        assert rows == ["series:1,1i,0.5j", "iota"]
+        cfg_path.write_text("suites=lemma1\nfunctions=series:1,1i,powr:3\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert "'powr'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ("integral", "generalized"))
     def test_surface_meeting_real_axis_exits_two(self, suite, tmp_path,
@@ -344,6 +367,27 @@ class TestGeneralizedSweep:
                                          for K in family)}
         assert all(K.interior_count == K.volume_nodes()[1].size
                    for K in family)
+
+    def test_interior_nodes_live_one_sphere_at_a_time(self, monkeypatch):
+        # The surfaces keep no interior nodes: when the sweep builds a
+        # sphere's nodes, no earlier sphere's are alive, and after it none
+        # are, though the family still is.
+        refs, alive_at_build = [], []
+        volume_nodes = integral.Hypersurface.volume_nodes
+
+        def recorded(K):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            pts, w = volume_nodes(K)
+            refs.extend(weakref.ref(a) for a in (*pts.components(), w))
+            return pts, w
+
+        monkeypatch.setattr(integral.Hypersurface, "volume_nodes", recorded)
+        family = integral.standard_family(4)
+        integral._generalized_sweep([from_string("power:2")], family, 1e-3)
+        gc.collect()
+        assert alive_at_build == [0] * 5
+        assert len(refs) == 25 and all(ref() is None for ref in refs)
 
     def test_error_on_the_second_sphere_only(self):
         # arctan_ex:1 crosses its arctanh margin near the z-axis, which

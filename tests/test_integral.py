@@ -321,6 +321,8 @@ class TestSurfaceParsing:
                     "sphere:center=0+2i+0j+0k,r=-1,res=8",
                     "sphere:center=0+2i+0j+0k,r=1,res=8,shiny=1",
                     "sphere:center=0+2i+0j+0k,r=1,res=8,axis_clear=0",
-                    "sphere", "sphere:center=0+2i+0j+0k,r=1,res=8,flat"):
+                    "sphere", "sphere:center=0+2i+0j+0k,r=1,res=8,flat",
+                    "sphere:center=0+2i,r=abc,res=8",
+                    "sphere:center=0+2i,r=1,res=1.5"):
             with pytest.raises(BadParams):
                 parse_surface(bad)
