@@ -1,10 +1,11 @@
 """Quadrature over closed 3-hypersurfaces in 4-space and their interiors.
 
-Surfaces come from parametric families only (spheres), so closedness and
-smoothness hold by construction.  Nodes use a product rule: Gauss-Legendre
-in the two non-periodic angles, a uniform (trapezoid) rule in the periodic
-angle, and radial Gauss-Legendre shells for the interior.  For a 3-sphere
-of radius R the weights sum to the known measures 2*pi^2*R^3 (surface) and
+The one surface is the round 3-sphere, so closedness and smoothness hold
+by construction, and Hypersurface owns its whole rule, built from center,
+radius and resolution.  Nodes use a product rule: Gauss-Legendre in the
+two non-periodic angles, a uniform (trapezoid) rule in the periodic angle,
+and radial Gauss-Legendre shells for the interior.  For a 3-sphere of
+radius R the weights sum to the known measures 2*pi^2*R^3 (surface) and
 pi^2*R^4/2 (interior), which the self-tests pin.
 
 The divergence identity over a closed hypersurface K with interior K*,
@@ -45,25 +46,53 @@ from .quaternion import Quaternion, iota_of
 
 
 class Hypersurface:
-    """A radius-R 3-sphere: its geometry only, batched surface nodes and
-    the rule for the interior ones.  A ball that meets the real axis, where
-    iota is undefined, is refused (TouchesRealAxis), so every surface meets
-    the integral theorem's precondition."""
+    """A round 3-sphere about `center` with radius R, and the one owner of
+    the sphere rule: surface nodes, normals (point - center)/R, weights and
+    the interior shells of volume_nodes, which hold for this sphere only.
 
-    def __init__(self, name, center, radius, points, normals, weights,
-                 radial_nodes):
+    Needs a finite center (a real number t is t + 0i + 0j + 0k), a positive
+    finite radius and a resolution of at least 2 (BadParams).  A ball that
+    meets the real axis, where iota is undefined, is refused before any
+    node is built (TouchesRealAxis), so every surface meets the integral
+    theorem's precondition."""
+
+    def __init__(self, center, radius, resolution):
+        if not isinstance(center, Quaternion):
+            center = Quaternion(float(center), 0.0, 0.0, 0.0)
+        if not np.all(np.isfinite(center.components())):
+            raise BadParams("sphere center must be finite")
+        if not (0 < radius < math.inf):
+            raise BadParams("sphere radius must be positive and finite")
+        if resolution < 2:
+            raise BadParams("sphere resolution must be at least 2")
         if float(center.imag_norm()) <= radius:
             raise TouchesRealAxis(
                 f"ball around ({float(center.t):g},{float(center.x):g},"
                 f"{float(center.y):g},{float(center.z):g}) with radius "
                 f"{radius:g} meets the real axis")
-        self.name = name
+        chi, wchi = _gl_nodes(resolution, 0.0, math.pi)
+        theta, wtheta = _gl_nodes(resolution, 0.0, math.pi)
+        nphi = max(4, 2 * int(resolution))
+        phi = 2.0 * math.pi * np.arange(nphi) / nphi
+        wphi = 2.0 * math.pi / nphi
+        chi, theta, phi = np.meshgrid(chi, theta, phi, indexing="ij")
+        wgrid = wchi[:, None, None] * wtheta[None, :, None] * wphi
+        schi, stheta = np.sin(chi), np.sin(theta)
+        n0 = np.cos(chi)
+        n1 = schi * np.cos(theta)
+        n2 = schi * stheta * np.cos(phi)
+        n3 = schi * stheta * np.sin(phi)
+        flat = lambda a: a.reshape(-1)
+        self.normals = Quaternion(flat(n0), flat(n1), flat(n2), flat(n3))
+        self.points = Quaternion(flat(center.t + radius * n0),
+                                 flat(center.x + radius * n1),
+                                 flat(center.y + radius * n2),
+                                 flat(center.z + radius * n3))
+        self.weights = flat(radius ** 3 * schi ** 2 * stheta * wgrid)
+        self.name = f"sphere(r={radius:g},res={int(resolution)})"
         self.center = center
         self.radius = float(radius)
-        self.points = points
-        self.normals = normals
-        self.weights = weights
-        self._radial_nodes = int(radial_nodes)
+        self._radial_nodes = max(3, int(resolution) // 2)
 
     @property
     def node_count(self) -> int:
@@ -104,41 +133,9 @@ def _gl_nodes(n, lo, hi):
 
 def sphere3(center: Quaternion, radius: float,
             resolution: int) -> Hypersurface:
-    """Round 3-sphere; outward normal is (point - center)/radius exactly.
-
-    Needs a finite center, a positive finite radius and a resolution of at
-    least 2 (BadParams); Hypersurface refuses a ball that meets the real
-    axis (TouchesRealAxis)."""
-    if not isinstance(center, Quaternion):
-        center = Quaternion(float(center), 0.0, 0.0, 0.0)
-    if not np.all(np.isfinite(center.components())):
-        raise BadParams("sphere center must be finite")
-    if not (0 < radius < math.inf):
-        raise BadParams("sphere radius must be positive and finite")
-    if resolution < 2:
-        raise BadParams("sphere resolution must be at least 2")
-    chi, wchi = _gl_nodes(resolution, 0.0, math.pi)
-    theta, wtheta = _gl_nodes(resolution, 0.0, math.pi)
-    nphi = max(4, 2 * int(resolution))
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    wphi = 2.0 * math.pi / nphi
-    chi, theta, phi = np.meshgrid(chi, theta, phi, indexing="ij")
-    wgrid = wchi[:, None, None] * wtheta[None, :, None] * wphi
-    schi, stheta = np.sin(chi), np.sin(theta)
-    n0 = np.cos(chi)
-    n1 = schi * np.cos(theta)
-    n2 = schi * stheta * np.cos(phi)
-    n3 = schi * stheta * np.sin(phi)
-    flat = lambda a: a.reshape(-1)
-    normals = Quaternion(flat(n0), flat(n1), flat(n2), flat(n3))
-    points = Quaternion(flat(center.t + radius * n0),
-                        flat(center.x + radius * n1),
-                        flat(center.y + radius * n2),
-                        flat(center.z + radius * n3))
-    weights = flat(radius ** 3 * schi ** 2 * stheta * wgrid)
-    name = f"sphere(r={radius:g},res={int(resolution)})"
-    return Hypersurface(name, center, radius, points, normals, weights,
-                        radial_nodes=max(3, int(resolution) // 2))
+    """The round 3-sphere of that center, radius and resolution; the rule
+    and its checks are Hypersurface's."""
+    return Hypersurface(center, radius, resolution)
 
 
 def _wsum(q: Quaternion, w) -> Quaternion:

@@ -189,10 +189,10 @@ class RJet:
     @classmethod
     def seed(cls, value, var: int, order: int) -> "RJet":
         """Constant `value` carrying a unit first-order coefficient in its
-        own variable."""
+        own variable, row 1 + var as first_partials reads it."""
         jet = cls.constant(value, order)
         if order >= 1:
-            jet._cm[_POS[order][_unit(var)]] = 1.0
+            jet._cm[1 + var] = 1.0
         return jet
 
     # -- ring operations --------------------------------------------------
@@ -303,10 +303,7 @@ class RJet:
         return self._compose([s, 0.5 / s, -0.25 / (s * a), 0.375 / (s * a * a)][:self.order + 1])
 
     def recip(self):
-        a = self.value
-        if np.any(a == 0.0) or np.any(np.abs(a) < 1e-280):
-            raise DomainError("reciprocal needs a nonzero constant term")
-        inv = 1.0 / a
+        inv = 1.0 / _recip_arg(self.value)
         return self._compose([inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4][:self.order + 1])
 
     def atan(self):
@@ -327,12 +324,6 @@ class RJet:
         return f"RJet(order={self.order}, c={self.c!r})"
 
 
-def _unit(var):
-    m = [0, 0, 0, 0]
-    m[var] = 1
-    return tuple(m)
-
-
 # The elementary functions the catalog bodies call, on jets, floats and
 # numpy arrays alike, so one body serves point and jet evaluation.
 
@@ -344,12 +335,18 @@ def sqrt(a):
     return np.sqrt(a)
 
 
+def _recip_arg(a):
+    """a, if 1/a may be taken: the one guard of recip on jets and points."""
+    a = np.asarray(a)
+    if np.any(np.abs(a) < 1e-280):
+        raise DomainError("reciprocal needs |argument| >= 1e-280")
+    return a
+
+
 def recip(a):
     if isinstance(a, RJet):
         return a.recip()
-    if np.any(np.asarray(a) == 0.0):
-        raise DomainError("reciprocal of zero")
-    return 1.0 / np.asarray(a)
+    return 1.0 / _recip_arg(a)
 
 
 def atan(a):

@@ -130,7 +130,7 @@ class TestDomainGuards:
 class TestJetConsistency:
     def test_order_zero_matches_point(self):
         from quatreg import SampleDomain
-        for f in default_inventory():
+        for f in default_inventory() + (from_string("power:0"),):
             pts = SampleDomain().merge(f.domain).sample(200, seed=31)
             seed = QJet.seed_cartesian(pts, 0)
             gap = (f.eval_jet(seed).value - f.eval_point(pts)).norm()
@@ -219,6 +219,8 @@ class TestGrammar:
             from_string("coord:w")
         with pytest.raises(BadParams):
             catalog_get("iota", "1")
+        with pytest.raises(BadParams):
+            catalog_get("conj", "x")
         # Parameters are id text, with at least one series or laurent term.
         for bad in ("series:", "series:,", "laurent:", "laurent: , "):
             with pytest.raises(BadParams):

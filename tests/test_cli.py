@@ -415,7 +415,7 @@ class TestGeneralizedSweep:
         with pytest.raises(DomainError, match="arctanh argument"):
             generalized_regularity_test(arctan, family, 1e-3)
 
-    def test_kept_error_holds_no_sphere_jets(self):
+    def test_kept_error_holds_no_sphere_jets(self, monkeypatch):
         # A member that fails on the first sphere's interior jets: its
         # kept error must not pin that sphere's jets while later spheres
         # are evaluated.
@@ -437,6 +437,14 @@ class TestGeneralizedSweep:
         for frame, _ in traceback.walk_tb(exc.__traceback__):
             assert not any(isinstance(v, (QJet, integral._SphereJets))
                            for v in frame.f_locals.values()), frame
+        # Alone, that member stops the sweep after the first sphere.
+        builds = []
+        volume_nodes = integral.Hypersurface.volume_nodes
+        monkeypatch.setattr(integral.Hypersurface, "volume_nodes",
+                            lambda K: builds.append(K) or volume_nodes(K))
+        (exc,), nodes = integral._generalized_sweep([f], family, 1e-3)
+        assert isinstance(exc, DomainError)
+        assert builds == [family[0]] and nodes == per_sphere[0]
 
     def test_nan_on_a_later_sphere_is_the_worst_value(self):
         # NaN on the second standard sphere (x < 0) only; the first lies

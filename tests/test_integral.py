@@ -103,6 +103,9 @@ class TestAxisGuard:
     def test_sphere_must_clear_axis(self):
         with pytest.raises(TouchesRealAxis):
             sphere3(q(0, 0.5, 0, 0), 1.0, 8)
+        # A real center is the point t + 0i + 0j + 0k, on the axis.
+        with pytest.raises(TouchesRealAxis):
+            sphere3(2.0, 1.0, 8)
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
@@ -323,6 +326,7 @@ class TestSurfaceParsing:
                     "sphere:center=0+2i+0j+0k,r=1,res=8,axis_clear=0",
                     "sphere", "sphere:center=0+2i+0j+0k,r=1,res=8,flat",
                     "sphere:center=0+2i,r=abc,res=8",
-                    "sphere:center=0+2i,r=1,res=1.5"):
+                    "sphere:center=0+2i,r=1,res=1.5",
+                    "sphere:center=0+2i,r=1,res=1"):
             with pytest.raises(BadParams):
                 parse_surface(bad)
