@@ -49,21 +49,13 @@ def _const_elem(p, q: Quaternion):
     return q
 
 
-def _one_like(p):
-    if isinstance(p, QJet):
-        one = p.t * 0.0 + 1.0
-        return QJet(one, one * 0.0, one * 0.0, one * 0.0)
-    z = np.zeros(np.shape(p.t))
-    return Quaternion(1.0 + z, z, z, z)
-
-
 def _values(a):
     return a.value if isinstance(a, RJet) else np.asarray(a)
 
 
 def _ipow(p, n: int):
     if n == 0:
-        return _one_like(p)
+        return _real_elem(p, p.t * 0.0 + 1.0)
     base = p if n > 0 else p.inverse()
     out = base
     for _ in range(abs(n) - 1):

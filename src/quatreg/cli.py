@@ -128,6 +128,8 @@ class SuiteConfig:
                 raise ConfigError(f"{f.name} must be finite, got {v!r}")
             if f.name.startswith("tol_") and v <= 0:
                 raise ConfigError(f"{f.name} must be positive")
+        if not self.suites:
+            raise ConfigError("suites must name at least one suite")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; "
@@ -485,9 +487,12 @@ def list_catalog() -> str:
 def _write_report(text: str, dest: str) -> None:
     if dest == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from None
 
 
 _CHECK_TOL_KEYS = {suite: spec.tol_keys for suite, spec in _POINTWISE.items()}
@@ -511,11 +516,11 @@ def main(argv=None) -> int:
     p_chk.add_argument("suite", help="one of " + ",".join(SUITES))
     p_chk.add_argument("function_id", help="catalog id, e.g. power:2")
     p_chk.add_argument("--tol", type=float, default=None)
-    p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--res", type=int, default=16)
-    p_chk.add_argument("--backend", default="jets",
+    p_chk.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p_chk.add_argument("--res", type=int, default=SuiteConfig.resolution)
+    p_chk.add_argument("--backend", default=SuiteConfig.backend,
                        choices=("jets", "fd", "both"))
-    p_chk.add_argument("--samples", type=int, default=200)
+    p_chk.add_argument("--samples", type=int, default=SuiteConfig.samples)
     args = parser.parse_args(argv)
     try:
         if args.command == "run":

@@ -23,6 +23,9 @@ and 3 a step plan takes those sums over whole rows, with no BLAS call.
 A QJet product adds the pair products sign * a_k * b_q of ``_HAMILTON``
 in place, in the Hamilton formula's order, so it keeps the formula's bits.
 
+sqrt, recip and atanh check their domain once, in the module-level point
+function, and the RJet methods take their value rows from it.
+
 Orders above 3 are rejected: third derivatives are the deepest anything
 here needs (the Fueter operator applied to a Laplacian).
 """
@@ -34,9 +37,8 @@ import math
 
 import numpy as np
 
-from .errors import (BasisMismatch, DomainError, IndexTooDeep, OrderTooHigh,
-                     ZeroDivisor)
-from .quaternion import Quaternion
+from .errors import BasisMismatch, DomainError, IndexTooDeep, OrderTooHigh
+from .quaternion import Quaternion, check_invertible
 
 MAX_ORDER = 3
 NVARS = 4
@@ -297,14 +299,16 @@ class RJet:
 
     def sqrt(self):
         a = self.value
-        if np.any(a <= 0.0):
-            raise DomainError("sqrt needs a strictly positive constant term")
-        s = np.sqrt(a)
+        s = sqrt(a)
         return self._compose([s, 0.5 / s, -0.25 / (s * a), 0.375 / (s * a * a)][:self.order + 1])
 
     def recip(self):
-        inv = 1.0 / _recip_arg(self.value)
-        return self._compose([inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4][:self.order + 1])
+        inv = recip(self.value)
+        derivs = [inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4][:self.order + 1]
+        # Only a finite argument overflows here; a NaN one stays NaN.
+        if np.any(np.isinf(derivs[-1])):
+            raise DomainError(f"reciprocal overflows at order {self.order}")
+        return self._compose(derivs)
 
     def atan(self):
         a = self.value
@@ -314,11 +318,10 @@ class RJet:
 
     def atanh(self):
         a = self.value
-        if np.any(np.abs(a) >= 1.0):
-            raise DomainError("atanh needs |constant term| < 1")
+        w = atanh(a)
         d = 1.0 / (1.0 - a * a)
         return self._compose(
-            [np.arctanh(a), d, 2.0 * a * d * d, (2.0 + 6.0 * a * a) * d ** 3][:self.order + 1])
+            [w, d, 2.0 * a * d * d, (2.0 + 6.0 * a * a) * d ** 3][:self.order + 1])
 
     def __repr__(self):
         return f"RJet(order={self.order}, c={self.c!r})"
@@ -335,18 +338,13 @@ def sqrt(a):
     return np.sqrt(a)
 
 
-def _recip_arg(a):
-    """a, if 1/a may be taken: the one guard of recip on jets and points."""
-    a = np.asarray(a)
-    if np.any(np.abs(a) < 1e-280):
-        raise DomainError("reciprocal needs |argument| >= 1e-280")
-    return a
-
-
 def recip(a):
     if isinstance(a, RJet):
         return a.recip()
-    return 1.0 / _recip_arg(a)
+    a = np.asarray(a)
+    if np.any(np.abs(a) < 1e-280):
+        raise DomainError("reciprocal needs |argument| >= 1e-280")
+    return 1.0 / a
 
 
 def atan(a):
@@ -472,8 +470,7 @@ class QJet:
 
     def inverse(self) -> "QJet":
         n2 = self.norm_sq()
-        if np.any(n2.value <= 0.0):
-            raise ZeroDivisor("jet with zero quaternion value; not invertible")
+        check_invertible(n2.value)
         return self.conjugate() * n2.recip()
 
     # -- structure ---------------------------------------------------------

@@ -96,9 +96,7 @@ class Quaternion:
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse, conjugate over squared norm."""
         n2 = self.norm_sq()
-        scale = 1.0 + self.norm()
-        if np.any(n2 <= (EPS * scale) ** 2):
-            raise ZeroDivisor("quaternion norm below epsilon; not invertible")
+        check_invertible(n2)
         return self.conjugate() * (1.0 / n2)
 
     # -- conveniences ------------------------------------------------------
@@ -119,6 +117,13 @@ class Quaternion:
             return f"Quaternion(batch of {np.broadcast(*self.components()).size})"
         return (f"Quaternion({self.t:.12g}, {self.x:.12g}, "
                 f"{self.y:.12g}, {self.z:.12g})")
+
+
+def check_invertible(n2):
+    """Refuse a squared norm n2 = |q|^2 at or below (EPS * (1 + |q|))^2: the
+    one rule for inverting a quaternion and a quaternion jet."""
+    if np.any(n2 <= (EPS * (1.0 + np.sqrt(n2))) ** 2):
+        raise ZeroDivisor("quaternion norm below epsilon; not invertible")
 
 
 def _coerce(value):

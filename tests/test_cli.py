@@ -199,11 +199,22 @@ class TestMain:
                      "surfaces=sphere:center=0+1e999i,r=1,res=6",
                      # A radius that is not a number.
                      "suites=integral\nfunctions=power:2\n"
-                     "surfaces=sphere:center=0+2i,r=abc,res=8"):
+                     "surfaces=sphere:center=0+2i,r=abc,res=8",
+                     # No suite at all, which would pass vacuously.
+                     "suites=\nfunctions=power:2"):
             bad.write_text(text + "\n")
             assert main(["run", str(bad)]) == 2, text
         err = capsys.readouterr().err
-        assert err.count("config error:") == 9
+        assert err.count("config error:") == 10
+        assert "Traceback" not in err
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_cfg(samples=4).to_text())
+        out_path = tmp_path / "missing" / "report.txt"
+        assert main(["run", str(cfg_path), "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write report" in err
         assert "Traceback" not in err
 
     def test_functions_list_keeps_series_commas(self, tmp_path, capsys):

@@ -128,6 +128,15 @@ class TestElementary:
                 with pytest.raises(DomainError):
                     guard(arg)
 
+    def test_recip_overflow(self):
+        # An infinite top derivative is refused; it would make every
+        # coefficient NaN, the value too.
+        for bad, order in ((1e-200, 1), (1e-78, 3)):
+            with pytest.raises(DomainError):
+                jets.recip(seeded(bad, order=order))
+        for good, order in ((1e-150, 1), (1e-70, 3)):
+            assert np.all(np.isfinite(jets.recip(seeded(good, order=order)).c))
+
     def test_scalar_fallbacks(self):
         # Dispatchers accept plain floats too.
         assert jets.atan(0.25) == math.atan(0.25)
@@ -172,6 +181,10 @@ class TestQJet:
             assert float(prod.derivative(v).value.norm()) < 1e-13
         with pytest.raises(ZeroDivisor):
             QJet.seed_cartesian(q(), 1).inverse()
+        # A point and a jet are refused by one relative rule.
+        for tiny in (q(1e-13), QJet.seed_cartesian(q(1e-13), 1)):
+            with pytest.raises(ZeroDivisor):
+                tiny.inverse()
 
     def test_conjugate_and_norm_sq(self):
         p = q(1, 2, 3, 4)
