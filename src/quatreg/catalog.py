@@ -164,12 +164,15 @@ def iota_times(f: QFunction) -> QFunction:
                      control=f.control)
 
 
+def inv_r2(p):
+    """1/r^2, r the imaginary radius, in the algebra of p."""
+    return jm.recip(p.x * p.x + p.y * p.y + p.z * p.z)
+
+
 def over_r2(f: QFunction) -> QFunction:
     """f divided by the squared imaginary radius (for item-4 checks)."""
-    def body(p):
-        x, y, z = p.x, p.y, p.z
-        return f.body(p) * jm.recip(x * x + y * y + z * z)
-    return QFunction(fid=f"({f.fid})/r^2", body=body, domain=f.domain,
+    return QFunction(fid=f"({f.fid})/r^2",
+                     body=lambda p: f.body(p) * inv_r2(p), domain=f.domain,
                      expected_regular=False,
                      expected_hyperholomorphic=False, control=f.control)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 import time
 import zlib
@@ -484,6 +485,20 @@ def list_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_writable(dest: str) -> None:
+    """Refuse a report path that cannot be written before any suite runs,
+    without creating or truncating the file."""
+    if dest == "-":
+        return
+    if os.path.exists(dest):
+        ok = not os.path.isdir(dest) and os.access(dest, os.W_OK)
+    else:
+        parent = os.path.dirname(dest) or "."
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise ConfigError(f"cannot write report: {dest!r} is not writable")
+
+
 def _write_report(text: str, dest: str) -> None:
     if dest == "-":
         sys.stdout.write(text)
@@ -531,6 +546,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from None
             if args.output is not None:
                 cfg = replace(cfg, output=args.output)
+            _check_writable(cfg.output)
             text, code = run_suite(cfg)
             _write_report(text, cfg.output)
             return code

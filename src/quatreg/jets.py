@@ -136,10 +136,18 @@ def _product(order, a, b, out=None, tail=None):
         out[1:] += np.multiply(a[1:], b[:1], out=tail)
         return out
     steps, unrank = _MUL[order]
-    (ia, ib), *rest = steps
-    acc = a[ia] * b[ib]
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    # Step 1 pairs a0 with every row of b; the later steps gather into
+    # two buffers made once per call and multiply in place.
+    (_, ib), *rest = steps
+    acc = b.take(ib, axis=0)
+    np.multiply(a[:1], acc, out=acc)
+    ga, gb = np.empty((2,) + acc.shape)
     for ia, ib in rest:
-        acc[:len(ia)] += a[ia] * b[ib]
+        x = a.take(ia, axis=0, out=ga[:len(ia)], mode="clip")
+        x *= b.take(ib, axis=0, out=gb[:len(ib)], mode="clip")
+        acc[:len(ia)] += x
     return acc[unrank]
 
 

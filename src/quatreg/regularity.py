@@ -36,7 +36,11 @@ Each quantity has one code path: ``_uv`` gives the jets of u and v from
 a chart-frame jet of f to every checker, together with the angular jets
 they halve, which theorem1_residuals hands on to D_l f and D_l(iota f).
 ``_theorem1_report`` holds the six item formulas, which the jets backend
-and the finite-difference oracle feed with their own derivatives.
+and the finite-difference oracle feed with their own derivatives.  The
+oracle evaluates f once per stencil point and forms iota f, f/r^2 and
+iota f/r^2 from that value.  Its stencils run alpha, beta, Cartesian,
+then Cullen's t and r, with iota before f at angular points and after it
+at Cartesian ones: that order fixes which error a batch reports first.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import iota_times, over_r2
+from .catalog import QFunction, inv_r2, iota_elem
 from .errors import residual_status
 from .jets import QJet, RJet
 from .operators import (SphericalFrame, _fd, angular_derivative, angular_jet,
@@ -80,15 +84,35 @@ def slice_parts(f, p: Quaternion) -> SliceParts:
     return SliceParts(u, v, u + frame.iota.value * v)
 
 
+def _stacked(f, cartesian: bool) -> QFunction:
+    """(f, iota f), or (f, iota f, f/r^2, iota f/r^2) when cartesian, from
+    one evaluation of f per point, as rows of a new leading axis."""
+    def body(q):
+        if cartesian:
+            fv = f.eval_point(q)
+            ifv, inv = iota_elem(q) * fv, inv_r2(q)
+            rows = (fv, ifv, fv * inv, ifv * inv)
+        else:
+            io = iota_elem(q)
+            fv = f.eval_point(q)
+            rows = (fv, io * fv)
+        comps = [c for row in rows for c in row.components()]
+        out = np.empty((4, len(rows))
+                       + np.broadcast_shapes(*map(np.shape, comps)))
+        for n, c in enumerate(comps):
+            out[n % 4, n // 4] = c
+        return Quaternion(*out)
+    return QFunction(f"stacked({f.fid})", body)
+
+
 def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
     """Norm of d/d_l(iota)(iota f) + iota d/d_l(iota)(f) - 2 f(p).
 
     On jets this is 2 (u + iota v - f), which scaling by two leaves
     exact."""
     if _fd(backend):
-        lhs = (angular_derivative(iota_times(f), p, backend="fd")
-               + iota_of(p) * angular_derivative(f, p, backend="fd"))
-        return (lhs - f.eval_point(p) * 2.0).norm()
+        a = angular_derivative(_stacked(f, False), p, backend="fd")
+        return (a[1] + iota_of(p) * a[0] - f.eval_point(p) * 2.0).norm()
     frame = spherical_frame(p, 1)
     g = f.eval_jet(frame.seed)
     u, v, _, _ = _uv(frame, g)
@@ -133,18 +157,12 @@ def theorem1_residuals(f, p: Quaternion,
     if _fd(backend):
         # Independent oracle; the order of evaluation fixes which error
         # a point outside the domain reports first.
-        g2 = iota_times(f)
-        iota0 = iota_of(p)
-        fval = f.eval_point(p)
-        u = angular_derivative(g2, p, backend="fd") * 0.5
-        v = angular_derivative(f, p, backend="fd") * 0.5
-        dlf = fueter_left(f, p, backend="fd")
-        dlif = fueter_left(g2, p, backend="fd")
-        cullen = cullen_left(f, p, backend="fd")
+        iota0, fval = iota_of(p), f.eval_point(p)
+        a = angular_derivative(_stacked(f, False), p, backend="fd")
+        d = fueter_left(_stacked(f, True), p, backend="fd")
         return _theorem1_report(
-            iota0, p.imag_norm(), fval, u, v, cullen, dlf, dlif,
-            fueter_left(over_r2(f), p, backend="fd"),
-            fueter_left(over_r2(g2), p, backend="fd"))
+            iota0, p.imag_norm(), fval, a[1] * 0.5, a[0] * 0.5,
+            cullen_left(f, p, backend="fd"), d[0], d[1], d[2], d[3])
     frame = spherical_frame(p, 1)
     g = f.eval_jet(frame.seed)
     ig = frame.iota * g

@@ -208,14 +208,28 @@ class TestMain:
         assert err.count("config error:") == 10
         assert "Traceback" not in err
 
-    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+    def test_unwritable_report_exits_two(self, tmp_path, capsys,
+                                         monkeypatch):
+        # The path is refused before any suite runs: a missing directory,
+        # or a directory where the report file should be.
+        runs = []
+        monkeypatch.setattr(quatreg.cli, "run_suite",
+                            lambda cfg: runs.append(cfg) or ("", 0))
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_cfg(samples=4).to_text())
-        out_path = tmp_path / "missing" / "report.txt"
-        assert main(["run", str(cfg_path), "--output", str(out_path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error: cannot write report" in err
-        assert "Traceback" not in err
+        for out_path in (tmp_path / "missing" / "report.txt", tmp_path):
+            assert main(["run", str(cfg_path), "--output",
+                         str(out_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: cannot write report" in err
+            assert "Traceback" not in err
+        assert runs == []
+        # A writable path, new or existing, still runs the suites.
+        out_path = tmp_path / "report.txt"
+        for _ in range(2):
+            assert main(["run", str(cfg_path), "--output",
+                         str(out_path)]) == 0
+        assert len(runs) == 2 and out_path.exists()
 
     def test_functions_list_keeps_series_commas(self, tmp_path, capsys):
         # A default-inventory series id in functions= is one member.

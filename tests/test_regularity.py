@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (QFunction, Quaternion, SampleDomain, SuiteConfig,
+from quatreg import (DomainError, QFunction, Quaternion, SampleDomain,
+                     SuiteConfig, ZeroDivisor, angular_derivative,
                      catalog_get, cullen_left, default_inventory, from_string,
                      fueter_left, fueter_left_spherical,
                      hyperholomorphy_report, iota_of, iota_times,
@@ -301,6 +302,85 @@ class TestSharedPaths:
             calls.clear()
             check(f, P0)
             assert len(calls) == want, check.__name__
+
+
+def _counted(f):
+    """f as a QFunction that counts the calls of f's eval_point."""
+    calls = []
+
+    def body(p):
+        calls.append(1)
+        return f.eval_point(p)
+    return QFunction(f.fid, body, f.domain), calls
+
+
+class TestFdOracle:
+    """The FD branches evaluate f once per stencil point and keep the bits
+    of the separate derived functions and the order of their errors."""
+
+    FIDS = ("power:-2", "arctan_ex:1", "conj")
+
+    def test_one_evaluation_per_stencil_point(self):
+        # f at p, 8 angular points, 16 Cartesian ones, 8 for the Cullen
+        # value; lemma1 takes the 8 angular ones and f at p.
+        for fid in self.FIDS:
+            f = from_string(fid)
+            pts = DOM.merge(f.domain).sample(20, seed=75)
+            for p in (pts, pts[0]):
+                for check, want in ((theorem1_residuals, 33),
+                                    (lemma1_residual, 9)):
+                    g, calls = _counted(f)
+                    check(g, p, backend="fd")
+                    assert len(calls) == want, (fid, check.__name__)
+
+    def test_rows_are_the_derived_functions(self):
+        for fid in self.FIDS:
+            f = from_string(fid)
+            fi = iota_times(f)
+            pts = DOM.merge(f.domain).sample(20, seed=76)
+            for p in (pts, pts[0]):
+                ang = angular_derivative(regularity._stacked(f, False), p,
+                                         backend="fd")
+                dl = fueter_left(regularity._stacked(f, True), p,
+                                 backend="fd")
+                for i, g in enumerate((f, fi)):
+                    assert _same_bits(ang[i], angular_derivative(
+                        g, p, backend="fd")), (fid, i)
+                for i, g in enumerate((f, fi, over_r2(f), over_r2(fi))):
+                    assert _same_bits(dl[i], fueter_left(
+                        g, p, backend="fd")), (fid, i)
+                # The checkers give what the separate functions give.
+                u = angular_derivative(fi, p, backend="fd") * 0.5
+                v = angular_derivative(f, p, backend="fd") * 0.5
+                want = regularity._theorem1_report(
+                    iota_of(p), p.imag_norm(), f.eval_point(p), u, v,
+                    cullen_left(f, p, backend="fd"),
+                    *(fueter_left(g, p, backend="fd")
+                      for g in (f, fi, over_r2(f), over_r2(fi))))
+                got = theorem1_residuals(f, p, backend="fd")
+                for key, vals in want.items().items():
+                    assert np.array_equal(got.items()[key], vals), (fid, key)
+                gap = u * 2.0 + iota_of(p) * (v * 2.0) - f.eval_point(p) * 2.0
+                assert np.array_equal(lemma1_residual(f, p, backend="fd"),
+                                      gap.norm()), fid
+
+    def test_first_error_is_the_alpha_stencils(self):
+        # ZeroDivisor where t moved from the sample, DomainError where
+        # only x moved: the alpha stencil runs before the Cartesian and
+        # Cullen ones, which move t first.
+        pts = DOM.sample(40, seed=77)
+
+        def body(p):
+            if np.any(p.t != pts.t):
+                raise ZeroDivisor("t moved")
+            if np.any(p.x != pts.x):
+                raise DomainError("x moved")
+            return p
+
+        f = QFunction("moved", body)
+        for check in (theorem1_residuals, lemma1_residual):
+            with pytest.raises(DomainError):
+                check(f, pts, backend="fd")
 
 
 class TestNonFiniteVerdicts:
