@@ -112,7 +112,9 @@ def _arctan_body(k: int):
                 "arctanh argument outside the 1 - 1e-6 safety margin")
         w = jm.atan(num * jm.recip(den))
         v = jm.atanh(axial * jm.recip(r))
-        return _real_elem(p, w) + iota_elem(p) * _real_elem(p, v)
+        # iota scaled by the real v: a Hamilton product with v lifted
+        # into the algebra would multiply 12 zero pairs.
+        return _real_elem(p, w) + iota_elem(p) * v
     return body
 
 

@@ -313,23 +313,25 @@ _POINTWISE = {
 
 def _run_pointwise(suite: str, cfg: SuiteConfig, members):
     spec = _POINTWISE[suite]
-    rows, points = [], 0
+    # A suite without an fd backend runs on jets whatever cfg says.
+    backends = [(backend, getattr(cfg, tol_key)) for backend, tol_key
+                in zip(("jets", "fd"), spec.tol_keys)
+                if len(spec.tol_keys) == 1 or cfg.backend in (backend, "both")]
+    by_backend = {backend: [] for backend, _ in backends}
+    points = 0
     base = cfg.base_domain()
-    for backend, tol_key in zip(("jets", "fd"), spec.tol_keys):
-        # A suite without an fd backend runs on jets whatever cfg says.
-        if len(spec.tol_keys) > 1 and cfg.backend not in (backend, "both"):
-            continue
-        tol = getattr(cfg, tol_key)
-        for f in members:
-            expected = spec.expected(f)
-            pts = base.merge(f.domain).sample(
-                cfg.samples, seed=_mix_seed(cfg.seed, suite, f.fid))
+    for f in members:
+        # One sample per member, shared by its backends.
+        expected = spec.expected(f)
+        pts = base.merge(f.domain).sample(
+            cfg.samples, seed=_mix_seed(cfg.seed, suite, f.fid))
+        for backend, tol in backends:
             points += int(np.size(pts.t))
             data, skipped, exc, kept = _robust(
                 lambda p: spec.batch(f, p, backend), pts)
             if data is None:
-                rows.append(_error_row(suite, backend, f, spec.anchor,
-                                       exc, expected))
+                by_backend[backend].append(_error_row(
+                    suite, backend, f, spec.anchor, exc, expected))
                 continue
             for anchor, stats, arr in spec.records(data):
                 stats["worst"] = _worst_point(pts, kept, arr)
@@ -338,8 +340,11 @@ def _run_pointwise(suite: str, cfg: SuiteConfig, members):
                     stats["skipped"] = skipped
                     # The class only: a message may contain ';'.
                     stats["skip"] = type(exc).__name__
-                rows.append(Row(suite, backend, f.fid, anchor, stats,
-                                residual_status(arr, tol), expected))
+                by_backend[backend].append(Row(
+                    suite, backend, f.fid, anchor, stats,
+                    residual_status(arr, tol), expected))
+    # The jets rows of every member, then the fd rows.
+    rows = [row for block in by_backend.values() for row in block]
     return rows, {"points": points}
 
 

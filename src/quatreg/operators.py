@@ -133,36 +133,56 @@ def spherical_fueter_of_jet(frame: SphericalFrame, g: QJet,
 
 # -- finite-difference helpers --------------------------------------------
 
-def _fd1(eval_at, h: float) -> Quaternion:
-    def central(hh):
-        return (eval_at(hh) - eval_at(-hh)) * (0.5 / hh)
-    return (central(0.5 * h) * 4.0 - central(h)) * (1.0 / 3.0)
+#: The four shifts of a Richardson-refined difference, in units of its
+#: base step h: +h/2, -h/2, +h, -h.
+_FD_SHIFTS = (0.5, -0.5, 1.0, -1.0)
 
 
-def _fd2(eval_at, f0: Quaternion, h: float) -> Quaternion:
-    def second(hh):
-        return (eval_at(hh) - f0 * 2.0 + eval_at(-hh)) * (1.0 / (hh * hh))
-    return (second(0.5 * h) * 4.0 - second(h)) * (1.0 / 3.0)
+def _shifted(f, coords, var, h, build) -> list:
+    """f at the four _FD_SHIFTS of coords[var], as four Quaternions shaped
+    like f at coords.  f is called once, on a (4,)+batch stencil whose new
+    axis comes just before the batch axes; build makes the point from the
+    shifted coordinates."""
+    batch = np.broadcast(*coords).shape
+    stencil = (4,) + batch
+    vals = list(coords)
+    vals[var] = vals[var] + np.multiply(_FD_SHIFTS, h).reshape(
+        (4,) + (1,) * len(batch))
+    # A component of f that ignores coords[var] comes back batch-shaped.
+    comps = [np.broadcast_to(c, np.broadcast_shapes(np.shape(c), stencil))
+             for c in f.eval_point(build(*vals)).components()]
+    tail = (slice(None),) * len(batch)
+    return [Quaternion(*(c[(Ellipsis, k) + tail] for c in comps))
+            for k in range(4)]
 
 
-def _shift_cart(p: Quaternion, var: int, d):
-    comps = list(p.components())
-    comps[var] = comps[var] + d
-    return Quaternion(*comps)
+def _fd1(fs, h: float) -> Quaternion:
+    """The first derivative from f at the four shifts of step h."""
+    def central(plus, minus, hh):
+        return (plus - minus) * (0.5 / hh)
+    return (central(fs[0], fs[1], 0.5 * h) * 4.0
+            - central(fs[2], fs[3], h)) * (1.0 / 3.0)
 
 
-def _shift_sph(sp: SphericalPoint, var: int, d) -> Quaternion:
-    vals = [sp.t, sp.r, sp.alpha, sp.beta]
-    vals[var] = vals[var] + d
-    return from_spherical(SphericalPoint(*vals))
+def _fd2(fs, f0: Quaternion, h: float) -> Quaternion:
+    """The second derivative from f at the four shifts of step h and f0,
+    f at the unshifted point."""
+    def second(plus, minus, hh):
+        return (plus - f0 * 2.0 + minus) * (1.0 / (hh * hh))
+    return (second(fs[0], fs[1], 0.5 * h) * 4.0
+            - second(fs[2], fs[3], h)) * (1.0 / 3.0)
 
 
 def _fd_cart_partial(f, p, var, h=FD_STEP1):
-    return _fd1(lambda d: f.eval_point(_shift_cart(p, var, d)), h)
+    """d f / d(var) at p, var indexing (t, x, y, z); one call of f."""
+    return _fd1(_shifted(f, p.components(), var, h, Quaternion), h)
 
 
 def _fd_sph_partial(f, sp, var, h=FD_STEP1):
-    return _fd1(lambda d: f.eval_point(_shift_sph(sp, var, d)), h)
+    """d f / d(var) at the chart point sp, var indexing (t, r, alpha,
+    beta); one call of f."""
+    return _fd1(_shifted(f, (sp.t, sp.r, sp.alpha, sp.beta), var, h,
+                         lambda *v: from_spherical(SphericalPoint(*v))), h)
 
 
 # -- the operators ---------------------------------------------------------
@@ -226,7 +246,8 @@ def laplacian(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     f0 = f.eval_point(p)
     out = None
     for v in range(4):
-        term = _fd2(lambda d, v=v: f.eval_point(_shift_cart(p, v, d)), f0, FD_STEP2)
+        term = _fd2(_shifted(f, p.components(), v, FD_STEP2, Quaternion),
+                    f0, FD_STEP2)
         out = term if out is None else out + term
     return out
 

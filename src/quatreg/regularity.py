@@ -37,10 +37,11 @@ a chart-frame jet of f to every checker, together with the angular jets
 they halve, which theorem1_residuals hands on to D_l f and D_l(iota f).
 ``_theorem1_report`` holds the six item formulas, which the jets backend
 and the finite-difference oracle feed with their own derivatives.  The
-oracle evaluates f once per stencil point and forms iota f, f/r^2 and
-iota f/r^2 from that value.  Its stencils run alpha, beta, Cartesian,
-then Cullen's t and r, with iota before f at angular points and after it
-at Cartesian ones: that order fixes which error a batch reports first.
+oracle evaluates f once per partial, on the stencil of its four shifts,
+and forms iota f, f/r^2 and iota f/r^2 from that value.  Its stencils
+run alpha, beta, Cartesian, then Cullen's t and r, with iota before f at
+angular points and after it at Cartesian ones: that order fixes which
+error a batch reports first.
 """
 
 from __future__ import annotations

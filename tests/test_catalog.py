@@ -15,6 +15,7 @@ from quatreg import (BadParams, DomainError, QJet, Quaternion, SampleDomain,
                      default_inventory, from_string, hyperholomorphy_report,
                      iota_of, iota_times, over_r2, parse_quaternion_literal,
                      product)
+from quatreg import catalog, jets
 from quatreg.catalog import _INVENTORY, split_ids
 from conftest import assert_close, q
 
@@ -143,6 +144,39 @@ class TestJetConsistency:
             seed = QJet.seed_cartesian(pts, 2)
             gap = (f.eval_jet(seed).value - f.eval_point(pts)).norm()
             assert float(np.max(gap)) < 1e-12, f.fid
+
+
+def _arctan_hamilton(k, p):
+    """arctan_ex:k with iota*v as the Hamilton product of iota and v lifted
+    into the algebra of p: the reference form, with 12 zero pairs."""
+    comps = (p.x, p.y, p.z)
+    num, den, axial = comps[(k - 1) % 3], comps[k % 3], comps[(k + 1) % 3]
+    r = jets.sqrt(num * num + den * den + axial * axial)
+    w = jets.atan(num * jets.recip(den))
+    v = jets.atanh(axial * jets.recip(r))
+    return (catalog._real_elem(p, w)
+            + catalog.iota_elem(p) * catalog._real_elem(p, v))
+
+
+def _bits(val):
+    """The components of a point or jet value as one int64 array."""
+    comps = [c.c if isinstance(c, jets.RJet) else c
+             for c in val.components()]
+    return np.stack(np.broadcast_arrays(*comps)).astype(float).view(np.int64)
+
+
+class TestArctanBody:
+    def test_scaling_iota_keeps_the_hamilton_bits(self):
+        # Scaling iota by v skips the Hamilton product's zero pairs and
+        # keeps every bit, on points, 0-d points and jets of orders 1-3.
+        for k in (1, 2, 3):
+            f = catalog_get("arctan_ex", str(k))
+            pts = SampleDomain().merge(f.domain).sample(100, seed=40 + k)
+            args = [pts, pts[0]] + [QJet.seed_cartesian(pts, n)
+                                    for n in (1, 2, 3)]
+            for p in args:
+                assert np.array_equal(_bits(f.body(p)),
+                                      _bits(_arctan_hamilton(k, p))), k
 
 
 class TestGrammar:

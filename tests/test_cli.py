@@ -115,6 +115,33 @@ class TestReports:
         # Points are counted per backend and member.
         assert " points=16" in text
 
+    def test_both_backends_share_one_sample(self, monkeypatch):
+        # backend=both draws each member's sample once, and its rows and
+        # points are those of jets then fd, each run on its own.
+        members = [from_string(fid)
+                   for fid in ("power:2", "arctan_ex:1", "conj")]
+        draws = []
+        sample = SampleDomain.sample
+
+        def counted(dom, n, seed=0):
+            draws.append(seed)
+            return sample(dom, n, seed)
+
+        for suite in ("theorem1", "lemma1", "hyperholomorphy"):
+            cfg = small_cfg(suites=(suite,), samples=10, seed=4)
+            want = [_RUNNERS[suite](replace(cfg, backend=b), members)
+                    for b in ("jets", "fd")]
+            monkeypatch.setattr(SampleDomain, "sample", counted)
+            draws.clear()
+            rows, work = _RUNNERS[suite](replace(cfg, backend="both"),
+                                         members)
+            monkeypatch.undo()
+            assert len(draws) == len(set(draws)) == len(members), suite
+            if suite == "hyperholomorphy":     # jets only, whatever cfg says
+                want = want[:1]
+            assert rows == [row for got, _ in want for row in got], suite
+            assert work["points"] == sum(w["points"] for _, w in want)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suites=("nope",)))

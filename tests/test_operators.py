@@ -13,7 +13,8 @@ from quatreg import (BadParams, DegenerateChart, OnRealAxis, QJet, Quaternion,
                      SampleDomain, angular_derivative, catalog_get,
                      cullen_left, default_inventory, fueter_laplacian,
                      fueter_left, fueter_left_spherical, iota_of, laplacian,
-                     lemma1_residual, spherical_frame, theorem1_residuals)
+                     lemma1_residual, spherical_frame, theorem1_residuals,
+                     to_spherical)
 from quatreg import operators
 from conftest import FnWrap, assert_close, q
 
@@ -145,6 +146,53 @@ class TestFueterSum:
                 assert np.array_equal(np.stack(got.components()),
                                       np.stack(_units_sum(*parts)
                                                .components())), f.fid
+
+
+class TestFdStencils:
+    """Each FD partial calls f once, on its four shifts stacked on a new
+    axis of length 4 before the point's batch axes."""
+
+    @staticmethod
+    def _counted(f):
+        shapes = []
+
+        def point(p):
+            shapes.append(np.broadcast(*p.components()).shape)
+            return f.eval_point(p)
+        return FnWrap(point), shapes
+
+    def test_calls_per_operator(self):
+        pts = SampleDomain().sample(20, seed=7)
+        for op, want in ((fueter_left, 4), (fueter_left_spherical, 4),
+                         (cullen_left, 2), (angular_derivative, 2),
+                         (laplacian, 5)):
+            for p in (pts, pts[0]):
+                g, shapes = self._counted(POWER2)
+                op(g, p, backend="fd")
+                assert len(shapes) == want, op.__name__
+                # No call gets more than four times the batch.
+                assert all(np.prod(s) <= 4 * np.size(p.t) for s in shapes)
+
+    def test_ignored_shifts(self):
+        # coord:x ignores three of the Cartesian shifts, and each conj
+        # component ignores three: f returns those batch-shaped, and the
+        # partials come back batch-shaped, those of coord:x zero.  The
+        # batch is that of all four components: a real t takes it from
+        # x, y and z.
+        pts = SampleDomain().sample(20, seed=8)
+        flat_t = Quaternion(0.5, pts.x, pts.y, pts.z)
+        coord_x = catalog_get("coord", "x")
+        for f in (coord_x, CONJ):
+            for p in (pts, pts[0], flat_t):
+                batch = np.broadcast(*p.components()).shape
+                sp = to_spherical(p)
+                for var in range(4):
+                    cart = operators._fd_cart_partial(f, p, var)
+                    for d in (cart, operators._fd_sph_partial(f, sp, var)):
+                        for c in d.components():
+                            assert np.shape(c) == batch, (f.fid, var)
+                    if f is coord_x and var != 1:
+                        assert not np.any(np.stack(cart.components()))
 
 
 class TestGuards:

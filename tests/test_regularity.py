@@ -305,33 +305,38 @@ class TestSharedPaths:
 
 
 def _counted(f):
-    """f as a QFunction that counts the calls of f's eval_point."""
+    """f as a QFunction that records the batch shape of each call of f's
+    eval_point."""
     calls = []
 
     def body(p):
-        calls.append(1)
+        calls.append(np.broadcast(*p.components()).shape)
         return f.eval_point(p)
     return QFunction(f.fid, body, f.domain), calls
 
 
 class TestFdOracle:
-    """The FD branches evaluate f once per stencil point and keep the bits
-    of the separate derived functions and the order of their errors."""
+    """The FD branches evaluate f once per partial, on a stencil of its four
+    shifts, and keep the bits of the separate derived functions and the
+    order of their errors."""
 
     FIDS = ("power:-2", "arctan_ex:1", "conj")
 
-    def test_one_evaluation_per_stencil_point(self):
-        # f at p, 8 angular points, 16 Cartesian ones, 8 for the Cullen
-        # value; lemma1 takes the 8 angular ones and f at p.
+    def test_one_evaluation_per_partial(self):
+        # f at p, then the alpha and beta stencils, the four Cartesian
+        # ones and Cullen's t and r; lemma1 takes the two angular ones,
+        # then f at p.  Each stencil is (4,)+batch.
         for fid in self.FIDS:
             f = from_string(fid)
             pts = DOM.merge(f.domain).sample(20, seed=75)
             for p in (pts, pts[0]):
-                for check, want in ((theorem1_residuals, 33),
-                                    (lemma1_residual, 9)):
+                at, stencil = np.shape(p.t), (4,) + np.shape(p.t)
+                for check, want in (
+                        (theorem1_residuals, [at] + [stencil] * 8),
+                        (lemma1_residual, [stencil] * 2 + [at])):
                     g, calls = _counted(f)
                     check(g, p, backend="fd")
-                    assert len(calls) == want, (fid, check.__name__)
+                    assert calls == want, (fid, check.__name__)
 
     def test_rows_are_the_derived_functions(self):
         for fid in self.FIDS:
