@@ -70,13 +70,13 @@ class Hypersurface:
                 f"ball around ({float(center.t):g},{float(center.x):g},"
                 f"{float(center.y):g},{float(center.z):g}) with radius "
                 f"{radius:g} meets the real axis")
-        chi, wchi = _gl_nodes(resolution, 0.0, math.pi)
-        theta, wtheta = _gl_nodes(resolution, 0.0, math.pi)
+        # chi and theta share one Gauss-Legendre rule on [0, pi].
+        nodes, w = _gl_nodes(resolution, 0.0, math.pi)
         nphi = max(4, 2 * int(resolution))
         phi = 2.0 * math.pi * np.arange(nphi) / nphi
         wphi = 2.0 * math.pi / nphi
-        chi, theta, phi = np.meshgrid(chi, theta, phi, indexing="ij")
-        wgrid = wchi[:, None, None] * wtheta[None, :, None] * wphi
+        chi, theta, phi = np.meshgrid(nodes, nodes, phi, indexing="ij")
+        wgrid = w[:, None, None] * w[None, :, None] * wphi
         schi, stheta = np.sin(chi), np.sin(theta)
         n0 = np.cos(chi)
         n1 = schi * np.cos(theta)

@@ -312,7 +312,7 @@ class RJet:
 
     def recip(self):
         inv = recip(self.value)
-        derivs = [inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4][:self.order + 1]
+        derivs = [inv, -inv * inv, 2.0 * np.power(inv, 3), -6.0 * np.power(inv, 4)][:self.order + 1]
         # Only a finite argument overflows here; a NaN one stays NaN.
         if np.any(np.isinf(derivs[-1])):
             raise DomainError(f"reciprocal overflows at order {self.order}")
@@ -322,14 +322,14 @@ class RJet:
         a = self.value
         d = 1.0 / (1.0 + a * a)
         return self._compose(
-            [np.arctan(a), d, -2.0 * a * d * d, (6.0 * a * a - 2.0) * d ** 3][:self.order + 1])
+            [np.arctan(a), d, -2.0 * a * d * d, (6.0 * a * a - 2.0) * np.power(d, 3)][:self.order + 1])
 
     def atanh(self):
         a = self.value
         w = atanh(a)
         d = 1.0 / (1.0 - a * a)
         return self._compose(
-            [w, d, 2.0 * a * d * d, (2.0 + 6.0 * a * a) * d ** 3][:self.order + 1])
+            [w, d, 2.0 * a * d * d, (2.0 + 6.0 * a * a) * np.power(d, 3)][:self.order + 1])
 
     def __repr__(self):
         return f"RJet(order={self.order}, c={self.c!r})"

@@ -171,8 +171,6 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
     # Degenerate slice t + z*k: alpha by convention.
     s = np.hypot(p.x, p.y)
     alpha = np.where(s <= EPS * r, 0.0, alpha)
-    if np.ndim(alpha) == 0:
-        alpha = float(alpha)
     return SphericalPoint(p.t, r, alpha, beta)
 
 

@@ -39,8 +39,7 @@ they halve, which theorem1_residuals hands on to D_l f and D_l(iota f).
 and the finite-difference oracle feed with their own derivatives.  The
 oracle evaluates f once per partial, on the stencil of its four shifts,
 and forms iota f, f/r^2 and iota f/r^2 from that value.  Its stencils
-run alpha, beta, Cartesian, then Cullen's t and r, with iota before f at
-angular points and after it at Cartesian ones: that order fixes which
+run alpha, beta, Cartesian, then Cullen's t and r: that order fixes which
 error a batch reports first.
 """
 
@@ -85,18 +84,16 @@ def slice_parts(f, p: Quaternion) -> SliceParts:
     return SliceParts(u, v, u + frame.iota.value * v)
 
 
-def _stacked(f, cartesian: bool) -> QFunction:
-    """(f, iota f), or (f, iota f, f/r^2, iota f/r^2) when cartesian, from
-    one evaluation of f per point, as rows of a new leading axis."""
+def _stacked(f, *scales) -> QFunction:
+    """(f, iota f), then (s f, s iota f) for each real scale s(q) passed,
+    from one evaluation of f per point, as rows of a new leading axis."""
     def body(q):
-        if cartesian:
-            fv = f.eval_point(q)
-            ifv, inv = iota_elem(q) * fv, inv_r2(q)
-            rows = (fv, ifv, fv * inv, ifv * inv)
-        else:
-            io = iota_elem(q)
-            fv = f.eval_point(q)
-            rows = (fv, io * fv)
+        fv = f.eval_point(q)
+        ifv = iota_elem(q) * fv
+        rows = [fv, ifv]
+        for scale in scales:
+            s = scale(q)
+            rows += [fv * s, ifv * s]
         comps = [c for row in rows for c in row.components()]
         out = np.empty((4, len(rows))
                        + np.broadcast_shapes(*map(np.shape, comps)))
@@ -112,7 +109,7 @@ def lemma1_residual(f, p: Quaternion, backend: str = "jets"):
     On jets this is 2 (u + iota v - f), which scaling by two leaves
     exact."""
     if _fd(backend):
-        a = angular_derivative(_stacked(f, False), p, backend="fd")
+        a = angular_derivative(_stacked(f), p, backend="fd")
         return (a[1] + iota_of(p) * a[0] - f.eval_point(p) * 2.0).norm()
     frame = spherical_frame(p, 1)
     g = f.eval_jet(frame.seed)
@@ -148,8 +145,8 @@ def _theorem1_report(iota0, r0, fval, u, v, cullen, dlf, dlif,
              dlif + iota0 * dlf + fval * (2.0 / r0),
              dlf + v * (2.0 / r0),
              dlif + u * (2.0 / r0),
-             dl4a + iota0 * u * (2.0 / r0 ** 3),
-             dl4b - iota0 * v * (2.0 / r0 ** 3))
+             dl4a + iota0 * u * (2.0 / np.power(r0, 3)),
+             dl4b - iota0 * v * (2.0 / np.power(r0, 3)))
     return TheoremOneReport(*(np.asarray(q.norm()) for q in items))
 
 
@@ -159,8 +156,8 @@ def theorem1_residuals(f, p: Quaternion,
         # Independent oracle; the order of evaluation fixes which error
         # a point outside the domain reports first.
         iota0, fval = iota_of(p), f.eval_point(p)
-        a = angular_derivative(_stacked(f, False), p, backend="fd")
-        d = fueter_left(_stacked(f, True), p, backend="fd")
+        a = angular_derivative(_stacked(f), p, backend="fd")
+        d = fueter_left(_stacked(f, inv_r2), p, backend="fd")
         return _theorem1_report(
             iota0, p.imag_norm(), fval, a[1] * 0.5, a[0] * 0.5,
             cullen_left(f, p, backend="fd"), d[0], d[1], d[2], d[3])

@@ -137,6 +137,18 @@ class TestElementary:
         for good, order in ((1e-150, 1), (1e-70, 3)):
             assert np.all(np.isfinite(jets.recip(seeded(good, order=order)).c))
 
+    def test_point_is_its_batch(self):
+        # A 0-d value gets the coefficients of its one-element batch, bit
+        # for bit; numpy's scalar power rounds unlike its array loop.
+        values = np.random.default_rng(12).uniform(0.05, 0.95, 60)
+        for name in ("recip", "atan", "atanh"):
+            for order in (2, 3):
+                for a in values:
+                    point = getattr(seeded(a, order=order), name)()
+                    batch = getattr(seeded([a], order=order), name)()
+                    assert point.c.tobytes() == batch.c.tobytes(), (
+                        name, order, a)
+
     def test_scalar_fallbacks(self):
         # Dispatchers accept plain floats too.
         assert jets.atan(0.25) == math.atan(0.25)

@@ -10,6 +10,7 @@ and for f = p the fourth-item combination D_l(iota p / r^2) equals
 2 iota / r^2 exactly, which fixes the sign convention of item 4b.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from quatreg import (DomainError, QFunction, Quaternion, SampleDomain,
                      lemma1_residual, operators, over_r2, product,
                      regularity, run_suite, slice_parts, spherical_frame,
                      theorem1_residuals)
+from quatreg.catalog import inv_r2
 from quatreg.cli import _RUNNERS
 from quatreg.errors import residual_status
 from quatreg.operators import angular_jet
@@ -304,6 +306,38 @@ class TestSharedPaths:
             assert len(calls) == want, check.__name__
 
 
+def _bits(res) -> bytes:
+    """The float64 bytes of a result, a report's fields in field order."""
+    if dataclasses.is_dataclass(res):
+        return b"".join(_bits(getattr(res, fld.name))
+                        for fld in dataclasses.fields(res))
+    parts = res.components() if isinstance(res, Quaternion) else (res,)
+    return b"".join(np.asarray(c, dtype=np.float64).tobytes() for c in parts)
+
+
+class TestPointIsItsBatch:
+    """A 0-d point gets the bits it gets as a one-point batch."""
+
+    @pytest.mark.parametrize("fid", ["power:-3", "arctan_ex:2"])
+    def test_point_is_its_batch(self, fid):
+        f = from_string(fid)
+        pts = DOM.merge(f.domain).sample(30, seed=11)
+        checks = {"slice_parts": slice_parts,
+                  "hyperholomorphy_report": hyperholomorphy_report,
+                  "fueter_laplacian": operators.fueter_laplacian}
+        for backend in ("jets", "fd"):
+            for fn in (theorem1_residuals, lemma1_residual, fueter_left,
+                       fueter_left_spherical, cullen_left,
+                       angular_derivative, operators.laplacian):
+                checks[f"{fn.__name__}/{backend}"] = (
+                    lambda f, p, fn=fn, b=backend: fn(f, p, backend=b))
+        differ = sorted({name for i in range(30)
+                         for name, check in checks.items()
+                         if _bits(check(f, pts[i]))
+                         != _bits(check(f, pts[i:i + 1]))})
+        assert not differ, (fid, differ)
+
+
 def _counted(f):
     """f as a QFunction that records the batch shape of each call of f's
     eval_point."""
@@ -344,9 +378,9 @@ class TestFdOracle:
             fi = iota_times(f)
             pts = DOM.merge(f.domain).sample(20, seed=76)
             for p in (pts, pts[0]):
-                ang = angular_derivative(regularity._stacked(f, False), p,
+                ang = angular_derivative(regularity._stacked(f), p,
                                          backend="fd")
-                dl = fueter_left(regularity._stacked(f, True), p,
+                dl = fueter_left(regularity._stacked(f, inv_r2), p,
                                  backend="fd")
                 for i, g in enumerate((f, fi)):
                     assert _same_bits(ang[i], angular_derivative(
