@@ -25,14 +25,14 @@ from .errors import (QuatRegError, OnRealAxis, ZeroDivisor, DegenerateChart,
                      DomainError, OrderTooHigh, BasisMismatch, IndexTooDeep,
                      TouchesRealAxis, UnknownFunction, BadParams, EmptyDomain,
                      ConfigError)
-from .quaternion import (Quaternion, SampleDomain, iota_of, to_spherical,
-                         from_spherical)
+from .quaternion import Quaternion, SampleDomain, to_spherical, from_spherical
 from .jets import RJet, QJet
 from .operators import (spherical_frame, fueter_left, fueter_left_spherical,
                         cullen_left, angular_derivative, laplacian,
                         fueter_laplacian)
 from .catalog import (QFunction, catalog_get, from_string, default_inventory,
-                      product, iota_times, over_r2, parse_quaternion_literal)
+                      iota_of, product, iota_times, over_r2,
+                      parse_quaternion_literal)
 from .regularity import (slice_parts, lemma1_residual, theorem1_residuals,
                          hyperholomorphy_report)
 from .integral import (sphere3, surface_integral_left, volume_integral,

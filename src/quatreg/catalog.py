@@ -24,16 +24,12 @@ import numpy as np
 from . import jets as jm
 from .errors import BadParams, DomainError, UnknownFunction
 from .jets import QJet, RJet
-from .quaternion import Quaternion, SampleDomain, UNRESTRICTED
+from .quaternion import Quaternion, SampleDomain, UNRESTRICTED, check_off_axis
 
 _ATANH_MARGIN = 1.0 - 1e-6
 
 
 # -- algebra-generic helpers ----------------------------------------------
-
-def _rebuild(p, t, x, y, z):
-    return QJet(t, x, y, z) if isinstance(p, QJet) else Quaternion(t, x, y, z)
-
 
 def _real_elem(p, w):
     """Lift a real-valued scalar (array or RJet) into the algebra of p."""
@@ -63,12 +59,14 @@ def _ipow(p, n: int):
     return out
 
 
-def iota_elem(p):
+def iota_of(p):
     """iota = (x i + y j + z k)/r in the algebra of p: a Quaternion for a
-    point, a QJet for a jet."""
+    point, a QJet for a jet; refused on the real axis (OnRealAxis)."""
     x, y, z = p.x, p.y, p.z
-    s = jm.recip(jm.sqrt(x * x + y * y + z * z))
-    return _rebuild(p, p.t * 0.0, x * s, y * s, z * s)
+    r2 = x * x + y * y + z * z
+    check_off_axis(np.sqrt(_values(r2)), _values(p.t))
+    s = jm.recip(jm.sqrt(r2))
+    return type(p)(p.t * 0.0, x * s, y * s, z * s)
 
 
 # -- bodies ----------------------------------------------------------------
@@ -114,7 +112,7 @@ def _arctan_body(k: int):
         v = jm.atanh(axial * jm.recip(r))
         # iota scaled by the real v: a Hamilton product with v lifted
         # into the algebra would multiply 12 zero pairs.
-        return _real_elem(p, w) + iota_elem(p) * v
+        return _real_elem(p, w) + iota_of(p) * v
     return body
 
 
@@ -159,7 +157,7 @@ def product(f: QFunction, g: QFunction) -> QFunction:
 def iota_times(f: QFunction) -> QFunction:
     """iota*f; Cullen-regular exactly when f is, off the real axis."""
     return QFunction(fid=f"iota*({f.fid})",
-                     body=lambda p: iota_elem(p) * f.body(p),
+                     body=lambda p: iota_of(p) * f.body(p),
                      domain=f.domain,
                      expected_regular=f.expected_regular,
                      expected_hyperholomorphic=False,
@@ -297,7 +295,7 @@ def catalog_get(name: str, params: str | None = None) -> QFunction:
     if name == "iota":
         if params is not None:
             raise BadParams("iota takes no parameters")
-        return QFunction("iota", iota_elem, UNRESTRICTED,
+        return QFunction("iota", iota_of, UNRESTRICTED,
                          expected_regular=True, expected_hyperholomorphic=True)
     if name == "arctan_ex":
         k = _parse_int(params, "arctan_ex index")

@@ -37,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import iota_elem, parse_quaternion_literal
+from .catalog import iota_of, parse_quaternion_literal
 from .errors import (RUNTIME_ERRORS, BadParams, TouchesRealAxis,
                      residual_status)
 from .jets import QJet
 from .operators import fueter_of_jet
-from .quaternion import Quaternion, iota_of
+from .quaternion import Quaternion
 
 
 class Hypersurface:
@@ -233,8 +233,8 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
     share, built once: the interior nodes and weights, the order-1
-    Cartesian seed jet there, 1/r and iota at the interior nodes, and
-    iota_elem at the surface nodes."""
+    Cartesian seed jet there, 1/r, and iota (the one iota_of) at the
+    interior and at the surface nodes."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
@@ -242,13 +242,13 @@ class _SphereJets:
         self.seed = QJet.seed_cartesian(self.pts, 1)
         self.inv_r = 1.0 / self.pts.imag_norm()
         self.iota = iota_of(self.pts)
-        self.iota_surface = iota_elem(K.points)
+        self.iota_surface = iota_of(K.points)
 
     def reports(self, f):
         """theorem2_report of f and of iota_times(f) on K from one
         evaluation of f: its values at the surface nodes and one order-1
         Cartesian jet at the interior nodes.  iota*f's surface values are
-        iota_elem times f's, as in iota_times(f); its integrand is f's
+        iota times f's, as in iota_times(f); its integrand is f's
         -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no jet of iota*f."""
         K = self.K
         vals, g = f.eval_point(K.points), f.eval_jet(self.seed)

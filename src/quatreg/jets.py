@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch, DomainError, IndexTooDeep, OrderTooHigh
-from .quaternion import Quaternion, check_invertible
+from .quaternion import SCALARS, Quaternion, QuaternionAlgebra, check_invertible
 
 MAX_ORDER = 3
 NVARS = 4
@@ -98,9 +98,6 @@ def _deriv_map(order, var):
 
 _DERIV = {(n, v): _deriv_map(n, v)
           for n in range(1, MAX_ORDER + 1) for v in range(NVARS)}
-
-_SCALARS = (int, float, np.integer, np.floating, np.ndarray)
-
 
 def _check_order(order):
     if not 0 <= order <= MAX_ORDER:
@@ -217,7 +214,7 @@ class RJet:
             self._binary_check(other)
             a, b = _aligned(self._cm, other._cm)
             return RJet._wrap(self.order, a + b)
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             a = _lift(self._cm, np.ndim(other))
             out = np.empty(a.shape[:1]
                            + np.broadcast_shapes(np.shape(other), a.shape[1:]))
@@ -236,7 +233,7 @@ class RJet:
             self._binary_check(other)
             a, b = _aligned(self._cm, other._cm)
             return RJet._wrap(self.order, a - b)
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self.__add__(-np.asarray(other))
         return NotImplemented
 
@@ -248,7 +245,7 @@ class RJet:
             self._binary_check(other)
             return RJet._wrap(self.order, _product(
                 self.order, *_aligned(self._cm, other._cm)))
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return RJet._wrap(self.order,
                               _lift(self._cm, np.ndim(other)) * other)
         return NotImplemented
@@ -297,22 +294,31 @@ class RJet:
             out = out + power * (np.asarray(derivs[m]) / fact)
         return out
 
+    def _rows(self, value, *later):
+        """[value] and the rows later[:order] make; none past the order."""
+        return [value] + [row() for row in later[:self.order]]
+
     def sin(self):
         a = self.value
-        return self._compose([np.sin(a), np.cos(a), -np.sin(a), -np.cos(a)][:self.order + 1])
+        return self._compose(self._rows(np.sin(a), lambda: np.cos(a),
+                                        lambda: -np.sin(a), lambda: -np.cos(a)))
 
     def cos(self):
         a = self.value
-        return self._compose([np.cos(a), -np.sin(a), -np.cos(a), np.sin(a)][:self.order + 1])
+        return self._compose(self._rows(np.cos(a), lambda: -np.sin(a),
+                                        lambda: -np.cos(a), lambda: np.sin(a)))
 
     def sqrt(self):
         a = self.value
         s = sqrt(a)
-        return self._compose([s, 0.5 / s, -0.25 / (s * a), 0.375 / (s * a * a)][:self.order + 1])
+        return self._compose(self._rows(s, lambda: 0.5 / s, lambda: -0.25 / (s * a),
+                                        lambda: 0.375 / (s * a * a)))
 
     def recip(self):
         inv = recip(self.value)
-        derivs = [inv, -inv * inv, 2.0 * np.power(inv, 3), -6.0 * np.power(inv, 4)][:self.order + 1]
+        with np.errstate(over="ignore"):
+            derivs = self._rows(inv, lambda: -inv * inv, lambda: 2.0 * np.power(inv, 3),
+                                lambda: -6.0 * np.power(inv, 4))
         # Only a finite argument overflows here; a NaN one stays NaN.
         if np.any(np.isinf(derivs[-1])):
             raise DomainError(f"reciprocal overflows at order {self.order}")
@@ -321,15 +327,15 @@ class RJet:
     def atan(self):
         a = self.value
         d = 1.0 / (1.0 + a * a)
-        return self._compose(
-            [np.arctan(a), d, -2.0 * a * d * d, (6.0 * a * a - 2.0) * np.power(d, 3)][:self.order + 1])
+        return self._compose(self._rows(np.arctan(a), lambda: d, lambda: -2.0 * a * d * d,
+                                        lambda: (6.0 * a * a - 2.0) * np.power(d, 3)))
 
     def atanh(self):
         a = self.value
         w = atanh(a)
         d = 1.0 / (1.0 - a * a)
-        return self._compose(
-            [w, d, 2.0 * a * d * d, (2.0 + 6.0 * a * a) * np.power(d, 3)][:self.order + 1])
+        return self._compose(self._rows(w, lambda: d, lambda: 2.0 * a * d * d,
+                                        lambda: (2.0 + 6.0 * a * a) * np.power(d, 3)))
 
     def __repr__(self):
         return f"RJet(order={self.order}, c={self.c!r})"
@@ -375,13 +381,13 @@ _HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
              ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
 
 
-class QJet:
-    """Quaternion-valued jet: four RJets sharing order and batch shape."""
+class QJet(QuaternionAlgebra):
+    """Quaternion-valued jet: four RJets sharing order and batch shape; an
+    RJet scales it as a real scalar does."""
 
     __slots__ = ("t", "x", "y", "z")
 
-    # As for RJet: numpy operands on the left defer to the jet operators.
-    __array_ufunc__ = None
+    _scalars = (RJet,) + SCALARS
 
     def __init__(self, t, x, y, z):
         parts = (t, x, y, z)
@@ -400,40 +406,20 @@ class QJet:
         return cls(*(RJet.seed(comp, var, order)
                      for var, comp in enumerate(q.components())))
 
-    def components(self):
-        return (self.t, self.x, self.y, self.z)
+    # -- algebra ---------------------------------------------------------
 
-    # -- algebra (mirrors Quaternion, including operation order, so that
-    #    order-0 jets reproduce quaternion arithmetic bit for bit) ---------
-
-    def _promote(self, other):
+    def _coerce(self, other):
+        """A point as the constant jet of this jet's order."""
         if isinstance(other, QJet):
             return other
         if isinstance(other, Quaternion):
-            return QJet.from_quaternion(other, self.t.order)
+            return QJet.from_quaternion(other, self.order)
         return None
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return QJet(self.t + other.t, self.x + other.x,
-                    self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return QJet(self.t - other.t, self.x - other.x,
-                    self.y - other.y, self.z - other.z)
-
     def __mul__(self, other):
-        if isinstance(other, (RJet,) + _SCALARS):
-            return QJet(self.t * other, self.x * other,
-                        self.y * other, self.z * other)
-        other = self._promote(other)
+        if isinstance(other, self._scalars):
+            return self._scale(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.components(), other.components()
@@ -460,21 +446,6 @@ class QJet:
                 del p       # freed before the next pair's product is made
             out.append(RJet._wrap(order, acc))
         return QJet(*out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (RJet,) + _SCALARS):
-            # Real scalars commute with quaternions.
-            return self.__mul__(other)
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return other.__mul__(self)
-
-    def conjugate(self) -> "QJet":
-        return QJet(self.t, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> RJet:
-        return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
 
     def inverse(self) -> "QJet":
         n2 = self.norm_sq()

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import BadParams, DegenerateChart, OnRealAxis
 from .jets import QJet, RJet
-from .quaternion import (Quaternion, SphericalPoint, from_spherical, iota_of,
+from .catalog import iota_of
+from .quaternion import (Quaternion, SphericalPoint, from_spherical,
                          to_spherical)
 
 #: Fixed guards: the spherical chart is refused at r <= R_MIN and at
@@ -156,12 +157,12 @@ def _shifted(f, coords, var, h, build) -> list:
             for k in range(4)]
 
 
-def _fd1(fs, h: float) -> Quaternion:
-    """The first derivative from f at the four shifts of step h."""
+def _fd1(fs) -> Quaternion:
+    """The first derivative from f at the four shifts of step FD_STEP1."""
     def central(plus, minus, hh):
         return (plus - minus) * (0.5 / hh)
-    return (central(fs[0], fs[1], 0.5 * h) * 4.0
-            - central(fs[2], fs[3], h)) * (1.0 / 3.0)
+    return (central(fs[0], fs[1], 0.5 * FD_STEP1) * 4.0
+            - central(fs[2], fs[3], FD_STEP1)) * (1.0 / 3.0)
 
 
 def _fd2(fs, f0: Quaternion, h: float) -> Quaternion:
@@ -173,16 +174,16 @@ def _fd2(fs, f0: Quaternion, h: float) -> Quaternion:
             - second(fs[2], fs[3], h)) * (1.0 / 3.0)
 
 
-def _fd_cart_partial(f, p, var, h=FD_STEP1):
+def _fd_cart_partial(f, p, var):
     """d f / d(var) at p, var indexing (t, x, y, z); one call of f."""
-    return _fd1(_shifted(f, p.components(), var, h, Quaternion), h)
+    return _fd1(_shifted(f, p.components(), var, FD_STEP1, Quaternion))
 
 
-def _fd_sph_partial(f, sp, var, h=FD_STEP1):
+def _fd_sph_partial(f, sp, var):
     """d f / d(var) at the chart point sp, var indexing (t, r, alpha,
     beta); one call of f."""
-    return _fd1(_shifted(f, (sp.t, sp.r, sp.alpha, sp.beta), var, h,
-                         lambda *v: from_spherical(SphericalPoint(*v))), h)
+    return _fd1(_shifted(f, (sp.t, sp.r, sp.alpha, sp.beta), var, FD_STEP1,
+                         lambda *v: from_spherical(SphericalPoint(*v))))
 
 
 # -- the operators ---------------------------------------------------------

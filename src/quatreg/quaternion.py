@@ -12,6 +12,9 @@ and all operations pure, so concurrent evaluation is safe.
 Components may be scalars or equally-shaped numpy arrays; in the latter case
 one Quaternion instance represents a whole batch of points and every
 operation broadcasts elementwise.
+
+Quaternion and jets.QJet share one QuaternionAlgebra: the operations that
+do not depend on how a component is represented.
 """
 
 from __future__ import annotations
@@ -29,8 +32,65 @@ EPS = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
+#: The real scalars every quaternion (and RJet) operation scales by.
+SCALARS = (int, float, np.integer, np.floating, np.ndarray)
+
+
+class QuaternionAlgebra:
+    """The componentwise operations of Quaternion and jets.QJet.  A subclass
+    supplies its constructor over (t, x, y, z), ``_coerce`` of another
+    operand into its own type (None if it has none), its Hamilton product
+    ``__mul__``, ``inverse`` and, if wider, its ``_scalars``."""
+
+    __slots__ = ()
+
+    # numpy operands on the left defer to the reflected operators instead
+    # of broadcasting the quaternion as an object element.
+    __array_ufunc__ = None
+
+    _scalars = SCALARS
+
+    def components(self):
+        return (self.t, self.x, self.y, self.z)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.t + other.t, self.x + other.x,
+                          self.y + other.y, self.z + other.z)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.t - other.t, self.x - other.x,
+                          self.y - other.y, self.z - other.z)
+
+    def __neg__(self):
+        return type(self)(-self.t, -self.x, -self.y, -self.z)
+
+    def _scale(self, s):
+        return type(self)(self.t * s, self.x * s, self.y * s, self.z * s)
+
+    def __rmul__(self, other):
+        # Real scalars commute: scalar * q is the class's own q * scalar.
+        if isinstance(other, self._scalars):
+            return self.__mul__(other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__mul__(self)
+
+    def conjugate(self):
+        return type(self)(self.t, -self.x, -self.y, -self.z)
+
+    def norm_sq(self):
+        return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
+
+
 @dataclass(frozen=True, eq=False)
-class Quaternion:
+class Quaternion(QuaternionAlgebra):
     """Element t + x*i + y*j + z*k of the real quaternion algebra."""
 
     t: float = 0.0
@@ -38,26 +98,14 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
 
-    # -- algebra ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(-self.t, -self.x, -self.y, -self.z)
+    @staticmethod
+    def _coerce(other):
+        """A real scalar s as the quaternion s + 0i + 0j + 0k."""
+        if isinstance(other, Quaternion):
+            return other
+        if isinstance(other, SCALARS):
+            return Quaternion(other if np.ndim(other) else float(other))
+        return None
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
@@ -69,22 +117,9 @@ class Quaternion:
                 a.t * b.y - a.x * b.z + a.y * b.t + a.z * b.x,
                 a.t * b.z + a.x * b.y - a.y * b.x + a.z * b.t,
             )
-        if isinstance(other, (int, float, np.ndarray, np.floating)):
-            return Quaternion(self.t * other, self.x * other,
-                              self.y * other, self.z * other)
+        if isinstance(other, SCALARS):
+            return self._scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        # Real scalars commute, so scalar * q == q * scalar.
-        if isinstance(other, (int, float, np.ndarray, np.floating)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.t, -self.x, -self.y, -self.z)
-
-    def norm_sq(self):
-        return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self):
         return np.sqrt(self.norm_sq())
@@ -100,9 +135,6 @@ class Quaternion:
         return self.conjugate() * (1.0 / n2)
 
     # -- conveniences ------------------------------------------------------
-
-    def components(self):
-        return (self.t, self.x, self.y, self.z)
 
     def is_batch(self) -> bool:
         return any(np.ndim(c) > 0 for c in self.components())
@@ -126,22 +158,11 @@ def check_invertible(n2):
         raise ZeroDivisor("quaternion norm below epsilon; not invertible")
 
 
-def _coerce(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float, np.floating)):
-        return Quaternion(float(value))
-    return None
-
-
-def iota_of(p: Quaternion) -> Quaternion:
-    """Unit imaginary direction (x*i + y*j + z*k) / r; satisfies iota**2 == -1."""
-    r = p.imag_norm()
-    scale = 1.0 + np.abs(p.t)
-    if np.any(r <= EPS * scale):
-        raise OnRealAxis("imaginary part numerically zero; iota undefined")
-    s = 1.0 / r
-    return Quaternion(0.0 * r, p.x * s, p.y * s, p.z * s)
+def check_off_axis(r, t):
+    """Refuse an imaginary norm r at or below EPS * (1 + |t|): the one rule
+    for iota and the spherical chart of a point or a jet's base point."""
+    if np.any(r <= EPS * (1.0 + np.abs(t))):
+        raise OnRealAxis("point on the real axis: no iota, no spherical chart")
 
 
 @dataclass(frozen=True)
@@ -163,9 +184,7 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
     the real axis are rejected.
     """
     r = p.imag_norm()
-    scale = 1.0 + np.abs(p.t)
-    if np.any(r <= EPS * scale):
-        raise OnRealAxis("point on the real axis has no spherical chart")
+    check_off_axis(r, p.t)
     beta = np.arccos(np.clip(p.z / r, -1.0, 1.0))
     alpha = np.mod(np.arctan2(p.y, p.x), _TWO_PI)
     # Degenerate slice t + z*k: alpha by convention.

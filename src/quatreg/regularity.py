@@ -49,13 +49,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import QFunction, inv_r2, iota_elem
+from .catalog import QFunction, inv_r2, iota_of
 from .errors import residual_status
 from .jets import QJet, RJet
 from .operators import (SphericalFrame, _fd, angular_derivative, angular_jet,
                         cullen_left, cullen_of_jet, fueter_left,
                         spherical_frame, spherical_fueter_of_jet)
-from .quaternion import Quaternion, iota_of
+from .quaternion import Quaternion
 
 ITEM_NAMES = ("item1", "item2", "item3a", "item3b", "item4a", "item4b")
 
@@ -89,7 +89,7 @@ def _stacked(f, *scales) -> QFunction:
     from one evaluation of f per point, as rows of a new leading axis."""
     def body(q):
         fv = f.eval_point(q)
-        ifv = iota_elem(q) * fv
+        ifv = iota_of(q) * fv
         rows = [fv, ifv]
         for scale in scales:
             s = scale(q)

@@ -155,7 +155,7 @@ def _arctan_hamilton(k, p):
     w = jets.atan(num * jets.recip(den))
     v = jets.atanh(axial * jets.recip(r))
     return (catalog._real_elem(p, w)
-            + catalog.iota_elem(p) * catalog._real_elem(p, v))
+            + catalog.iota_of(p) * catalog._real_elem(p, v))
 
 
 def _bits(val):

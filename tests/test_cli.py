@@ -396,7 +396,7 @@ class TestGeneralizedSweep:
         # not 15, and iota*f's integrand comes from f's jet by Lemma 1, so
         # no jet of iota is built.
         calls = {"seed": 0, "iota_jet": 0}
-        seed_cartesian, iota_elem = QJet.seed_cartesian, integral.iota_elem
+        seed_cartesian, iota_of = QJet.seed_cartesian, integral.iota_of
 
         def counted_seed(cls, p, order):
             calls["seed"] += 1
@@ -404,11 +404,11 @@ class TestGeneralizedSweep:
 
         def counted_iota(p):
             calls["iota_jet"] += isinstance(p, QJet)
-            return iota_elem(p)
+            return iota_of(p)
 
         monkeypatch.setattr(QJet, "seed_cartesian",
                             classmethod(counted_seed))
-        monkeypatch.setattr(integral, "iota_elem", counted_iota)
+        monkeypatch.setattr(integral, "iota_of", counted_iota)
         members = [from_string(s) for s in ("power:2", "power:3", "conj")]
         rows, work = _RUNNERS["generalized"](SuiteConfig(resolution=4),
                                              members)

@@ -6,6 +6,7 @@ checked for exactness on integer data.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ class TestElementary:
                 jets.recip(seeded(bad, order=order))
         for good, order in ((1e-150, 1), (1e-70, 3)):
             assert np.all(np.isfinite(jets.recip(seeded(good, order=order)).c))
+
+    def test_recip_makes_only_the_rows_it_reads(self):
+        # An order-1 jet at 1e-150 reads rows 0 and 1; inv**3 and inv**4
+        # would overflow, so they must not be made.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for good, order in ((1e-150, 1), (1e-70, 3)):
+                c = jets.recip(seeded(good, order=order)).c
+                assert np.all(np.isfinite(c))
 
     def test_point_is_its_batch(self):
         # A 0-d value gets the coefficients of its one-element batch, bit
@@ -511,6 +521,16 @@ class TestNumpyOperands:
             s + g
         with pytest.raises(TypeError):
             g + s
+
+    def test_negation_is_scaling_by_minus_one(self):
+        p = Quaternion(np.array([0.3, -1.0]), np.array([1.0, 2.0]),
+                       np.array([-0.5, 0.25]), np.array([2.0, -1.5]))
+        g = QJet.seed_cartesian(p, 2)
+        g = g * g
+        neg = -g
+        assert isinstance(neg, QJet)
+        for got, want in zip(neg.components(), (g * -1.0).components()):
+            assert got.c.tobytes() == want.c.tobytes()
 
 
 class TestJetsAgainstFiniteDifferences:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (BasisMismatch, DegenerateChart, OnRealAxis, Quaternion,
-                     SampleDomain, ZeroDivisor, from_spherical, iota_of,
-                     to_spherical)
+from quatreg import (BasisMismatch, DegenerateChart, OnRealAxis, QJet,
+                     Quaternion, SampleDomain, ZeroDivisor, from_spherical,
+                     iota_of, to_spherical)
 from conftest import assert_close, q
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -54,6 +54,25 @@ class TestArithmetic:
         assert_close(2 * a, q(2, 4, 6, 8))
         assert_close(a - q(1, 1, 1, 1), q(0, 1, 2, 3))
         assert_close(-a, q(-1, -2, -3, -4))
+
+    def test_ndarray_on_the_left_scales(self):
+        # numpy defers to the quaternion operators instead of building an
+        # object array, so s * a is a * s, bit for bit.
+        a = q(0.3, -1.0 / 3.0, 2.5, 0.7)
+        for s in (np.ones(3), np.array([0.5, -1.0 / 7.0, 3.0])):
+            prod = s * a
+            assert isinstance(prod, Quaternion)
+            for got, want in zip(prod.components(), (a * s).components()):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_algebra_for_points_and_jets(self):
+        # The componentwise operations are written once, for both; each
+        # class keeps its own Hamilton product in its own namespace.
+        for name in ("components", "__add__", "__radd__", "__sub__",
+                     "__neg__", "_scale", "__rmul__", "conjugate",
+                     "norm_sq"):
+            assert getattr(Quaternion, name) is getattr(QJet, name), name
+        assert "__mul__" in vars(Quaternion) and "__mul__" in vars(QJet)
 
     def test_norm_and_conjugate(self):
         a = q(1, 2, 3, 4)
@@ -147,6 +166,18 @@ class TestIotaChart:
     def test_iota_on_axis_raises(self):
         with pytest.raises(OnRealAxis):
             iota_of(q(t=2.0))
+
+    def test_iota_of_a_jet_has_the_point_bits(self):
+        pts = SampleDomain().sample(200, seed=19)
+        jet = iota_of(QJet.seed_cartesian(pts, 1))
+        assert isinstance(jet, QJet)
+        for got, want in zip(jet.value.components(),
+                             iota_of(pts).components()):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_iota_of_a_jet_on_axis_raises(self):
+        with pytest.raises(OnRealAxis):
+            iota_of(QJet.seed_cartesian(q(t=2.0), 1))
 
     def test_chart_known_point(self):
         # p = 1 + i: r = 1, alpha = 0, beta = pi/2.
