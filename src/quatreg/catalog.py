@@ -39,12 +39,6 @@ def _real_elem(p, w):
     return Quaternion(np.asarray(w, dtype=float), zero, zero, zero)
 
 
-def _const_elem(p, q: Quaternion):
-    if isinstance(p, QJet):
-        return QJet.from_quaternion(q, p.order)
-    return q
-
-
 def _values(a):
     return a.value if isinstance(a, RJet) else np.asarray(a)
 
@@ -81,9 +75,9 @@ def _series_body(coeffs):
     def body(p):
         # Right-Horner: a0 + p*(a1 + p*(a2 + ...)) keeps every
         # coefficient on the right of its power of p.
-        out = _const_elem(p, coeffs[-1])
+        out = p._coerce(coeffs[-1])
         for a in reversed(coeffs[:-1]):
-            out = _const_elem(p, a) + p * out
+            out = p._coerce(a) + p * out
         return out
     return body
 
@@ -92,7 +86,7 @@ def _laurent_body(terms):
     def body(p):
         out = None
         for deg, a in terms:
-            piece = _ipow(p, deg) * _const_elem(p, a)
+            piece = _ipow(p, deg) * p._coerce(a)
             out = piece if out is None else out + piece
         return out
     return body

@@ -20,6 +20,17 @@ A product coefficient sums its pair products a[i] * b[j] left to right, i
 outer (Griewank & Walther, *Evaluating Derivatives*, ch. 13); at orders 2
 and 3 a step plan takes those sums over whole rows, with no BLAS call.
 
+A jet made by ``RJet.seed`` or ``RJet.constant`` is marked as such, and
+every other jet is unmarked.  A product with a marked operand skips the
+pair products with its 0 and 1 rows.  By a constant c it is the scale
+``a * c[0]``; by the seed s of x_v it is that scale plus a shift, which
+adds a[m] to the row of m + e_v.  Each skipped term is a[i] * 0.0 or an
+exact a[i] * 1.0, and a sum of at most two nonzero terms does not depend
+on their order, so the coefficients keep the bits of the pair sums with
+two exceptions.  An exactly zero coefficient may change its sign, and
+``inf * 0`` is never formed: a non-finite a[m] reaches only the rows it
+is scaled into or shifted to, not every row it pairs with.
+
 A QJet product adds the pair products sign * a_k * b_q of ``_HAMILTON``
 in place, in the Hamilton formula's order, so it keeps the formula's bits.
 
@@ -99,6 +110,12 @@ def _deriv_map(order, var):
 _DERIV = {(n, v): _deriv_map(n, v)
           for n in range(1, MAX_ORDER + 1) for v in range(NVARS)}
 
+# The rows the seed of x_v shifts the rows of degree below n into: the
+# positions _DERIV reads from, one row (a slice) at order 1.
+_SHIFT = {(n, v): slice(1 + v, 2 + v) if n == 1 else _DERIV[(n, v)][0]
+          for n, v in _DERIV}
+
+
 def _check_order(order):
     if not 0 <= order <= MAX_ORDER:
         raise OrderTooHigh(f"jet order {order} outside 0..{MAX_ORDER}")
@@ -121,13 +138,24 @@ def _aligned(a, b):
     return _lift(a, ndim), _lift(b, ndim)
 
 
-def _product(order, a, b, out=None, tail=None):
-    """Product of coefficient-major a and b of one batch rank.  Each output
-    sums its pairs left to right, a0*bi first, ai*b0 last: with row slices
-    at orders 0 and 1 (at order 1 into out and, for the ai*b0 rows, tail
-    when given), in the steps of _mul_plan at orders 2 and 3."""
+def _product(order, a, b, marks=(None, None), out=None, tail=None):
+    """Product of coefficient-major a and b of one batch rank, whose jets
+    carry the marks (see RJet).  A constant or seed operand makes it a
+    scale or a scale plus a shift, into out when given.  Otherwise each
+    output sums its pairs left to right, a0*bi first, ai*b0 last: with row
+    slices at orders 0 and 1 (at order 1 into out and, for the ai*b0 rows,
+    tail when given), in the steps of _mul_plan at orders 2 and 3."""
     if order == 0:
         return a * b
+    # The marked operand goes to b, a constant before a seed.
+    if marks[0] is not None and marks[1] != "constant":
+        a, b, marks = b, a, marks[::-1]
+    if marks[1] is not None:
+        out = np.multiply(a, b[:1], out=out)
+        if marks[1] != "constant":
+            dst = _SHIFT[(order, marks[1])]
+            out[dst] += a[:_NCOEF[order - 1]]
+        return out
     if order == 1:
         out = np.multiply(a[:1], b, out=out)
         out[1:] += np.multiply(a[1:], b[:1], out=tail)
@@ -154,9 +182,11 @@ class RJet:
     The coefficients live in ``_cm``, shape (N, batch...), C-contiguous:
     coefficient i of every batch element is the row ``_cm[i]``.  ``c`` is
     the (batch..., N) view of it, and the constructor takes that layout.
+    ``_mark`` is the variable v of a jet made by ``seed`` (order >= 1),
+    "constant" for one made by ``constant`` and None for any other jet.
     """
 
-    __slots__ = ("order", "_cm")
+    __slots__ = ("order", "_cm", "_mark")
 
     # numpy operands on the left defer to the reflected jet operators
     # instead of broadcasting the jet as an object element.
@@ -171,13 +201,15 @@ class RJet:
                 f"got shape {c.shape}")
         self.order = order
         self._cm = np.ascontiguousarray(np.moveaxis(c, -1, 0))
+        self._mark = None
 
     @classmethod
-    def _wrap(cls, order: int, cm) -> "RJet":
+    def _wrap(cls, order: int, cm, mark=None) -> "RJet":
         """Jet over a coefficient-major array, taken as is."""
         jet = object.__new__(cls)
         jet.order = order
         jet._cm = cm
+        jet._mark = mark
         return jet
 
     @property
@@ -191,7 +223,7 @@ class RJet:
         value = np.asarray(value, dtype=float)
         cm = np.zeros((_NCOEF[order],) + value.shape)
         cm[0] = value
-        return cls._wrap(order, cm)
+        return cls._wrap(order, cm, "constant")
 
     @classmethod
     def seed(cls, value, var: int, order: int) -> "RJet":
@@ -200,6 +232,7 @@ class RJet:
         jet = cls.constant(value, order)
         if order >= 1:
             jet._cm[1 + var] = 1.0
+            jet._mark = var
         return jet
 
     # -- ring operations --------------------------------------------------
@@ -244,7 +277,8 @@ class RJet:
         if isinstance(other, RJet):
             self._binary_check(other)
             return RJet._wrap(self.order, _product(
-                self.order, *_aligned(self._cm, other._cm)))
+                self.order, *_aligned(self._cm, other._cm),
+                (self._mark, other._mark)))
         if isinstance(other, SCALARS):
             return RJet._wrap(self.order,
                               _lift(self._cm, np.ndim(other)) * other)
@@ -381,6 +415,11 @@ _HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
              ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
 
 
+# The real numbers QJet._coerce lifts to constant jets.  An array is left
+# out: a jet takes one only as a scale.
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
 class QJet(QuaternionAlgebra):
     """Quaternion-valued jet: four RJets sharing order and batch shape; an
     RJet scales it as a real scalar does."""
@@ -409,9 +448,12 @@ class QJet(QuaternionAlgebra):
     # -- algebra ---------------------------------------------------------
 
     def _coerce(self, other):
-        """A point as the constant jet of this jet's order."""
+        """A point or a real number as the constant jet of this jet's
+        order; an array is not lifted."""
         if isinstance(other, QJet):
             return other
+        if isinstance(other, _NUMBERS):
+            other = Quaternion(float(other))
         if isinstance(other, Quaternion):
             return QJet.from_quaternion(other, self.order)
         return None
@@ -437,11 +479,13 @@ class QJet(QuaternionAlgebra):
                                 if order == 1 else [None] * 6)
         out = []
         for ((k, q, _), *rest), acc in zip(_HAMILTON, accs):
-            acc = _product(order, x[k], y[q], acc, tail)
+            acc = _product(order, x[k], y[q], (a[k]._mark, b[q]._mark),
+                           acc, tail)
             if acc.shape != full:
                 acc = np.broadcast_to(acc, full).copy()
             for k, q, sign in rest:
-                p = _product(order, x[k], y[q], scratch, tail)
+                p = _product(order, x[k], y[q], (a[k]._mark, b[q]._mark),
+                             scratch, tail)
                 (np.add if sign > 0 else np.subtract)(acc, p, out=acc)
                 del p       # freed before the next pair's product is made
             out.append(RJet._wrap(order, acc))

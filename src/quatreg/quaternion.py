@@ -69,6 +69,10 @@ class QuaternionAlgebra:
         return type(self)(self.t - other.t, self.x - other.x,
                           self.y - other.y, self.z - other.z)
 
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
+
     def __neg__(self):
         return type(self)(-self.t, -self.x, -self.y, -self.z)
 

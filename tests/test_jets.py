@@ -506,6 +506,124 @@ class TestHamiltonProduct:
             QJet(g.t, g.x, g.y, 0.0)
 
 
+def _pair_sum_hamilton(a, b):
+    """The Hamilton product of two QJets, each pair product summed over its
+    pairs by _ref_mul and the formula's terms added left to right, in the
+    layout (batch..., N)."""
+    ca = [comp.c for comp in a.components()]
+    cb = [comp.c for comp in b.components()]
+
+    def m(k, j):
+        return _ref_mul(a.order, ca[k], cb[j])
+    return (m(0, 0) - m(1, 1) - m(2, 2) - m(3, 3),
+            m(0, 1) + m(1, 0) + m(2, 3) - m(3, 2),
+            m(0, 2) - m(1, 3) + m(2, 0) + m(3, 1),
+            m(0, 3) + m(1, 2) - m(2, 1) + m(3, 0))
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+class TestMarkedProducts:
+    """A product by a seed or a constant jet is a scale plus a shift, with
+    the bits of the pair sums."""
+
+    SHAPES = TestCoefficientMajorLayout.BATCH_PAIRS + (((1000,), ()),)
+
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    def test_seed_and_constant_operands_keep_the_pair_sum_bits(self, order):
+        rng = np.random.default_rng(60 + order)
+        for ba, bb in self.SHAPES:
+            for shape_a, shape_m in ((ba, bb), (bb, ba)):
+                a = _random_jet(rng, order, shape_a)
+                value = rng.uniform(-2.0, 2.0, shape_m)
+                marked = [RJet.seed(value, v, order) for v in range(4)]
+                marked.append(RJet.constant(value, order))
+                for m in marked:
+                    assert _same_bits((a * m).c, _ref_mul(order, a.c, m.c))
+                    assert _same_bits((m * a).c, _ref_mul(order, m.c, a.c))
+                    assert _batch_major(a * m)
+
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    def test_qjet_products_with_seeds_and_constants(self, order):
+        rng = np.random.default_rng(70 + order)
+        for batch in ((), (7,), (1000,)):
+            p = Quaternion(*rng.uniform(0.5, 2.0, (4,) + batch))
+            c = Quaternion(*rng.uniform(-2.0, 2.0, 4))
+            g = QJet(*(_random_jet(rng, order, batch) for _ in range(4)))
+            seed = QJet.seed_cartesian(p, order)
+            const = QJet.from_quaternion(c, order)
+            for got, (x, y) in ((seed * g, (seed, g)), (g * seed, (g, seed)),
+                                (g * const, (g, const)),
+                                (g * c, (g, const))):
+                for comp, want in zip(got.components(),
+                                      _pair_sum_hamilton(x, y)):
+                    assert _same_bits(comp.c, want)
+                    assert _batch_major(comp)
+
+    def test_marks(self):
+        for order in range(1, 4):
+            s = RJet.seed(np.array([0.5, -1.5]), 2, order)
+            assert s._mark == 2
+            assert RJet.constant(1.5, order)._mark == "constant"
+            assert [comp._mark for comp in
+                    QJet.seed_cartesian(q(1, 2, 3, 4), order).components()] \
+                == [0, 1, 2, 3]
+            assert {comp._mark for comp in QJet.from_quaternion(
+                q(1, 2, 3, 4), order).components()} == {"constant"}
+            # No derived jet keeps a mark: it would describe rows the jet
+            # does not hold.
+            derived = (s * 1.0, s + 0.0, s - 0.0, 1.0 - s, -s,
+                       s.derivative(2), s * s, s * RJet.constant(1.0, order),
+                       s.sin(), RJet(order, s.c))
+            assert all(jet._mark is None for jet in derived)
+        # At order 0 a seed has no first-order row: it is a constant.
+        assert RJet.seed(2.0, 1, 0)._mark == "constant"
+
+    def test_non_finite_rows_reach_only_their_scale_and_shift(self):
+        # By a constant, a non-finite a[m] stays in row m; by the seed of
+        # x_v it also reaches the row of m + e_v.  inf * 0 is not formed,
+        # so no other row turns NaN, as the pair sums would make it.
+        order = 2
+        pos = jets._POS[order]
+        a = RJet(order, np.arange(1.0, 16.0))
+        a._cm[pos[(1, 0, 0, 0)]] = math.inf
+        with np.errstate(invalid="ignore"):
+            by_const = (a * RJet.constant(2.0, order)).c
+            by_seed = (RJet.seed(2.0, 2, order) * a).c
+            pair_sums = _ref_mul(order, a.c, RJet.constant(2.0, order).c)
+        assert np.isnan(pair_sums).sum() == 4
+        assert np.flatnonzero(~np.isfinite(by_const)).tolist() \
+            == [pos[(1, 0, 0, 0)]]
+        assert np.flatnonzero(~np.isfinite(by_seed)).tolist() \
+            == [pos[(1, 0, 0, 0)], pos[(1, 0, 1, 0)]]
+        assert np.all(np.isposinf(by_seed[~np.isfinite(by_seed)]))
+
+
+class TestMixedOperands:
+    """Points and real numbers on either side of a QJet sum or difference
+    are lifted to constant jets."""
+
+    def test_points_and_numbers_on_either_side(self):
+        p = Quaternion(np.array([0.3, -1.0]), np.array([1.0, 2.0]),
+                       np.array([-0.5, 0.25]), np.array([2.0, -1.5]))
+        g = QJet.seed_cartesian(p, 2)
+        g = g * g
+        c = q(1.5, -1.0, 0.5, 2.0)
+        const, one = (QJet.from_quaternion(x, 2) for x in (c, q(1.0)))
+        cases = ((c - g, const - g), (1.0 - g, one - g), (g + 1.0, g + one),
+                 (g - 1.0, g - one), (1 + g, one + g),
+                 (np.float64(1.0) - g, one - g))
+        for got, want in cases:
+            assert isinstance(got, QJet)
+            for a, b in zip(got.components(), want.components()):
+                assert a.c.tobytes() == b.c.tobytes()
+        assert_close(1.0 - c, q(1.0) - c)
+        assert_close((1.0 - g).value, q(1.0) - g.value)
+
+
 class TestNumpyOperands:
     def test_ndarray_on_the_left_of_a_qjet(self):
         # numpy defers to the jet operators instead of building an object
