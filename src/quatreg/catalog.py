@@ -32,8 +32,9 @@ _ATANH_MARGIN = 1.0 - 1e-6
 # -- algebra-generic helpers ----------------------------------------------
 
 def _real_elem(p, w):
-    """Lift a real-valued scalar (array or RJet) into the algebra of p."""
-    zero = w * 0.0
+    """Lift a real-valued scalar (array or RJet) into the algebra of p,
+    with the algebra's structural zero for the imaginary parts."""
+    zero = p._zero()
     if isinstance(p, QJet):
         return QJet(w, zero, zero, zero)
     return Quaternion(np.asarray(w, dtype=float), zero, zero, zero)
@@ -55,12 +56,13 @@ def _ipow(p, n: int):
 
 def iota_of(p):
     """iota = (x i + y j + z k)/r in the algebra of p: a Quaternion for a
-    point, a QJet for a jet; refused on the real axis (OnRealAxis)."""
+    point, a QJet for a jet, its real part the algebra's structural zero;
+    refused on the real axis (OnRealAxis)."""
     x, y, z = p.x, p.y, p.z
     r2 = x * x + y * y + z * z
     check_off_axis(np.sqrt(_values(r2)), _values(p.t))
     s = jm.recip(jm.sqrt(r2))
-    return type(p)(p.t * 0.0, x * s, y * s, z * s)
+    return type(p)(p._zero(), x * s, y * s, z * s)
 
 
 # -- bodies ----------------------------------------------------------------

@@ -202,14 +202,16 @@ def _robust(batch_fn, pts):
     """Evaluate batched; a batch that raises a runtime error is halved, down
     to single points, and the points that still raise are skipped.  Returns
     (dict of arrays over the surviving points, in index order, or None;
-    skipped count; first error; surviving sample indices)."""
+    skipped count; first error; surviving sample indices).  A 0-d result,
+    such as the norm of a structural zero, holds for every point of its
+    batch; any other result must have one entry per point (ValueError)."""
     n = int(np.size(pts.t))
     outs, kept, first = [], [], None
     todo = [(0, n)]
     while todo:
         lo, hi = todo.pop()
         try:
-            outs.append(batch_fn(pts[lo:hi]))
+            outs.append((hi - lo, batch_fn(pts[lo:hi])))
         except RUNTIME_ERRORS as exc:
             first = first or exc
             if hi > lo + 1:
@@ -218,9 +220,19 @@ def _robust(batch_fn, pts):
         kept.extend(range(lo, hi))
     if not outs:
         return None, n, first, np.zeros(0, dtype=int)
-    joined = {k: np.concatenate([np.asarray(out[k], dtype=float).reshape(-1)
-                                 for out in outs]) for k in outs[0]}
+    joined = {k: np.concatenate([_per_point(out[k], size, k)
+                                 for size, out in outs]) for k in outs[0][1]}
     return joined, n - len(kept), first, np.asarray(kept, dtype=int)
+
+
+def _per_point(arr, size, key):
+    """arr as one float per point of a batch of size points."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim == 0:
+        return np.full(size, arr)
+    if arr.size != size:
+        raise ValueError(f"{key}: {arr.size} values for {size} points")
+    return arr.reshape(-1)
 
 
 def _worst_point(pts, kept, arr) -> str:

@@ -93,7 +93,7 @@ def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
     sb, cb = jb.sin(), jb.cos()
     ix, iy, iz = ca * sb, sa * sb, cb
     seed = QJet(jt, jr * ix, jr * iy, jr * iz)
-    iota = QJet(jt * 0.0, ix, iy, iz)
+    iota = QJet(RJet.zero(order), ix, iy, iz)
     return SphericalFrame(sp, seed, iota, sin_beta)
 
 

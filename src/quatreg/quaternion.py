@@ -9,12 +9,22 @@ imaginary direction
 with alpha in [0, 2*pi) and beta in [0, pi].  All values here are immutable
 and all operations pure, so concurrent evaluation is safe.
 
-Components may be scalars or equally-shaped numpy arrays; in the latter case
-one Quaternion instance represents a whole batch of points and every
-operation broadcasts elementwise.
+Components may be scalars or numpy arrays of broadcastable shapes, mixed
+in one Quaternion; with arrays one instance represents a whole batch of
+points and every operation broadcasts elementwise.
 
-Quaternion and jets.QJet share one QuaternionAlgebra: the operations that
-do not depend on how a component is represented.
+A component that is the Python float 0.0 (of either sign) is a structural
+zero: a zero known when the value is built, as for the real part of iota or
+the parts a real number or a literal such as 1k leaves out.  A numpy zero,
+even a 0-d one, is data.  A product skips every term with a structural-zero
+factor: each skipped term is an exact +-0, so every nonzero result keeps
+the bits of the full formula, only an exactly zero result may change its
+sign, and 0 * inf is never formed.  An output with no term left is 0.0.
+
+Quaternion and jets.QJet share one QuaternionAlgebra, the operations that
+do not depend on how a component is represented, and one ``_HAMILTON``
+table, which their products walk under the same skipping rule.  In a jet a
+structural zero is ``jets.RJet.zero``.
 """
 
 from __future__ import annotations
@@ -35,12 +45,25 @@ _TWO_PI = 2.0 * math.pi
 #: The real scalars every quaternion (and RJet) operation scales by.
 SCALARS = (int, float, np.integer, np.floating, np.ndarray)
 
+# Per component (t, x, y, z) of a * b, its terms (k, q, sign) of
+# sign * a_k * b_q in the formula's order; every first term is positive.
+_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
+
+
+def is_structural_zero(c) -> bool:
+    """True for the Python float 0.0 of either sign, not for numpy zeros."""
+    return type(c) is float and c == 0.0
+
 
 class QuaternionAlgebra:
     """The componentwise operations of Quaternion and jets.QJet.  A subclass
     supplies its constructor over (t, x, y, z), ``_coerce`` of another
-    operand into its own type (None if it has none), its Hamilton product
-    ``__mul__``, ``inverse`` and, if wider, its ``_scalars``."""
+    operand into its own type (None if it has none), ``_zero``, its
+    structural zero component, its Hamilton product ``__mul__``,
+    ``inverse`` and, if wider, its ``_scalars``."""
 
     __slots__ = ()
 
@@ -111,16 +134,28 @@ class Quaternion(QuaternionAlgebra):
             return Quaternion(other if np.ndim(other) else float(other))
         return None
 
+    def _zero(self):
+        return 0.0
+
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a, b = self, other
             # Hamilton product; i*j = k, j*k = i, k*i = j, i*i = -1.
-            return Quaternion(
-                a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z,
-                a.t * b.x + a.x * b.t + a.y * b.z - a.z * b.y,
-                a.t * b.y - a.x * b.z + a.y * b.t + a.z * b.x,
-                a.t * b.z + a.x * b.y - a.y * b.x + a.z * b.t,
-            )
+            a, b = self.components(), other.components()
+            za = [is_structural_zero(c) for c in a]
+            zb = [is_structural_zero(c) for c in b]
+            out = []
+            for terms in _HAMILTON:
+                acc = None
+                for k, q, sign in terms:
+                    if za[k] or zb[q]:
+                        continue
+                    p = a[k] * b[q]
+                    if acc is None:
+                        acc = p if sign > 0 else -p
+                    else:
+                        acc = acc + p if sign > 0 else acc - p
+                out.append(0.0 if acc is None else acc)
+            return Quaternion(*out)
         if isinstance(other, SCALARS):
             return self._scale(other)
         return NotImplemented

@@ -86,7 +86,9 @@ def slice_parts(f, p: Quaternion) -> SliceParts:
 
 def _stacked(f, *scales) -> QFunction:
     """(f, iota f), then (s f, s iota f) for each real scale s(q) passed,
-    from one evaluation of f per point, as rows of a new leading axis."""
+    from one evaluation of f per point, as rows of a new leading axis over
+    the points' shape: a value that ignores a shifted coordinate, or a
+    structural zero, still gets one entry per stencil point."""
     def body(q):
         fv = f.eval_point(q)
         ifv = iota_of(q) * fv
@@ -96,7 +98,7 @@ def _stacked(f, *scales) -> QFunction:
             rows += [fv * s, ifv * s]
         comps = [c for row in rows for c in row.components()]
         out = np.empty((4, len(rows))
-                       + np.broadcast_shapes(*map(np.shape, comps)))
+                       + np.broadcast_shapes(*map(np.shape, q.components())))
         for n, c in enumerate(comps):
             out[n % 4, n // 4] = c
         return Quaternion(*out)

@@ -541,6 +541,28 @@ class TestRobust:
         assert data["res"].shape == (len(singles),)
         assert len(calls) < 256 // 4
 
+    def test_a_0d_result_holds_for_its_batch(self):
+        # The norm of a structural zero is 0-d: it is broadcast to the
+        # batch; any other length that is not one per point is refused.
+        pts = SampleDomain().sample(10, seed=3)
+        data, skipped, _, kept = _robust(
+            lambda p: {"zero": np.asarray(0.0), "res": p.t * 2.0}, pts)
+        assert data["zero"].tolist() == [0.0] * 10
+        assert data["res"].tolist() == (pts.t * 2.0).tolist()
+        assert skipped == 0 and kept.tolist() == list(range(10))
+        with pytest.raises(ValueError):
+            _robust(lambda p: {"res": np.zeros(3)}, pts)
+
+    def test_rows_count_every_point_of_a_constant(self):
+        # series:1 is the constant 1: its D_l Delta f is a structural zero
+        # at every point, and the row still counts every sample.
+        for suite in ("fueter_theorem", "hyperholomorphy", "lemma1"):
+            text, _ = run_suite(small_cfg(suites=(suite,), samples=7,
+                                          functions=("series:1",)))
+            row = next(l for l in text.splitlines()
+                       if l.startswith(suite + "|"))
+            assert "n=7;" in row, row
+
     def test_skip_reason_in_rows(self):
         text, _ = run_suite(small_cfg(suites=("lemma1",), samples=200,
                                       r_min=1e-7, r_max=2e-5))

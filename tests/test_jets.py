@@ -676,3 +676,164 @@ class TestJetsAgainstFiniteDifferences:
                     gap = float(np.max((got - want).norm()))
                     scale = float(np.max(want.norm())) + 1.0
                     assert gap <= 1e-5 * scale, (f.fid, "second", va, vb, gap)
+
+
+def _bits_or_both_zero(got, want):
+    """Equal bit for bit, except that an exact zero may change its sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return False
+    same = got.view(np.int64) == want.view(np.int64)
+    return bool(np.all(same | ((got == 0.0) & (want == 0.0))))
+
+
+def _dense_qjet(g):
+    """g with every structural zero component replaced by a dense zero
+    array of its own batch shape: the jet the full formula multiplies."""
+    return QJet(*(RJet(g.order, np.zeros_like(comp.c))
+                  if comp._mark == "zero" else comp
+                  for comp in g.components()))
+
+
+class TestStructuralZeros:
+    """The Python float 0.0 in a point and RJet.zero in a jet are zeros
+    known when the value is built; products skip their terms and keep
+    every nonzero bit of the full formula."""
+
+    def test_constant_of_python_zero_is_the_zero_jet(self):
+        for order in range(4):
+            for value in (0.0, -0.0):
+                z = RJet.constant(value, order)
+                assert z._mark == "zero"
+                assert np.all(z.c == 0.0)
+            # A computed zero is data: its jet stays a dense constant.
+            for value in (np.zeros(3), np.float64(0.0), np.zeros(())):
+                c = RJet.constant(value, order)
+                assert c._mark == "constant"
+                assert c.c.shape == (np.shape(value)
+                                     + (len(jets.INDICES[order]),))
+            assert [comp._mark for comp in QJet.from_quaternion(
+                q(0.0, 0.0, 0.0, 1.0), order).components()] \
+                == ["zero"] * 3 + ["constant"]
+
+    def test_zero_through_the_ring_operations(self):
+        rng = np.random.default_rng(80)
+        for order in range(4):
+            z = RJet.zero(order)
+            a = _random_jet(rng, order, (5,))
+            assert z + a is a and a + z is a and a - z is a
+            assert (z - a).c.tobytes() == (-a).c.tobytes()
+            assert (-z)._mark == "zero"
+            for prod in (z * a, a * z, z * 2.0, z * np.arange(5.0),
+                         z * RJet.seed(1.0, 1, order), z * z):
+                assert prod._mark == "zero"
+            assert z.sin().c.tobytes() == RJet.constant(
+                np.sin(np.zeros(())), order).c.tobytes()
+            if order:
+                d = z.derivative(2)
+                assert d._mark == "zero" and d.order == order - 1
+        with pytest.raises(IndexTooDeep):
+            RJet.zero(0).derivative(0)
+        with pytest.raises(BasisMismatch):
+            RJet.zero(1) + RJet.zero(2)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_qjet_products_with_zero_components(self, order):
+        rng = np.random.default_rng(90 + order)
+        z = RJet.zero(order)
+        for batch in ((), (7,), (1000,)):
+            g = QJet(*(_random_jet(rng, order, batch) for _ in range(4)))
+            for pattern in ((0,), (1, 2, 3), (0, 2), (3,)):
+                comps = list(_random_jet(rng, order, batch) for _ in range(4))
+                for k in pattern:
+                    comps[k] = z
+                h = QJet(*comps)
+                for got, want in ((h * g, _dense_qjet(h) * g),
+                                  (g * h, g * _dense_qjet(h)),
+                                  (h * h, _dense_qjet(h) * _dense_qjet(h))):
+                    for gc, wc in zip(got.components(), want.components()):
+                        if gc._mark == "zero":
+                            assert np.all(wc.c == 0.0)
+                        else:
+                            assert _bits_or_both_zero(gc.c, wc.c)
+
+    def test_a_product_without_terms_is_the_zero(self):
+        for order in range(4):
+            z = RJet.zero(order)
+            r = RJet.constant(np.array([1.5, -2.0]), order)
+            real = QJet(r, z, z, z)
+            prod = real * real
+            assert [comp._mark for comp in prod.components()][1:] \
+                == ["zero"] * 3
+            imag = QJet(z, z, r, z)
+            assert (real * imag).t._mark == "zero"
+
+
+class TestComposition:
+    """Elementary functions compose with h^m over the rows that can be
+    nonzero; the coefficients keep the bits of full pair products."""
+
+    @staticmethod
+    def _dense_compose(jet, derivs):
+        """g(a + h) = sum_m g^(m)(a) h^m / m! with h unmarked and every
+        h^m a full pair-sum product, in the layout (batch..., N)."""
+        order = jet.order
+        h = np.array(jet.c, copy=True)
+        h[..., 0] = 0.0
+        out = np.zeros(h.shape)
+        out[..., 0] = derivs[0]
+        power, fact = None, 1.0
+        for m in range(1, order + 1):
+            power = h if power is None else _ref_mul(order, power, h)
+            fact *= m
+            out = out + power * (np.asarray(derivs[m])[..., None] / fact)
+        return out
+
+    @staticmethod
+    def _composed(jet, name, monkeypatch):
+        """jet.name() and the derivative rows it composed with."""
+        seen = []
+        compose = RJet._compose
+
+        def spy(self, derivs):
+            seen.append(derivs)
+            return compose(self, derivs)
+        with monkeypatch.context() as m:
+            m.setattr(RJet, "_compose", spy)
+            got = getattr(jet, name)()
+        return got, seen[0]
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_elementary_functions_keep_the_full_product_bits(
+            self, order, monkeypatch):
+        rng = np.random.default_rng(100 + order)
+        for batch in ((), (50,)):
+            value = rng.uniform(0.2, 0.9, batch)
+            c = rng.uniform(-0.5, 0.5, batch + (len(jets.INDICES[order]),))
+            c[..., 0] = value
+            operands = [RJet(order, c), RJet.constant(value, order)]
+            operands += [RJet.seed(value, v, order) for v in range(4)]
+            for jet in operands:
+                for name in ("sqrt", "recip", "atan", "atanh", "sin", "cos"):
+                    got, derivs = self._composed(jet, name, monkeypatch)
+                    want = self._dense_compose(jet, derivs)
+                    assert _bits_or_both_zero(got.c, want), (name, jet._mark)
+
+    def test_power_plan_pair_counts(self):
+        def pairs(plan):
+            return sum(len(ib) for _, ib in plan[0])
+        assert pairs(jets._MUL[2]) == 45 and pairs(jets._MUL[3]) == 165
+        assert pairs(jets._POWERS[(2, 2)]) == 16
+        assert pairs(jets._POWERS[(3, 2)]) == 96
+        assert pairs(jets._POWERS[(3, 3)]) == 40
+
+    def test_recip_overflow_on_every_operand(self):
+        # The top derivative overflows: 2 a^-3 at order 2, -6 a^-4 at 3.
+        for order, tiny in ((2, 1e-104), (3, 1e-78)):
+            value = np.array([0.5, tiny])
+            c = np.zeros((2, len(jets.INDICES[order])))
+            c[:, 0], c[:, 1] = value, 0.25
+            for jet in (RJet(order, c), RJet.constant(value, order),
+                        RJet.seed(value, 2, order)):
+                with pytest.raises(DomainError):
+                    jets.recip(jet)

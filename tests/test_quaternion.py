@@ -119,6 +119,63 @@ class TestArithmetic:
             (a * b).t
 
 
+def _written_out(a, b):
+    """The Hamilton product over every term, left to right."""
+    return (a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.t * b.x + a.x * b.t + a.y * b.z - a.z * b.y,
+            a.t * b.y - a.x * b.z + a.y * b.t + a.z * b.x,
+            a.t * b.z + a.x * b.y - a.y * b.x + a.z * b.t)
+
+
+class TestStructuralZeros:
+    """A component that is the Python float 0.0 is a structural zero: the
+    product skips its terms and keeps every nonzero bit of the formula."""
+
+    PATTERNS = ((), (0,), (1, 2, 3), (0, 2), (3,), (0, 1, 2, 3))
+
+    @staticmethod
+    def _with_zeros(rng, shape, zeros):
+        comps = [rng.uniform(-2.0, 2.0, shape) for _ in range(4)]
+        if shape == ():
+            comps = [np.float64(c) for c in comps]
+        for k in zeros:
+            comps[k] = -0.0 if k == 3 else 0.0
+        return Quaternion(*comps)
+
+    def test_products_keep_the_written_out_bits(self):
+        rng = np.random.default_rng(30)
+        for sa, sb in (((7,), (7,)), ((), ()), ((1000,), ()), ((), (1000,)),
+                       ((3, 1), (5,))):
+            for za in self.PATTERNS:
+                for zb in self.PATTERNS:
+                    a = self._with_zeros(rng, sa, za)
+                    b = self._with_zeros(rng, sb, zb)
+                    for got, want in zip((a * b).components(),
+                                         _written_out(a, b)):
+                        got, want = np.broadcast_arrays(
+                            np.asarray(got, dtype=float),
+                            np.asarray(want, dtype=float))
+                        same = got.view(np.int64) == want.view(np.int64)
+                        assert np.all(same | ((got == 0.0) & (want == 0.0)))
+
+    def test_only_python_zeros_are_structural(self):
+        # A numpy zero, 0-d or not, is data and keeps every term: 0 * inf
+        # is NaN there, and never formed for a structural zero.
+        inf = Quaternion(np.inf, 1.0, 1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan((Quaternion(1.0, np.float64(0.0)) * inf).x)
+            assert np.isnan((Quaternion(1.0, np.zeros(2)) * inf).x).all()
+        assert (Quaternion(1.0, 0.0) * inf).x == 1.0
+
+    def test_no_surviving_term_is_a_structural_zero(self):
+        a = Quaternion(np.array([1.5, -2.0]))
+        for part in (a * q(3.0)).components()[1:]:
+            assert type(part) is float and part == 0.0
+        # iota has a structural zero real part
+        p = Quaternion(0.5, np.array([1.0, 2.0]), 0.3, -0.4)
+        assert type(iota_of(p).t) is float
+
+
 class TestHypothesisLaws:
     @settings(max_examples=60, deadline=None)
     @given(quat, quat)

@@ -403,6 +403,24 @@ class TestFdOracle:
                 assert np.array_equal(lemma1_residual(f, p, backend="fd"),
                                       gap.norm()), fid
 
+    def test_stack_is_sized_from_the_points(self):
+        # coord:x ignores t and iota has a structural zero real part, so
+        # no value of f or iota f carries the t stencil's shift axis; the
+        # stack still has one entry per stencil point, and the FD D_l of
+        # each row is that of the row taken alone (it read 8.8e4 for the
+        # D_l of f when the stack took f's shape).
+        f = from_string("coord:x")
+        pts = DOM.sample(20, seed=78)
+        t = pts.t + np.array([0.5, -0.5, 1.0, -1.0])[:, None] * 1e-5
+        stencil = Quaternion(t, pts.x, pts.y, pts.z)
+        for comp in regularity._stacked(f, inv_r2).eval_point(
+                stencil).components():
+            assert comp.shape == (4, 4, 20)
+        dl = fueter_left(regularity._stacked(f, inv_r2), pts, backend="fd")
+        rows = (f, iota_times(f), over_r2(f), over_r2(iota_times(f)))
+        for i, g in enumerate(rows):
+            assert _same_bits(dl[i], fueter_left(g, pts, backend="fd")), i
+
     def test_first_error_is_the_alpha_stencils(self):
         # ZeroDivisor where t moved from the sample, DomainError where
         # only x moved: the alpha stencil runs before the Cartesian and
