@@ -28,6 +28,11 @@ which follows from the spherical form D_l = d/dt + iota d/dr
 - (1/r) d/d_l(iota) and v = (1/2) d/d_l(iota) f; it needs only a
 Cartesian jet and one radial directional derivative, so interior nodes on
 the plane t + z*k (where the angular chart degenerates) are no obstacle.
+
+Interior integrands are evaluated in equal contiguous blocks of at most
+_BLOCK nodes (_blocks), so a member's jets take the same memory at any
+resolution.  The blocks' values are joined into one array per sphere and
+summed once, which keeps the bits of an evaluation over all nodes at once.
 """
 
 from __future__ import annotations
@@ -138,6 +143,25 @@ def sphere3(center: Quaternion, radius: float,
     return Hypersurface(center, radius, resolution)
 
 
+#: The most interior nodes an integrand is evaluated on at once.
+_BLOCK = 8192
+
+
+def _blocks(n: int) -> list:
+    """range(n) as ceil(n / _BLOCK) contiguous slices of equal length (to
+    within one node), each at most _BLOCK nodes long."""
+    count = -(-n // _BLOCK)
+    ends = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _put(out, block, q: Quaternion):
+    """Write q's components into the columns block of out, shape (4, n);
+    a 0-d or structural-zero component fills its block."""
+    for row, comp in zip(out[:, block], q.components()):
+        row[...] = comp
+
+
 def _wsum(q: Quaternion, w) -> Quaternion:
     return Quaternion(float(np.sum(q.t * w)), float(np.sum(q.x * w)),
                       float(np.sum(q.y * w)), float(np.sum(q.z * w)))
@@ -154,9 +178,15 @@ def surface_integral_left(f, K: Hypersurface) -> Quaternion:
 
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
-    """Weighted sum of a pointwise map g over the interior nodes."""
+    """Weighted sum of a pointwise map g over the interior nodes.  g is
+    called once per block of _blocks, and its values are joined into one
+    array before the one weighted sum, so the sum keeps the bits of g over
+    all nodes at once while g's temporaries stay one block long."""
     pts, w = K.volume_nodes()
-    return _wsum(g(pts), w)
+    vals = np.empty((4, w.size))
+    for block in _blocks(w.size):
+        _put(vals, block, g(pts[block]))
+    return _wsum(Quaternion(*vals), w)
 
 
 def divergence(fs, pts: Quaternion) -> Quaternion:
@@ -232,31 +262,40 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
 
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
-    share, built once: the interior nodes and weights, the order-1
-    Cartesian seed jet there, 1/r, and iota (the one iota_of) at the
-    interior and at the surface nodes."""
+    share, built once: the interior weights and, per block of _blocks, the
+    interior nodes, the order-1 Cartesian seed jet there, 1/r, -2/r and
+    iota (the one iota_of); and iota at the surface nodes."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
-        self.pts, self.w = K.volume_nodes()
-        self.seed = QJet.seed_cartesian(self.pts, 1)
-        self.inv_r = 1.0 / self.pts.imag_norm()
-        self.iota = iota_of(self.pts)
+        pts, self.w = K.volume_nodes()
+        self.blocks = []
+        for block in _blocks(self.w.size):
+            p = pts[block]
+            inv_r = 1.0 / p.imag_norm()
+            self.blocks.append((block, p, QJet.seed_cartesian(p, 1), inv_r,
+                                -2.0 * inv_r, iota_of(p)))
         self.iota_surface = iota_of(K.points)
 
     def reports(self, f):
         """theorem2_report of f and of iota_times(f) on K from one
         evaluation of f: its values at the surface nodes and one order-1
-        Cartesian jet at the interior nodes.  iota*f's surface values are
-        iota times f's, as in iota_times(f); its integrand is f's
-        -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no jet of iota*f."""
+        Cartesian jet per interior block, dropped before the next block's
+        is made.  iota*f's surface values are iota times f's, as in
+        iota_times(f); its integrand is f's -2u/r = -2f/r - iota (-2v/r)
+        by Lemma 1, with no jet of iota*f."""
         K = self.K
-        vals, g = f.eval_point(K.points), f.eval_jet(self.seed)
-        mv_f = _minus_two_v_over_r_of(g, self.pts, self.inv_r, self.iota)
-        mv_iota_f = g.value * (-2.0 * self.inv_r) - self.iota * mv_f
-        return (_report(K, _flux(vals, K), _wsum(mv_f, self.w)),
+        vals = f.eval_point(K.points)
+        mv_f, mv_iota_f = np.empty((2, 4, self.w.size))
+        for block, p, seed, inv_r, m2_inv_r, iota in self.blocks:
+            g = f.eval_jet(seed)
+            mv = _minus_two_v_over_r_of(g, p, inv_r, iota)
+            _put(mv_f, block, mv)
+            _put(mv_iota_f, block, g.value * m2_inv_r - iota * mv)
+            del g, mv       # freed before the next block's jet is made
+        return (_report(K, _flux(vals, K), _wsum(Quaternion(*mv_f), self.w)),
                 _report(K, _flux(self.iota_surface * vals, K),
-                        _wsum(mv_iota_f, self.w)))
+                        _wsum(Quaternion(*mv_iota_f), self.w)))
 
 
 @dataclass(frozen=True)

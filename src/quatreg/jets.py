@@ -349,7 +349,8 @@ class RJet:
 
     @property
     def value(self):
-        return self._cm[0, ...]
+        """The constant term; the Python 0.0 for the structural zero."""
+        return 0.0 if self._mark == "zero" else self._cm[0, ...]
 
     def partial(self, multi) -> np.ndarray | float:
         """Exact partial derivative d^multi f at the base point."""
@@ -587,13 +588,16 @@ class QJet(QuaternionAlgebra):
 
     def first_partials(self) -> tuple:
         """(d/dt, d/dx, d/dy, d/dz) of the jet at the base point, as views
-        of coefficient rows 1 to 4.  A first-order coefficient carries no
-        factorial, so the rows are the partials at every order >= 1; no
-        jet is built to read them."""
+        of coefficient rows 1 to 4, and the Python 0.0 for a structural
+        zero component.  A first-order coefficient carries no factorial, so
+        the rows are the partials at every order >= 1; no jet is built to
+        read them."""
         if self.order < 1:
             raise IndexTooDeep("an order-0 jet has no first partials")
-        rows = [comp._cm for comp in self.components()]
-        return tuple(Quaternion(*(cm[1 + var, ...] for cm in rows))
+        rows = [None if comp._mark == "zero" else comp._cm
+                for comp in self.components()]
+        return tuple(Quaternion(*(0.0 if cm is None else cm[1 + var, ...]
+                                  for cm in rows))
                      for var in range(NVARS))
 
     def __repr__(self):

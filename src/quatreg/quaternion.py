@@ -179,9 +179,13 @@ class Quaternion(QuaternionAlgebra):
         return any(np.ndim(c) > 0 for c in self.components())
 
     def __getitem__(self, idx) -> "Quaternion":
-        """Select points from a batched quaternion."""
-        t, x, y, z = np.broadcast_arrays(*self.components())
-        return Quaternion(t[idx], x[idx], y[idx], z[idx])
+        """Select points from a batched quaternion; a structural-zero
+        component stays one."""
+        comps = self.components()
+        data = iter(np.broadcast_arrays(
+            *(c for c in comps if not is_structural_zero(c))))
+        return Quaternion(*(c if is_structural_zero(c) else next(data)[idx]
+                            for c in comps))
 
     def __repr__(self):
         if self.is_batch():

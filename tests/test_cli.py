@@ -392,9 +392,10 @@ class TestGeneralizedSweep:
     """The generalized suite visits its family one sphere at a time."""
 
     def test_shared_jets_built_once_per_sphere(self, monkeypatch):
-        # 3 members on 5 spheres: the interior seed jet is built 5 times,
-        # not 15, and iota*f's integrand comes from f's jet by Lemma 1, so
-        # no jet of iota is built.
+        # 3 members on 5 spheres: the interior seed jet is built once per
+        # sphere and block, 5 times at res 4 and 40 at res 16 (8 blocks
+        # each), not once per member too, and iota*f's integrand comes
+        # from f's jet by Lemma 1, so no jet of iota is built.
         calls = {"seed": 0, "iota_jet": 0}
         seed_cartesian, iota_of = QJet.seed_cartesian, integral.iota_of
 
@@ -410,15 +411,17 @@ class TestGeneralizedSweep:
                             classmethod(counted_seed))
         monkeypatch.setattr(integral, "iota_of", counted_iota)
         members = [from_string(s) for s in ("power:2", "power:3", "conj")]
-        rows, work = _RUNNERS["generalized"](SuiteConfig(resolution=4),
-                                             members)
-        assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
-        assert calls == {"seed": 5, "iota_jet": 0}
-        family = integral.standard_family(4)
-        assert work == {"nodes": 3 * sum(K.node_count + K.interior_count
-                                         for K in family)}
-        assert all(K.interior_count == K.volume_nodes()[1].size
-                   for K in family)
+        for res, seeds in ((4, 5), (16, 40)):
+            calls.update(seed=0)
+            rows, work = _RUNNERS["generalized"](
+                SuiteConfig(resolution=res), members)
+            assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
+            assert calls == {"seed": seeds, "iota_jet": 0}
+            family = integral.standard_family(res)
+            assert work == {"nodes": 3 * sum(K.node_count + K.interior_count
+                                             for K in family)}
+            assert all(K.interior_count == K.volume_nodes()[1].size
+                       for K in family)
 
     def test_interior_nodes_live_one_sphere_at_a_time(self, monkeypatch):
         # The surfaces keep no interior nodes: when the sweep builds a

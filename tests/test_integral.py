@@ -7,11 +7,13 @@ pairs of polynomial fields must balance to rounding.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quatreg import (BadParams, Quaternion, SampleDomain, SuiteConfig,
+from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
+                     SampleDomain, SuiteConfig,
                      TouchesRealAxis, catalog_get, default_inventory,
                      from_string, fueter_left, gauss_report, iota_of,
                      iota_times, generalized_regularity_test,
@@ -19,8 +21,9 @@ from quatreg import (BadParams, Quaternion, SampleDomain, SuiteConfig,
                      parse_surface, product, run_suite, slice_parts, sphere3,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
-from quatreg.integral import (GeneralizedVerdict, _SphereJets,
-                              _generalized_sweep, _verdict)
+from quatreg.cli import _RUNNERS
+from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
+                              _blocks, _generalized_sweep, _verdict)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
@@ -310,6 +313,109 @@ class TestGeneralized:
         verdict = GeneralizedVerdict(rows, "error")
         worst_f, worst_iota_f = verdict.worst_rel()
         assert math.isnan(worst_f) and worst_iota_f == 2e-6
+
+
+def _whole_sphere_rhs(f, K):
+    """The interior sides of f and of iota*f on K as one evaluation over
+    all interior nodes at once, as _SphereJets.reports forms them."""
+    pts, w = K.volume_nodes()
+    g = f.eval_jet(QJet.seed_cartesian(pts, 1))
+    mv_f = minus_two_v_over_r(f)(pts)
+    mv_iota_f = g.value * (-2.0 / pts.imag_norm()) - iota_of(pts) * mv_f
+    return [Quaternion(*(float(np.sum(c * w)) for c in mv.components()))
+            for mv in (mv_f, mv_iota_f)]
+
+
+def _bits(q):
+    return np.array(q.components(), dtype=float).tobytes()
+
+
+class TestBlocks:
+    """Interior integrands are evaluated in the blocks of _blocks and
+    joined before one weighted sum, so every float keeps its bits."""
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 10000, 65536,
+                                   5308416])
+    def test_blocks_partition_the_nodes(self, n):
+        blocks = _blocks(n)
+        assert len(blocks) == -(-n // _BLOCK)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = {b.stop - b.start for b in blocks}
+        assert max(sizes) <= _BLOCK and max(sizes) - min(sizes) <= 1
+        assert all(b.step is None for b in blocks)
+
+    def test_block_counts_at_the_benchmark_and_default_sizes(self):
+        # res 10 has 10,000 interior nodes, res 16 65,536; res 8 fits one.
+        assert [b.stop - b.start for b in _blocks(10000)] == [5000] * 2
+        assert [b.stop - b.start for b in _blocks(65536)] == [8192] * 8
+        assert len(_blocks(standard_family(8)[0].interior_count)) == 1
+
+    def test_reports_equal_the_whole_sphere_in_every_float(self):
+        K = standard_family(16)[1]
+        assert len(_blocks(K.interior_count)) == 8
+        sphere = _SphereJets(K)
+        for fid in ("power:-3", "laurent:-2=1k", "iota", "conj", "coord:x"):
+            f = from_string(fid)
+            rhs_f, rhs_iota_f = _whole_sphere_rhs(f, K)
+            rep = theorem2_report(f, K)
+            got_f, got_iota_f = sphere.reports(f)
+            for got, want in ((rep, rhs_f), (got_f, rhs_f),
+                              (got_iota_f, rhs_iota_f)):
+                assert _bits(got.rhs) == _bits(want), fid
+                lhs = got.lhs
+                assert got.residual == float((lhs - want).norm()), fid
+                assert got.scale == float(lhs.norm() + want.norm() + 1.0)
+            assert _bits(got_f.lhs) == _bits(rep.lhs), fid
+
+    def test_error_on_the_last_block_keeps_its_rows(self):
+        # The member's jets raise only beyond 0.95 R from the center: on
+        # the outermost shell, which at res 16 is exactly the last block.
+        K = standard_family(16)[1]
+        radius = 0.95 * K.radius
+
+        def body(p):
+            if isinstance(p, QJet) and np.any(
+                    (p.value - K.center).norm() > radius):
+                raise DomainError("beyond 0.95 R")
+            return p * p
+
+        pts, _ = K.volume_nodes()
+        beyond = np.asarray((pts - K.center).norm() > radius)
+        last = _blocks(beyond.size)[-1]
+        assert beyond[last].all() and not beyond[:last.start].any()
+        member = QFunction("outer-shell", body)
+        descriptor = "sphere:center=0.4-1.4i+1.2j+1.3k,r=0.7,res=16"
+        cfg = SuiteConfig(surfaces=(descriptor,))
+        (row,), _ = _RUNNERS["integral"](cfg, [member])
+        assert row.render() == (
+            "integral|jets|outer-shell|Integral Theorem on "
+            "sphere(r=0.7,res=16)|error=DomainError: beyond 0.95 R|"
+            "error|pass|FAIL")
+        (row,), _ = _RUNNERS["generalized"](cfg, [member])
+        assert row.render() == (
+            "generalized|jets|outer-shell|Generalized Cullen-regularity "
+            "(Integral Theorem family)|error=DomainError: beyond 0.95 R|"
+            "error|pass|FAIL")
+
+    def test_peak_memory_per_interior_node(self):
+        # A block's jets are about 800 B per node, but only the joined
+        # integrands, the weights and the shared per-block arrays grow
+        # with the sphere (ROADMAP aim 3).  Res 24: 331,776 nodes.
+        f = from_string("power:-3")
+        family = standard_family(24)
+        n = family[1].interior_count
+        tracemalloc.start()
+        try:
+            theorem2_report(f, family[1])
+            theorem2_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _generalized_sweep([f], family[:2], 1e-3)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theorem2_peak < 250 * n
+        assert sweep_peak < 500 * n
 
 
 class TestSurfaceParsing:

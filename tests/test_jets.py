@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatreg import (BasisMismatch, DomainError, IndexTooDeep, OrderTooHigh,
                      Quaternion, QJet, RJet, SampleDomain, ZeroDivisor,
-                     default_inventory)
+                     default_inventory, iota_of, spherical_frame)
 from quatreg import jets
 from conftest import assert_close, q
 
@@ -756,6 +756,21 @@ class TestStructuralZeros:
                             assert np.all(wc.c == 0.0)
                         else:
                             assert _bits_or_both_zero(gc.c, wc.c)
+
+    def test_value_and_partials_of_the_zero_are_structural(self):
+        # A product with the value or a first partial of a zero component
+        # skips its terms, as for any structural zero of a point.
+        p = SampleDomain().sample(5, seed=4)
+        for order in range(4):
+            assert type(RJet.zero(order).value) is float
+        assert type(spherical_frame(p, 1).iota.value.t) is float
+        iota = iota_of(QJet.seed_cartesian(p, 1))
+        for partial in iota.first_partials():
+            assert type(partial.t) is float and partial.t == 0.0
+            assert all(np.shape(c) == (5,) for c in partial.components()[1:])
+        assert [type(c) is float for c in QJet.from_quaternion(
+            q(0.0, 1.0, 0.0, 2.0), 1).value.components()] \
+            == [True, False, True, False]
 
     def test_a_product_without_terms_is_the_zero(self):
         for order in range(4):

@@ -175,6 +175,21 @@ class TestStructuralZeros:
         p = Quaternion(0.5, np.array([1.0, 2.0]), 0.3, -0.4)
         assert type(iota_of(p).t) is float
 
+    def test_indexing_keeps_structural_zeros(self):
+        p = SampleDomain().sample(10, seed=2)
+        iota = iota_of(p)
+        for idx in (slice(0, 5), 3, np.array([1, 4, 4])):
+            part = iota[idx]
+            assert type(part.t) is float and part.t == 0.0
+            for got, comp in zip(part.components()[1:],
+                                 iota.components()[1:]):
+                assert np.array_equal(got, comp[idx])
+        # A broadcast scalar component still selects per point.
+        part = Quaternion(-0.0, np.arange(4.0), 2.5, 0.0)[1:3]
+        assert part.t == 0.0 and math.copysign(1.0, part.t) == -1.0
+        assert type(part.z) is float
+        assert part.y.tolist() == [2.5, 2.5]
+
 
 class TestHypothesisLaws:
     @settings(max_examples=60, deadline=None)
