@@ -33,6 +33,10 @@ Interior integrands are evaluated in equal contiguous blocks of at most
 _BLOCK nodes (_blocks), so a member's jets take the same memory at any
 resolution.  The blocks' values are joined into one array per sphere and
 summed once, which keeps the bits of an evaluation over all nodes at once.
+The generalized sweep makes one _Workspace for its whole family: the
+joined integrands and one block's seed jet, filled in place for every
+(member, sphere) pair, so a sphere holds only its nodes, weights, 1/r,
+-2/r and iota, and memory is not handed back and faulted in again.
 """
 
 from __future__ import annotations
@@ -162,9 +166,17 @@ def _put(out, block, q: Quaternion):
         row[...] = comp
 
 
-def _wsum(q: Quaternion, w) -> Quaternion:
-    return Quaternion(float(np.sum(q.t * w)), float(np.sum(q.x * w)),
-                      float(np.sum(q.y * w)), float(np.sum(q.z * w)))
+def _wsum(vals, w) -> Quaternion:
+    """The sums over the nodes of vals * w, vals a Quaternion or a (4, n)
+    array of the components, which is overwritten with vals * w: one
+    multiply and one sum along axis 1, with the bits of each component's
+    product summed alone."""
+    if isinstance(vals, Quaternion):
+        joined = np.empty((4, w.size))
+        _put(joined, slice(None), vals)
+        vals = joined
+    vals *= w
+    return Quaternion(*(float(s) for s in vals.sum(axis=1)))
 
 
 def _flux(vals: Quaternion, K: Hypersurface) -> Quaternion:
@@ -186,7 +198,7 @@ def volume_integral(g, K: Hypersurface) -> Quaternion:
     vals = np.empty((4, w.size))
     for block in _blocks(w.size):
         _put(vals, block, g(pts[block]))
-    return _wsum(Quaternion(*vals), w)
+    return _wsum(vals, w)
 
 
 def divergence(fs, pts: Quaternion) -> Quaternion:
@@ -260,42 +272,56 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
                    volume_integral(minus_two_v_over_r(f), K))
 
 
+class _Workspace:
+    """The arrays a generalized sweep over family fills in place for every
+    (member, sphere) pair, made once: the joined interior integrands of f
+    and of iota*f, sized to the family's largest interior, and the order-1
+    Cartesian seed jet of its longest block, whose rows below the value are
+    written here and only its value rows per (member, block)."""
+
+    def __init__(self, family):
+        counts = [K.interior_count for K in family]
+        self.mv = np.empty((2, 4, max(counts)))
+        self.seed = QJet._seed_buffer(1, max(
+            b.stop - b.start for n in counts for b in _blocks(n)))
+
+
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
     share, built once: the interior weights and, per block of _blocks, the
-    interior nodes, the order-1 Cartesian seed jet there, 1/r, -2/r and
-    iota (the one iota_of); and iota at the surface nodes."""
+    interior nodes, 1/r, -2/r and iota (the one iota_of); and iota at the
+    surface nodes.  The seed jet and the integrands are the workspace's."""
 
-    def __init__(self, K: Hypersurface):
-        self.K = K
+    def __init__(self, K: Hypersurface, workspace: _Workspace):
+        self.K, self.workspace = K, workspace
         pts, self.w = K.volume_nodes()
         self.blocks = []
         for block in _blocks(self.w.size):
             p = pts[block]
             inv_r = 1.0 / p.imag_norm()
-            self.blocks.append((block, p, QJet.seed_cartesian(p, 1), inv_r,
-                                -2.0 * inv_r, iota_of(p)))
+            self.blocks.append((block, p, inv_r, -2.0 * inv_r, iota_of(p)))
         self.iota_surface = iota_of(K.points)
 
     def reports(self, f):
         """theorem2_report of f and of iota_times(f) on K from one
         evaluation of f: its values at the surface nodes and one order-1
-        Cartesian jet per interior block, dropped before the next block's
-        is made.  iota*f's surface values are iota times f's, as in
-        iota_times(f); its integrand is f's -2u/r = -2f/r - iota (-2v/r)
-        by Lemma 1, with no jet of iota*f."""
-        K = self.K
+        Cartesian jet per interior block, on the workspace's seed at the
+        block's nodes and dropped before the next block's is made.
+        iota*f's surface values are iota times f's, as in iota_times(f);
+        its integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with
+        no jet of iota*f."""
+        K, ws = self.K, self.workspace
         vals = f.eval_point(K.points)
-        mv_f, mv_iota_f = np.empty((2, 4, self.w.size))
-        for block, p, seed, inv_r, m2_inv_r, iota in self.blocks:
-            g = f.eval_jet(seed)
+        mv_f, mv_iota_f = ws.mv[:, :, :self.w.size]
+        for block, p, inv_r, m2_inv_r, iota in self.blocks:
+            g = f.eval_jet(ws.seed._seed_at(p))
             mv = _minus_two_v_over_r_of(g, p, inv_r, iota)
             _put(mv_f, block, mv)
             _put(mv_iota_f, block, g.value * m2_inv_r - iota * mv)
             del g, mv       # freed before the next block's jet is made
-        return (_report(K, _flux(vals, K), _wsum(Quaternion(*mv_f), self.w)),
+        return (_report(K, _flux(vals, K), _wsum(mv_f, self.w)),
                 _report(K, _flux(self.iota_surface * vals, K),
-                        _wsum(Quaternion(*mv_iota_f), self.w)))
+                        _wsum(mv_iota_f, self.w)))
 
 
 @dataclass(frozen=True)
@@ -335,28 +361,31 @@ def _without_locals(exc: Exception) -> Exception:
 
 
 def _generalized_sweep(members, family, tol: float):
-    """Per member, its GeneralizedVerdict over family or the first runtime
-    error it raised; and the surface plus interior nodes of every
-    (member, sphere) pair evaluated.
+    """Per member, its GeneralizedVerdict over family (a non-empty
+    sequence of surfaces) or the first runtime error it raised; and the
+    surface plus interior nodes of every (member, sphere) pair evaluated.
 
     The family is visited one sphere at a time: what the members' reports
     share on a sphere is built once, every member still without an error
     is evaluated on it, and it is dropped before the next sphere's is
-    built.  A member that raised is skipped on later spheres."""
+    built.  A member that raised is skipped on later spheres.  One
+    _Workspace serves every (member, sphere) pair."""
     found = [[] for _ in members]   # per member: its report pairs, or error
     nodes = 0
+    workspace = _Workspace(family)
     for K in family:
         live = [i for i, out in enumerate(found) if isinstance(out, list)]
         if not live:
             break
         nodes += len(live) * (K.node_count + K.interior_count)
-        sphere = _SphereJets(K)
+        sphere = _SphereJets(K, workspace)
         for i in live:
             try:
                 found[i].append(sphere.reports(members[i]))
             except RUNTIME_ERRORS as exc:
                 found[i] = _without_locals(exc)
         del sphere      # else held while the next sphere's jets are built
+    del workspace       # else held by a kept error through this frame
     return [_verdict(out, tol) if isinstance(out, list) else out
             for out in found], nodes
 

@@ -9,9 +9,11 @@ derivatives through every operation: the coefficient at multi-index m is
 
 Coefficients may carry batch dimensions; every operation broadcasts over
 them, which is what makes whole sample sweeps and quadrature grids cheap.
-They are stored coefficient-major, as one C-contiguous array of shape
-(N, batch...), so each coefficient is a contiguous row over the batch and
-a product runs over long rows rather than short strided ones.  Batch axes
+They are stored coefficient-major, as one array of shape (N, batch...),
+so each coefficient is a contiguous row over the batch and a product runs
+over long rows rather than short strided ones.  The array is C-contiguous
+except in the views ``QJet._seed_at`` takes of a reused seed's leading
+columns, whose rows lie a full seed row apart.  Batch axes
 align from the right as in numpy: an operand of lower batch rank gains
 unit axes after axis 0.  ``RJet.c`` shows the same coefficients in the
 layout (batch..., N) as a view.
@@ -216,8 +218,9 @@ def _plan_product(plan, a, b):
 class RJet:
     """Real-valued truncated Taylor expansion.
 
-    The coefficients live in ``_cm``, shape (N, batch...), C-contiguous:
-    coefficient i of every batch element is the row ``_cm[i]``.  ``c`` is
+    The coefficients live in ``_cm``, shape (N, batch...), C-contiguous or
+    a reused seed's view with contiguous rows: coefficient i of every batch
+    element is the row ``_cm[i]``.  ``c`` is
     the (batch..., N) view of it, and the constructor takes that layout.
     ``_mark`` is the variable v of a jet made by ``seed`` (order >= 1),
     "constant" for one made by ``constant``, "zero" for the structural
@@ -277,10 +280,15 @@ class RJet:
         """Constant `value` carrying a unit first-order coefficient in its
         own variable, row 1 + var as first_partials reads it."""
         jet = cls.constant(value, order)
-        if order >= 1:
-            jet._cm[1 + var] = 1.0
-            jet._mark = var
-        return jet
+        return jet._seeded(var) if order >= 1 else jet
+
+    def _seeded(self, var: int) -> "RJet":
+        """This jet, of order >= 1 and zero but for its value row, made the
+        seed of x_var in place: the one place that writes a seed's unit row
+        1 + var and marks it var."""
+        self._cm[1 + var] = 1.0
+        self._mark = var
+        return self
 
     # -- ring operations --------------------------------------------------
 
@@ -508,6 +516,27 @@ class QJet(QuaternionAlgebra):
         """The identity function's jet: each component is its own variable."""
         return cls(*(RJet.seed(comp, var, order)
                      for var, comp in enumerate(q.components())))
+
+    @classmethod
+    def _seed_buffer(cls, order: int, size: int) -> "QJet":
+        """The Cartesian seed at order >= 1 over `size` points, its value
+        rows left for _seed_at: four views of one (4, N, size) array."""
+        cm = np.zeros((NVARS, _NCOEF[order], size))
+        return cls(*(RJet._wrap(order, cm[var])._seeded(var)
+                     for var in range(NVARS)))
+
+    def _seed_at(self, q: Quaternion) -> "QJet":
+        """This seed buffer as the Cartesian seed at the points q, a batch
+        of at most its size: q's components are written into the value
+        rows of its leading columns, and the jet is views of them with
+        this one's marks.  It is valid until the next _seed_at."""
+        cols = slice(0, np.size(q.t))
+        out = []
+        for comp, jet in zip(q.components(), self.components()):
+            cm = jet._cm[:, cols]
+            cm[0] = comp
+            out.append(RJet._wrap(jet.order, cm, jet._mark))
+        return QJet(*out)
 
     # -- algebra ---------------------------------------------------------
 

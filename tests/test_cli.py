@@ -392,12 +392,16 @@ class TestGeneralizedSweep:
     """The generalized suite visits its family one sphere at a time."""
 
     def test_shared_jets_built_once_per_sphere(self, monkeypatch):
-        # 3 members on 5 spheres: the interior seed jet is built once per
-        # sphere and block, 5 times at res 4 and 40 at res 16 (8 blocks
-        # each), not once per member too, and iota*f's integrand comes
-        # from f's jet by Lemma 1, so no jet of iota is built.
+        # 3 members on 5 spheres: seed_cartesian is never called.  Every
+        # seed that reaches eval_jet, one per (member, sphere, block), is a
+        # view of the seed buffer of the sweep's one workspace, sized to
+        # the longest block: 384 nodes at res 4 and 8,192 at res 16.  And
+        # iota*f's integrand comes from f's jet by Lemma 1, so no jet of
+        # iota is built.
         calls = {"seed": 0, "iota_jet": 0}
+        seeds, workspaces = [], []
         seed_cartesian, iota_of = QJet.seed_cartesian, integral.iota_of
+        eval_jet, workspace = QFunction.eval_jet, integral._Workspace
 
         def counted_seed(cls, p, order):
             calls["seed"] += 1
@@ -407,16 +411,34 @@ class TestGeneralizedSweep:
             calls["iota_jet"] += isinstance(p, QJet)
             return iota_of(p)
 
+        def recorded_eval_jet(f, g):
+            seeds.append(g)
+            return eval_jet(f, g)
+
+        class Recorded(workspace):
+            def __init__(self, family):
+                super().__init__(family)
+                workspaces.append(self)
+
         monkeypatch.setattr(QJet, "seed_cartesian",
                             classmethod(counted_seed))
         monkeypatch.setattr(integral, "iota_of", counted_iota)
+        monkeypatch.setattr(QFunction, "eval_jet", recorded_eval_jet)
+        monkeypatch.setattr(integral, "_Workspace", Recorded)
         members = [from_string(s) for s in ("power:2", "power:3", "conj")]
-        for res, seeds in ((4, 5), (16, 40)):
-            calls.update(seed=0)
+        for res, blocks, longest in ((4, 1, 384), (16, 8, 8192)):
+            seeds.clear()
+            workspaces.clear()
             rows, work = _RUNNERS["generalized"](
                 SuiteConfig(resolution=res), members)
             assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
-            assert calls == {"seed": seeds, "iota_jet": 0}
+            assert calls == {"seed": 0, "iota_jet": 0}
+            (ws,) = workspaces
+            buf = ws.seed.t._cm.base
+            assert buf.shape == (4, 5, longest)
+            assert len(seeds) == 3 * 5 * blocks
+            assert all(np.shares_memory(c._cm, buf)
+                       for g in seeds for c in g.components())
             family = integral.standard_family(res)
             assert work == {"nodes": 3 * sum(K.node_count + K.interior_count
                                              for K in family)}
@@ -490,7 +512,8 @@ class TestGeneralizedSweep:
         assert "raise_on_jets" in "".join(traceback.format_tb(
             exc.__traceback__))
         for frame, _ in traceback.walk_tb(exc.__traceback__):
-            assert not any(isinstance(v, (QJet, integral._SphereJets))
+            assert not any(isinstance(v, (QJet, integral._SphereJets,
+                                          integral._Workspace))
                            for v in frame.f_locals.values()), frame
         # Alone, that member stops the sweep after the first sphere.
         builds = []
