@@ -451,6 +451,15 @@ def _members_for(suite: str, cfg: SuiteConfig):
 
 # -- report assembly -------------------------------------------------------
 
+def _sized_by(suite: str, cfg: SuiteConfig) -> str:
+    """The config entry that sizes suite's arrays, as key=value."""
+    if suite not in ("integral", "generalized"):
+        return f"samples={cfg.samples}"
+    if cfg.surfaces:
+        return "surfaces=" + ";".join(cfg.surfaces)
+    return f"resolution={cfg.resolution}"
+
+
 def run_suite(cfg: SuiteConfig):
     """Execute every configured suite; return (report text, exit code)."""
     cfg.validate()
@@ -463,6 +472,12 @@ def run_suite(cfg: SuiteConfig):
             found, work = _RUNNERS[suite](cfg, members)
         except EmptyDomain as exc:
             raise ConfigError(f"{suite}: {exc}") from None
+        except MemoryError as exc:
+            # numpy refuses an array larger than memory at once, so no
+            # fixed ceiling on samples or resolution is needed.
+            detail = f" ({exc})" if str(exc) else ""
+            raise ConfigError(f"{suite}: {_sized_by(suite, cfg)} needs "
+                              f"more memory than there is{detail}") from None
         rows.extend(found)
         timing.append(f"# timing: suite={suite} wall_s="
                       f"{time.perf_counter() - start:.3f} "

@@ -37,6 +37,12 @@ The generalized sweep makes one _Workspace for its whole family: the
 joined integrands and one block's seed jet, filled in place for every
 (member, sphere) pair, so a sphere holds only its nodes, weights, 1/r,
 -2/r and iota, and memory is not handed back and faulted in again.
+
+The integrands and the surface fluxes are assembled in place, by the
+operations of the Quaternion formulas in their order (_integrands, and the
+in-place form of the one Hamilton walk, quaternion._hamilton), so a block
+makes no Quaternion temporaries and every float keeps its bits.
+theorem2_report seeds all the blocks of a sphere on one seed buffer.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .errors import (RUNTIME_ERRORS, BadParams, TouchesRealAxis,
                      residual_status)
 from .jets import QJet
 from .operators import fueter_of_jet
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _hamilton
 
 
 class Hypersurface:
@@ -159,6 +165,10 @@ def _blocks(n: int) -> list:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
+def _longest_block(n: int) -> int:
+    return max(b.stop - b.start for b in _blocks(n))
+
+
 def _put(out, block, q: Quaternion):
     """Write q's components into the columns block of out, shape (4, n);
     a 0-d or structural-zero component fills its block."""
@@ -179,14 +189,18 @@ def _wsum(vals, w) -> Quaternion:
     return Quaternion(*(float(s) for s in vals.sum(axis=1)))
 
 
-def _flux(vals: Quaternion, K: Hypersurface) -> Quaternion:
-    """int_K n(p) f(p) dS from the values of f at K's surface nodes."""
-    return _wsum(K.normals * vals, K.weights)
+def _flux(vals: Quaternion, K: Hypersurface, out, scratch) -> Quaternion:
+    """int_K n(p) f(p) dS from the values of f at K's surface nodes: n f
+    is written into out, a (4, nodes) array, with scratch one row of
+    nodes, and summed there."""
+    _hamilton(K.normals.components(), vals.components(), out, scratch)
+    return _wsum(out, K.weights)
 
 
 def surface_integral_left(f, K: Hypersurface) -> Quaternion:
     """int_K n(p) f(p) dS with n(p) multiplying from the left."""
-    return _flux(f.eval_point(K.points), K)
+    buf = np.empty((5, K.node_count))
+    return _flux(f.eval_point(K.points), K, buf[:4], buf[4])
 
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
@@ -222,13 +236,50 @@ def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     return lhs, rhs, rep.residual, rep.scale
 
 
-def _minus_two_v_over_r_of(g: QJet, pts: Quaternion, inv_r,
-                           iota: Quaternion) -> Quaternion:
-    """-2v/r at pts from g, an order-1 Cartesian jet of f there, with
-    inv_r = 1/r and iota = iota_of(pts) at the same points."""
+def _integrands(mv, g: QJet, pts: Quaternion, inv_r, iota: Quaternion,
+                work, row, m2_inv_r=None) -> None:
+    """Write -2v/r at pts into the four rows mv from g, an order-1
+    Cartesian jet of f there, with inv_r = 1/r and iota = iota_of(pts);
+    the four rows work and the row row are overwritten.  Given m2_inv_r =
+    -2/r, work ends as iota*f's integrand -2u/r = -2f/r - iota (-2v/r)
+    (Lemma 1).  The operations and their order are those of
+
+        dr = (dx * pts.x + dy * pts.y + dz * pts.z) * inv_r
+        mv = D_l f - (dt + iota * dr)
+        work = f * m2_inv_r - iota * mv
+
+    on the Quaternions (dt, dx, dy, dz) = g.first_partials(), so every
+    float keeps their bits."""
     dt, dx, dy, dz = g.first_partials()
-    dr = (dx * pts.x + dy * pts.y + dz * pts.z) * inv_r
-    return fueter_of_jet(g) - (dt + iota * dr)
+    for acc, a, b, c in zip(work, dx.components(), dy.components(),
+                            dz.components()):
+        np.multiply(a, pts.x, out=acc)
+        np.add(acc, np.multiply(b, pts.y, out=row), out=acc)
+        np.add(acc, np.multiply(c, pts.z, out=row), out=acc)
+        np.multiply(acc, inv_r, out=acc)
+    _hamilton(iota.components(), work, mv, row)          # iota * dr
+    for acc, a in zip(mv, dt.components()):
+        np.add(a, acc, out=acc)
+    fueter_of_jet(g, out=work)
+    for acc, a in zip(mv, work):
+        np.subtract(a, acc, out=acc)
+    if m2_inv_r is None:
+        return
+    _hamilton(iota.components(), mv, work, row)          # iota * mv
+    for acc, a in zip(work, g.value.components()):
+        np.subtract(np.multiply(a, m2_inv_r, out=row), acc, out=acc)
+
+
+def _integrand_at(f, seed: QJet, pts: Quaternion) -> Quaternion:
+    """-2v/r of f at pts from f's jet on seed, the Cartesian seed at pts.
+    Its components are four rows of one array made after the jet, which
+    also holds _integrands' scratch."""
+    g = f.eval_jet(seed)
+    buf = np.empty((9,) + np.broadcast(*pts.components()).shape)
+    rows = [buf[i, ...] for i in range(9)]
+    _integrands(rows[:4], g, pts, 1.0 / pts.imag_norm(), iota_of(pts),
+                rows[4:8], rows[8])
+    return Quaternion(*rows[:4])
 
 
 def minus_two_v_over_r(f):
@@ -237,11 +288,7 @@ def minus_two_v_over_r(f):
     Uses -2v/r = D_l f - (df/dt + iota df/dr), valid at every off-axis
     point, with df/dr the radial directional derivative.
     """
-    def integrand(pts: Quaternion) -> Quaternion:
-        g = f.eval_jet(QJet.seed_cartesian(pts, 1))
-        return _minus_two_v_over_r_of(g, pts, 1.0 / pts.imag_norm(),
-                                      iota_of(pts))
-    return integrand
+    return lambda pts: _integrand_at(f, QJet.seed_cartesian(pts, 1), pts)
 
 
 @dataclass(frozen=True)
@@ -268,29 +315,39 @@ def _report(K: Hypersurface, lhs: Quaternion,
 
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
-    return _report(K, surface_integral_left(f, K),
-                   volume_integral(minus_two_v_over_r(f), K))
+    """The Integral Theorem's two sides for f on K.  The interior
+    integrand is minus_two_v_over_r(f) on one seed buffer for all of K's
+    blocks."""
+    seed = QJet._seed_buffer(1, _longest_block(K.interior_count))
+    return _report(K, surface_integral_left(f, K), volume_integral(
+        lambda pts: _integrand_at(f, seed._seed_at(pts), pts), K))
 
 
 class _Workspace:
     """The arrays a generalized sweep over family fills in place for every
     (member, sphere) pair, made once: the joined interior integrands of f
-    and of iota*f, sized to the family's largest interior, and the order-1
+    and of iota*f, sized to the family's largest interior; the order-1
     Cartesian seed jet of its longest block, whose rows below the value are
-    written here and only its value rows per (member, block)."""
+    written here and only its value rows per (member, block); and a
+    scratch row as long as that block, which made per block would slow
+    the integrands by about a sixth.  The integrands are assembled in
+    these arrays, and before them the surface products, which take less
+    room than a sphere's interior (at least 3 shells of its surface)."""
 
     def __init__(self, family):
         counts = [K.interior_count for K in family]
         self.mv = np.empty((2, 4, max(counts)))
-        self.seed = QJet._seed_buffer(1, max(
-            b.stop - b.start for n in counts for b in _blocks(n)))
+        size = max(_longest_block(n) for n in counts)
+        self.seed = QJet._seed_buffer(1, size)
+        self.row = np.empty(size)
 
 
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
     share, built once: the interior weights and, per block of _blocks, the
     interior nodes, 1/r, -2/r and iota (the one iota_of); and iota at the
-    surface nodes.  The seed jet and the integrands are the workspace's."""
+    surface nodes.  The seed jet and the arrays the fluxes and integrands
+    are assembled in are the workspace's."""
 
     def __init__(self, K: Hypersurface, workspace: _Workspace):
         self.K, self.workspace = K, workspace
@@ -309,19 +366,27 @@ class _SphereJets:
         block's nodes and dropped before the next block's is made.
         iota*f's surface values are iota times f's, as in iota_times(f);
         its integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with
-        no jet of iota*f."""
+        no jet of iota*f.  The surface products n f, iota f and n (iota f)
+        are formed first, in the workspace's integrand memory, so that f's
+        values are dropped before any jet is made; then the interior
+        integrands are assembled there block by block (_integrands)."""
         K, ws = self.K, self.workspace
         vals = f.eval_point(K.points)
+        surface = ws.mv.reshape(-1)[:9 * K.node_count].reshape(9, -1)
+        nf, iota_f, row = surface[:4], surface[4:8], surface[8]
+        lhs_f = _flux(vals, K, nf, row)
+        iota_vals = _hamilton(self.iota_surface.components(),
+                              vals.components(), iota_f, row)
+        lhs_iota_f = _flux(Quaternion(*iota_vals), K, nf, row)
+        del vals, iota_vals
         mv_f, mv_iota_f = ws.mv[:, :, :self.w.size]
         for block, p, inv_r, m2_inv_r, iota in self.blocks:
             g = f.eval_jet(ws.seed._seed_at(p))
-            mv = _minus_two_v_over_r_of(g, p, inv_r, iota)
-            _put(mv_f, block, mv)
-            _put(mv_iota_f, block, g.value * m2_inv_r - iota * mv)
-            del g, mv       # freed before the next block's jet is made
-        return (_report(K, _flux(vals, K), _wsum(mv_f, self.w)),
-                _report(K, _flux(self.iota_surface * vals, K),
-                        _wsum(mv_iota_f, self.w)))
+            _integrands(mv_f[:, block], g, p, inv_r, iota,
+                        mv_iota_f[:, block], ws.row[:p.t.size], m2_inv_r)
+            del g           # freed before the next block's jet is made
+        return (_report(K, lhs_f, _wsum(mv_f, self.w)),
+                _report(K, lhs_iota_f, _wsum(mv_iota_f, self.w)))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import BadParams, DegenerateChart, OnRealAxis
 from .jets import QJet, RJet
 from .catalog import iota_of
-from .quaternion import (Quaternion, SphericalPoint, from_spherical,
-                         to_spherical)
+from .quaternion import (_HAMILTON, Quaternion, SphericalPoint,
+                         from_spherical, to_spherical)
 
 #: Fixed guards: the spherical chart is refused at r <= R_MIN and at
 #: sin(beta) <= S_MIN.
@@ -103,17 +103,30 @@ def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:
             + frame.iota_beta_inv * g.derivative(3))
 
 
-def _fueter_sum(dt, dx, dy, dz) -> Quaternion:
-    """dt + i dx + j dy + k dz, the unit products as signed components."""
-    return Quaternion(dt.t - dx.x - dy.y - dz.z,
-                      dt.x + dx.t + dy.z - dz.y,
-                      dt.y - dx.z + dy.t + dz.x,
-                      dt.z + dx.y - dy.x + dz.t)
+def _fueter_sum(dt, dx, dy, dz, out=None) -> Quaternion:
+    """dt + i dx + j dy + k dz as signed components: with d_0..d_3 =
+    dt..dz, component i of e_k d_k is sign * d_k[q] for the term (k, q,
+    sign) of _HAMILTON[i], and component i sums those terms left to right,
+    with no term skipped.  With out, a (4, n) array, component i is written
+    into out[i] and is that row."""
+    d = [p.components() for p in (dt, dx, dy, dz)]
+    comps = []
+    for i, ((k, q, _), *rest) in enumerate(_HAMILTON):
+        acc = d[k][q]
+        for k, q, sign in rest:
+            if out is not None:
+                acc = (np.add if sign > 0 else np.subtract)(
+                    acc, d[k][q], out=out[i])
+            else:
+                acc = acc + d[k][q] if sign > 0 else acc - d[k][q]
+        comps.append(acc)
+    return Quaternion(*comps)
 
 
-def fueter_of_jet(g: QJet) -> Quaternion:
-    """D_l from the first-order coefficients of a Cartesian-seeded jet."""
-    return _fueter_sum(*g.first_partials())
+def fueter_of_jet(g: QJet, out=None) -> Quaternion:
+    """D_l from the first-order coefficients of a Cartesian-seeded jet,
+    written into the rows of out, a (4, n) array, when given."""
+    return _fueter_sum(*g.first_partials(), out=out)
 
 
 def cullen_of_jet(g: QJet, iota0: Quaternion) -> Quaternion:

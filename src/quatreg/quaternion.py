@@ -24,7 +24,9 @@ sign, and 0 * inf is never formed.  An output with no term left is 0.0.
 Quaternion and jets.QJet share one QuaternionAlgebra, the operations that
 do not depend on how a component is represented, and one ``_HAMILTON``
 table, which their products walk under the same skipping rule.  In a jet a
-structural zero is ``jets.RJet.zero``.
+structural zero is ``jets.RJet.zero``.  A Quaternion product is the walk of
+``_hamilton``, which can also write the product into given rows in place,
+term for term as it forms new values.
 """
 
 from __future__ import annotations
@@ -56,6 +58,46 @@ _HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
 def is_structural_zero(c) -> bool:
     """True for the Python float 0.0 of either sign, not for numpy zeros."""
     return type(c) is float and c == 0.0
+
+
+def _hamilton(a, b, out=None, scratch=None) -> list:
+    """The components of the Hamilton product of the components a and b.
+    Output i sums the terms sign * a_k * b_q of ``_HAMILTON[i]`` left to
+    right and skips each term with a structural-zero factor; an output
+    with no term left is 0.0.
+
+    Without out every output is a new value.  With out, four rows such as
+    a (4, n) array, output i is written into out[i] and is that row, and
+    scratch, one row, holds each later term's product.  An output with no
+    term fills its row with zeros and is still returned as 0.0, so a
+    product by it skips its terms too."""
+    za = [is_structural_zero(c) for c in a]
+    zb = [is_structural_zero(c) for c in b]
+    comps = []
+    for i, terms in enumerate(_HAMILTON):
+        acc = None
+        for k, q, sign in terms:
+            if za[k] or zb[q]:
+                continue
+            if out is None:
+                p = a[k] * b[q]
+                if acc is None:
+                    acc = p if sign > 0 else -p
+                else:
+                    acc = acc + p if sign > 0 else acc - p
+            elif acc is None:
+                acc = np.multiply(a[k], b[q], out=out[i])
+                if sign < 0:
+                    np.negative(acc, out=acc)
+            else:
+                p = np.multiply(a[k], b[q], out=scratch)
+                (np.add if sign > 0 else np.subtract)(acc, p, out=acc)
+        if acc is None:
+            acc = 0.0
+            if out is not None:
+                out[i] = 0.0
+        comps.append(acc)
+    return comps
 
 
 class QuaternionAlgebra:
@@ -140,22 +182,8 @@ class Quaternion(QuaternionAlgebra):
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             # Hamilton product; i*j = k, j*k = i, k*i = j, i*i = -1.
-            a, b = self.components(), other.components()
-            za = [is_structural_zero(c) for c in a]
-            zb = [is_structural_zero(c) for c in b]
-            out = []
-            for terms in _HAMILTON:
-                acc = None
-                for k, q, sign in terms:
-                    if za[k] or zb[q]:
-                        continue
-                    p = a[k] * b[q]
-                    if acc is None:
-                        acc = p if sign > 0 else -p
-                    else:
-                        acc = acc + p if sign > 0 else acc - p
-                out.append(0.0 if acc is None else acc)
-            return Quaternion(*out)
+            return Quaternion(*_hamilton(self.components(),
+                                         other.components()))
         if isinstance(other, SCALARS):
             return self._scale(other)
         return NotImplemented

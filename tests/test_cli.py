@@ -297,6 +297,41 @@ class TestMain:
         with pytest.raises(EmptyDomain):
             SampleDomain(t_range=(-math.inf, 0.0)).sample(3)
 
+    def test_sizes_beyond_memory_exit_two(self, tmp_path, monkeypatch,
+                                          capsys):
+        # 10**15 samples ask numpy for 14.2 PiB, which it refuses at
+        # once: a configuration error that names the value, no traceback.
+        assert main(["check", "theorem1", "power:2",
+                     "--samples", str(10 ** 15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: theorem1: samples="
+                              "1000000000000000 needs more memory than "
+                              "there is (")
+        assert err.count("\n") == 1
+        # leggauss at resolution 10**8 builds a 0.8 GB list before it asks
+        # for its 71.1 PiB companion matrix; here it refuses at once.
+        leggauss = np.polynomial.legendre.leggauss
+
+        def refused(n):
+            if n > 10 ** 6:
+                raise MemoryError("Unable to allocate 71.1 PiB")
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+        for suite in ("integral", "generalized"):
+            assert main(["check", suite, "power:2",
+                         "--res", "100000000"]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {suite}: resolution=100000000 needs more "
+                "memory than there is (Unable to allocate 71.1 PiB)\n")
+        cfg_path = tmp_path / "fine.txt"
+        surface = "sphere:center=0+2i,r=1,res=100000000"
+        cfg_path.write_text(f"suites=integral\nfunctions=power:2\n"
+                            f"surfaces={surface}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"integral: surfaces={surface} needs more memory" in \
+            capsys.readouterr().err
+
     def test_exit_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_cfg(tol_theorem1=1e-30,

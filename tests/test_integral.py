@@ -319,13 +319,26 @@ class TestGeneralized:
 
 def _whole_sphere_rhs(f, K):
     """The interior sides of f and of iota*f on K as one evaluation over
-    all interior nodes at once, as _SphereJets.reports forms them."""
+    all interior nodes at once, by the Quaternion formulas the in-place
+    integrands of _SphereJets.reports and theorem2_report must match."""
     pts, w = K.volume_nodes()
     g = f.eval_jet(QJet.seed_cartesian(pts, 1))
-    mv_f = minus_two_v_over_r(f)(pts)
-    mv_iota_f = g.value * (-2.0 / pts.imag_norm()) - iota_of(pts) * mv_f
+    inv_r, iota = 1.0 / pts.imag_norm(), iota_of(pts)
+    dt, dx, dy, dz = g.first_partials()
+    dr = (dx * pts.x + dy * pts.y + dz * pts.z) * inv_r
+    d_l = Quaternion(dt.t - dx.x - dy.y - dz.z, dt.x + dx.t + dy.z - dz.y,
+                     dt.y - dx.z + dy.t + dz.x, dt.z + dx.y - dy.x + dz.t)
+    mv_f = d_l - (dt + iota * dr)
+    mv_iota_f = g.value * (-2.0 * inv_r) - iota * mv_f
     return [Quaternion(*(float(np.sum(c * w)) for c in mv.components()))
             for mv in (mv_f, mv_iota_f)]
+
+
+def _whole_sphere_lhs(f, K):
+    """The surface sides of f and of iota*f on K by Quaternion products."""
+    vals = f.eval_point(K.points)
+    return [_wsum(K.normals * v, K.weights)
+            for v in (vals, iota_of(K.points) * vals)]
 
 
 def _bits(q):
@@ -354,21 +367,50 @@ class TestBlocks:
         assert len(_blocks(standard_family(8)[0].interior_count)) == 1
 
     def test_reports_equal_the_whole_sphere_in_every_float(self):
+        # series:1,1i,0.5j has constants with structural zeros, and
+        # coord:x a jet and values with three of them.
         K = standard_family(16)[1]
         assert len(_blocks(K.interior_count)) == 8
         sphere = _SphereJets(K, _Workspace([K]))
-        for fid in ("power:-3", "laurent:-2=1k", "iota", "conj", "coord:x"):
+        for fid in ("power:-3", "laurent:-2=1k", "iota", "conj", "coord:x",
+                    "series:1,1i,0.5j"):
             f = from_string(fid)
             rhs_f, rhs_iota_f = _whole_sphere_rhs(f, K)
+            lhs_f, lhs_iota_f = _whole_sphere_lhs(f, K)
             rep = theorem2_report(f, K)
             got_f, got_iota_f = sphere.reports(f)
-            for got, want in ((rep, rhs_f), (got_f, rhs_f),
-                              (got_iota_f, rhs_iota_f)):
-                assert _bits(got.rhs) == _bits(want), fid
-                lhs = got.lhs
-                assert got.residual == float((lhs - want).norm()), fid
-                assert got.scale == float(lhs.norm() + want.norm() + 1.0)
-            assert _bits(got_f.lhs) == _bits(rep.lhs), fid
+            for got, lhs, rhs in ((rep, lhs_f, rhs_f),
+                                  (got_f, lhs_f, rhs_f),
+                                  (got_iota_f, lhs_iota_f, rhs_iota_f)):
+                assert _bits(got.lhs) == _bits(lhs), fid
+                assert _bits(got.rhs) == _bits(rhs), fid
+                assert got.residual == float((lhs - rhs).norm()), fid
+                assert got.scale == float(lhs.norm() + rhs.norm() + 1.0)
+
+    def test_theorem2_report_seeds_one_buffer(self, monkeypatch):
+        # Over the 8 blocks of a res-16 sphere theorem2_report calls
+        # seed_cartesian 0 times: every seed that reaches eval_jet is a
+        # view of one seed buffer, sized to the longest block.
+        calls, seeds = [], []
+        seed_cartesian, eval_jet = QJet.seed_cartesian, QFunction.eval_jet
+
+        def counted_seed(cls, p, order):
+            calls.append(order)
+            return seed_cartesian(p, order)
+
+        def recorded_eval_jet(f, g):
+            seeds.append(g)
+            return eval_jet(f, g)
+
+        monkeypatch.setattr(QJet, "seed_cartesian",
+                            classmethod(counted_seed))
+        monkeypatch.setattr(QFunction, "eval_jet", recorded_eval_jet)
+        theorem2_report(from_string("power:-3"), standard_family(16)[1])
+        assert calls == [] and len(seeds) == 8
+        buf = seeds[0].t._cm.base
+        assert buf.shape == (4, 5, 8192)
+        assert all(np.shares_memory(c._cm, buf)
+                   for g in seeds for c in g.components())
 
     def test_unequal_blocks_and_mixed_resolutions_in_every_float(self):
         # res 17 has 78,608 interior nodes in 10 blocks of 7,860 or 7,861,

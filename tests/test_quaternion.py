@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from quatreg import (BasisMismatch, DegenerateChart, OnRealAxis, QJet,
                      Quaternion, SampleDomain, ZeroDivisor, from_spherical,
                      iota_of, to_spherical)
+from quatreg.quaternion import _hamilton, is_structural_zero
 from conftest import assert_close, q
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -157,6 +158,47 @@ class TestStructuralZeros:
                             np.asarray(want, dtype=float))
                         same = got.view(np.int64) == want.view(np.int64)
                         assert np.all(same | ((got == 0.0) & (want == 0.0)))
+
+    def test_in_place_walk_writes_the_product_bytes(self):
+        # The walk's in-place form writes into given rows the bytes that
+        # Quaternion.__mul__ forms, and an output with no term is 0.0
+        # over a row of zeros.
+        rng = np.random.default_rng(31)
+        for za in self.PATTERNS:
+            for zb in self.PATTERNS:
+                a = self._with_zeros(rng, (9,), za)
+                b = self._with_zeros(rng, (9,), zb)
+                out, scratch = np.full((4, 9), np.nan), np.full(9, np.nan)
+                got = _hamilton(a.components(), b.components(), out, scratch)
+                for row, part, want in zip(out, got, (a * b).components()):
+                    if is_structural_zero(want):
+                        assert type(part) is float and part == 0.0
+                        assert row.tobytes() == np.zeros(9).tobytes()
+                    else:
+                        assert part is not None and part.base is out
+                        assert row.tobytes() == want.tobytes()
+
+    def test_chained_in_place_products_skip_no_term_outputs(self):
+        # n (iota v) as the surface fluxes form it: where v's zeros leave
+        # iota v with no term, n's product skips that output as the
+        # Quaternion chain does.  An inf in n would make a NaN of a row of
+        # data zeros, which errstate turns into an error.
+        rng = np.random.default_rng(32)
+        n = self._with_zeros(rng, (9,), ())
+        n.x[4] = np.inf
+        iota = self._with_zeros(rng, (9,), (0,))
+        for zv in self.PATTERNS:
+            v = self._with_zeros(rng, (9,), zv)
+            buf = np.full((9, 9), np.nan)
+            with np.errstate(invalid="raise"):
+                iota_v = _hamilton(iota.components(), v.components(),
+                                   buf[:4], buf[8])
+                got = _hamilton(n.components(), iota_v, buf[4:8], buf[8])
+                want = (n * (iota * v)).components()
+            for part, want_part in zip(got, want):
+                assert type(part) is type(want_part)
+                assert np.asarray(part).tobytes() == \
+                    np.asarray(want_part).tobytes()
 
     def test_only_python_zeros_are_structural(self):
         # A numpy zero, 0-d or not, is data and keeps every term: 0 * inf
