@@ -126,14 +126,21 @@ def _coord_body(which: str):
 
 @dataclass(frozen=True)
 class QFunction:
-    """A catalog member: id, generic evaluator, domain, expectation flags."""
+    """A catalog member: id, generic evaluator, domain and one claim,
+    expected_regular; the other expectations follow from it."""
 
     fid: str
     body: object
     domain: SampleDomain = field(default_factory=lambda: UNRESTRICTED)
     expected_regular: bool = True
-    expected_hyperholomorphic: bool = False
-    control: bool = False
+
+    @property
+    def expected_hyperholomorphic(self) -> bool:
+        return self.expected_regular
+
+    @property
+    def control(self) -> bool:
+        return not self.expected_regular
 
     def eval_point(self, p: Quaternion) -> Quaternion:
         return self.body(p)
@@ -154,10 +161,7 @@ def iota_times(f: QFunction) -> QFunction:
     """iota*f; Cullen-regular exactly when f is, off the real axis."""
     return QFunction(fid=f"iota*({f.fid})",
                      body=lambda p: iota_of(p) * f.body(p),
-                     domain=f.domain,
-                     expected_regular=f.expected_regular,
-                     expected_hyperholomorphic=False,
-                     control=f.control)
+                     domain=f.domain, expected_regular=f.expected_regular)
 
 
 def inv_r2(p):
@@ -169,8 +173,7 @@ def over_r2(f: QFunction) -> QFunction:
     """f divided by the squared imaginary radius (for item-4 checks)."""
     return QFunction(fid=f"({f.fid})/r^2",
                      body=lambda p: f.body(p) * inv_r2(p), domain=f.domain,
-                     expected_regular=False,
-                     expected_hyperholomorphic=False, control=f.control)
+                     expected_regular=False)
 
 
 # -- quaternion literals ---------------------------------------------------
@@ -275,24 +278,20 @@ def catalog_get(name: str, params: str | None = None) -> QFunction:
     if name == "power":
         n = _parse_int(params, "power exponent")
         dom = UNRESTRICTED if n >= 0 else _SHELL
-        return QFunction(f"power:{n}", _power_body(n), dom,
-                         expected_regular=True, expected_hyperholomorphic=True)
+        return QFunction(f"power:{n}", _power_body(n), dom)
     if name == "series":
         coeffs = _coerce_coeffs(params)
         fid = "series:" + ",".join(_format_const(a) for a in coeffs)
-        return QFunction(fid, _series_body(coeffs), UNRESTRICTED,
-                         expected_regular=True, expected_hyperholomorphic=True)
+        return QFunction(fid, _series_body(coeffs), UNRESTRICTED)
     if name == "laurent":
         terms = _coerce_laurent(params)
         fid = "laurent:" + ",".join(f"{d}={_format_const(c)}"
                                     for d, c in terms)
-        return QFunction(fid, _laurent_body(terms), _SHELL,
-                         expected_regular=True, expected_hyperholomorphic=True)
+        return QFunction(fid, _laurent_body(terms), _SHELL)
     if name == "iota":
         if params is not None:
             raise BadParams("iota takes no parameters")
-        return QFunction("iota", iota_of, UNRESTRICTED,
-                         expected_regular=True, expected_hyperholomorphic=True)
+        return QFunction("iota", iota_of, UNRESTRICTED)
     if name == "arctan_ex":
         k = _parse_int(params, "arctan_ex index")
         if k not in (1, 2, 3):
@@ -303,21 +302,18 @@ def catalog_get(name: str, params: str | None = None) -> QFunction:
             s_min=1e-300,
             exclusions=((f"{den}-cut/{axial}-margin",
                          _cut_exclusion(den, axial)),))
-        return QFunction(f"arctan_ex:{k}", _arctan_body(k), dom,
-                         expected_regular=True, expected_hyperholomorphic=True)
+        return QFunction(f"arctan_ex:{k}", _arctan_body(k), dom)
     if name == "conj":
         if params is not None:
             raise BadParams("conj takes no parameters")
         return QFunction("conj", _conj_body, UNRESTRICTED,
-                         expected_regular=False,
-                         expected_hyperholomorphic=False, control=True)
+                         expected_regular=False)
     if name == "coord":
         which = (params or "").strip()
         if which not in ("t", "x", "y", "z"):
             raise BadParams("coord needs one of t, x, y, z")
         return QFunction(f"coord:{which}", _coord_body(which), UNRESTRICTED,
-                         expected_regular=False,
-                         expected_hyperholomorphic=False, control=True)
+                         expected_regular=False)
     raise UnknownFunction(f"no catalog member named {name!r}")
 
 

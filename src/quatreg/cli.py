@@ -12,11 +12,11 @@ metadata (timestamps, wall times) and every other line is one record
     suite|backend|function|anchor|stats|status|expected|outcome
 
 where stats is a semicolon-joined key=value list, status is pass/fail/
-error from the measured residuals, expected encodes the member's flags
-(controls are expected to fail), and outcome is ok unless status and
-expectation disagree; an info row is ok unless its status is error.  Two
-runs with one config and seed produce byte-identical record lines; only
-'#' lines differ.
+error from the measured residuals, expected follows from the member's one
+claim, expected_regular (controls are expected to fail), and outcome is
+ok unless status and expectation disagree; an info row is ok unless its
+status is error.  Two runs with one config and seed produce
+byte-identical record lines; only '#' lines differ.
 
 The four pointwise suites share one runner, _run_pointwise, driven by the
 _POINTWISE table: per suite, its tolerance keys, the expected status of a
@@ -113,6 +113,8 @@ class SuiteConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in vals:
+                raise ConfigError(f"line {lineno}: key {key!r} given twice")
             try:
                 vals[key] = convert.get(key, float)(val)
             except ValueError as exc:
@@ -311,13 +313,13 @@ _POINTWISE = {
             regularity.lemma1_residual(f, p, backend=backend))}),
     "hyperholomorphy": _Pointwise(
         ("tol_hyperholo",), _HYPERHOLO_ANCHOR,
-        lambda f: "pass" if f.expected_hyperholomorphic else "fail",
+        lambda f: "pass" if f.expected_regular else "fail",
         _hyperholo_batch, _hyperholo_records),
-    # For linear controls D_l Delta f vanishes trivially, so they prove
-    # nothing either way; report them as informational.
+    # Fueter's theorem claims nothing for a member that is not regular
+    # (for linear controls D_l Delta f vanishes trivially): an info row.
     "fueter_theorem": _Pointwise(
         ("tol_fueter",), _FUETER_ANCHOR,
-        lambda f: "info" if f.control else "pass",
+        lambda f: "pass" if f.expected_regular else "info",
         lambda f, p, backend: {
             _FUETER_ANCHOR: np.asarray(fueter_laplacian(f, p).norm())}),
 }
@@ -384,7 +386,7 @@ def _run_integral(cfg: SuiteConfig, members):
     nodes = len(members) * sum(K.node_count + K.interior_count
                                for K in surfaces)
     for f in members:
-        expected = "fail" if f.control else "pass"
+        expected = "pass" if f.expected_regular else "fail"
         for K in surfaces:
             try:
                 rep = integral.theorem2_report(f, K)
@@ -439,9 +441,6 @@ def _members_for(suite: str, cfg: SuiteConfig):
         except (UnknownFunction, BadParams) as exc:
             raise ConfigError(str(exc)) from None
     inventory = catalog.default_inventory()
-    if suite == "hyperholomorphy":
-        return [f for f in inventory
-                if f.expected_hyperholomorphic or f.control]
     if suite == "fueter_theorem":
         return [f for f in inventory if f.expected_regular]
     if suite == "integral":
@@ -475,7 +474,8 @@ def run_suite(cfg: SuiteConfig):
         except MemoryError as exc:
             # numpy refuses an array larger than memory at once, so no
             # fixed ceiling on samples or resolution is needed.
-            detail = f" ({exc})" if str(exc) else ""
+            size = str(exc).split(" for an array")[0]   # not an inner shape
+            detail = f" ({size})" if size else ""
             raise ConfigError(f"{suite}: {_sized_by(suite, cfg)} needs "
                               f"more memory than there is{detail}") from None
         rows.extend(found)
@@ -506,14 +506,9 @@ def run_suite(cfg: SuiteConfig):
 def list_catalog() -> str:
     lines = []
     for f in catalog.default_inventory():
-        flags = []
-        if f.control:
-            flags.append("control")
-        if f.expected_regular:
-            flags.append("expected-regular")
-        if f.expected_hyperholomorphic:
-            flags.append("expected-hyperholomorphic")
-        lines.append(f"{f.fid} {' '.join(flags)} | {f.domain.describe()}")
+        claim = ("expected-regular expected-hyperholomorphic"
+                 if f.expected_regular else "control")
+        lines.append(f"{f.fid} {claim} | {f.domain.describe()}")
     return "\n".join(lines) + "\n"
 
 

@@ -141,7 +141,9 @@ class Hypersurface:
 
 
 def _gl_nodes(n, lo, hi):
-    xs, ws = np.polynomial.legendre.leggauss(int(n))
+    n = int(n)
+    np.empty((n, n))    # leggauss's n x n matrix, before its n + 1 lists
+    xs, ws = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + (xs + 1.0) * half, ws * half
 
@@ -483,8 +485,10 @@ def parse_surface(text: str) -> Hypersurface:
             continue
         if "=" not in tok:
             raise BadParams(f"surface parameter {tok!r} is not key=value")
-        key, val = tok.split("=", 1)
-        fields[key.strip()] = val.strip()
+        key, val = (part.strip() for part in tok.split("=", 1))
+        if key in fields:
+            raise BadParams(f"surface parameter {key!r} given twice")
+        fields[key] = val
     try:
         center = parse_quaternion_literal(fields.pop("center"))
         radius = float(fields.pop("r"))

@@ -4,14 +4,15 @@ Point values are pinned against hand evaluation, jets are checked for
 agreement with point evaluation, and the id grammar is round-tripped.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (BadParams, DomainError, QJet, Quaternion, SampleDomain,
-                     UnknownFunction, catalog_get, cullen_left,
+from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
+                     SampleDomain, UnknownFunction, catalog_get, cullen_left,
                      default_inventory, from_string, hyperholomorphy_report,
                      iota_of, iota_times, over_r2, parse_quaternion_literal,
                      product)
@@ -270,6 +271,24 @@ class TestGrammar:
         assert not f.control
         c = from_string("conj")
         assert c.control and not c.expected_regular
+
+    def test_one_claim(self):
+        # A member stores only expected_regular; control and
+        # expected_hyperholomorphic follow from it.
+        assert [f.name for f in dataclasses.fields(QFunction)] == [
+            "fid", "body", "domain", "expected_regular"]
+        for key in ("control", "expected_hyperholomorphic"):
+            with pytest.raises(TypeError):
+                QFunction("x", lambda p: p, **{key: True})
+        base = default_inventory()
+        members = (base + tuple(iota_times(f) for f in base)
+                   + tuple(over_r2(f) for f in base)
+                   + (product(base[0], base[1]),))
+        for f in members:
+            assert f.control == (not f.expected_regular), f.fid
+            assert f.expected_hyperholomorphic == f.expected_regular, f.fid
+            with pytest.raises(AttributeError):
+                f.control = True
 
 
 class TestCombinators:

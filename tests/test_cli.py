@@ -16,9 +16,10 @@ import pytest
 import quatreg
 from quatreg import (ConfigError, DomainError, EmptyDomain, OnRealAxis,
                      QFunction, QJet, Quaternion, SampleDomain, SuiteConfig,
-                     from_string, generalized_regularity_test, integral,
-                     lemma1_residual, list_catalog, parse_surface, run_suite,
-                     theorem2_report)
+                     default_inventory, from_string,
+                     generalized_regularity_test, integral, iota_times,
+                     lemma1_residual, list_catalog, over_r2, parse_surface,
+                     run_suite, theorem2_report)
 from quatreg.cli import SUITES, _RUNNERS, _robust, main
 
 
@@ -74,6 +75,21 @@ class TestConfig:
                      "r_max=inf\n"):
             with pytest.raises(ConfigError, match="finite"):
                 SuiteConfig.from_text(text)
+
+    def test_duplicate_key_exits_two(self, tmp_path, capsys):
+        # The last value does not win silently.
+        with pytest.raises(ConfigError, match="line 3: key 'samples' given "
+                                              "twice"):
+            SuiteConfig.from_text("samples=10\nsuites=lemma1\nsamples=20\n")
+        cfg_path = tmp_path / "twice.txt"
+        for text in ("suites=lemma1\nsuites=theorem1\n",
+                     "suites=generalized\nfunctions=power:2\n"
+                     "surfaces=sphere:center=0+2i,r=1,res=4,res=5\n"):
+            cfg_path.write_text(text)
+            assert main(["run", str(cfg_path)]) == 2, text
+        err = capsys.readouterr().err
+        assert "key 'suites' given twice" in err
+        assert "surface parameter 'res' given twice" in err
 
 
 class TestReports:
@@ -332,6 +348,44 @@ class TestMain:
         assert f"integral: surfaces={surface} needs more memory" in \
             capsys.readouterr().err
 
+    def test_absurd_resolution_refused_before_leggauss_lists(self):
+        # leggauss builds lists of n + 1 entries (1.6 GB at n = 10**8)
+        # before its n x n companion matrix; under a 1 GiB address-space
+        # limit the matrix is refused first, and numpy's size is named.
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = pathlib.Path(quatreg.__file__).parent.parent
+        path = os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "quatreg", "check", "integral", "power:2",
+             "--res", "100000000"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), preexec_fn=limited,
+            timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "config error: integral: resolution=100000000 needs more memory "
+            "than there is (Unable to allocate 71.1 PiB)\n")
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_check_tol_on_every_row(self, suite, capsys):
+        # --tol sets every tolerance of the suite, the fd one included.
+        main(["check", suite, "power:2", "--tol", "0.25", "--backend",
+              "both", "--samples", "8", "--res", "4"])
+        rows = [line.split("|") for line in
+                capsys.readouterr().out.splitlines()
+                if not line.startswith(("#", "summary"))]
+        assert rows
+        for row in rows:
+            assert "tol=2.500000e-01" in row[4].split(";"), row
+        backends = {row[1] for row in rows}
+        assert backends == ({"jets", "fd"} if suite in ("theorem1", "lemma1")
+                            else {"jets"})
+
     def test_exit_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_cfg(tol_theorem1=1e-30,
@@ -380,7 +434,7 @@ class TestNonFiniteResiduals:
         # A control is expected to fail; a NaN residual must not pass
         # for that failure.
         nan_control = QFunction("nan-control", lambda p: p * math.nan,
-                                expected_regular=False, control=True)
+                                expected_regular=False)
         cfg = SuiteConfig(samples=6, resolution=4, backend="both")
         for suite in SUITES:
             rows, _ = _RUNNERS[suite](cfg, [nan_control])
@@ -388,6 +442,29 @@ class TestNonFiniteResiduals:
             for row in rows:
                 assert row.status == "error", (suite, row.render())
                 assert row.outcome == "FAIL", (suite, row.render())
+
+
+class TestDerivedMembers:
+    # iota*f is Cullen-regular exactly when f is, and f/r^2 is not; each
+    # row's expectation follows from that one claim.
+    def test_iota_times_reads_ok_pointwise(self):
+        members = [iota_times(f) for f in default_inventory()]
+        cfg = SuiteConfig(seed=5)
+        for suite in ("theorem1", "lemma1", "hyperholomorphy",
+                      "fueter_theorem"):
+            rows, _ = _RUNNERS[suite](cfg, members)
+            assert {row.function for row in rows} == {f.fid for f in members}
+            bad = [row.render() for row in rows if row.outcome != "ok"]
+            assert not bad, (suite, bad)
+
+    def test_over_r2_reads_ok_in_every_suite(self):
+        f = over_r2(from_string("power:2"))
+        cfg = SuiteConfig(resolution=8)
+        for suite in SUITES:
+            rows, _ = _RUNNERS[suite](cfg, [f])
+            assert rows, suite
+            bad = [row.render() for row in rows if row.outcome != "ok"]
+            assert not bad, (suite, bad)
 
 
 class TestErrorRows:

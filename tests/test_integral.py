@@ -521,3 +521,10 @@ class TestSurfaceParsing:
                     "sphere:center=0+2i,r=1,res=1"):
             with pytest.raises(BadParams):
                 parse_surface(bad)
+
+    def test_duplicate_key_rejected(self):
+        # The last value does not win silently.
+        for bad, key in (("sphere:center=0+2i,r=1,res=4,res=5", "res"),
+                         ("sphere:center=0+2i,r=1,r=2,res=4", "r")):
+            with pytest.raises(BadParams, match=f"'{key}' given twice"):
+                parse_surface(bad)

@@ -444,7 +444,7 @@ class TestNonFiniteVerdicts:
     # A control is expected to fail; NaN residuals must read as an error,
     # never as a consistent failure.
     NAN_CONTROL = QFunction("nan-control", lambda p: p * math.nan,
-                            expected_regular=False, control=True)
+                            expected_regular=False)
 
     def test_regularity_verdict(self):
         rows, _ = _RUNNERS["theorem1"](
