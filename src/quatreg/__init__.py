@@ -36,7 +36,7 @@ from .catalog import (QFunction, catalog_get, from_string, default_inventory,
 from .regularity import (slice_parts, lemma1_residual, theorem1_residuals,
                          hyperholomorphy_report)
 from .integral import (sphere3, surface_integral_left, volume_integral,
-                       gauss_report, minus_two_v_over_r, theorem2_report,
+                       gauss_report, theorem2_report,
                        generalized_regularity_test, parse_surface,
                        standard_family)
 from .cli import SuiteConfig, run_suite, list_catalog
@@ -59,7 +59,7 @@ __all__ = [
     "slice_parts", "lemma1_residual", "theorem1_residuals",
     "hyperholomorphy_report",
     "sphere3", "surface_integral_left", "volume_integral", "gauss_report",
-    "minus_two_v_over_r", "theorem2_report", "generalized_regularity_test",
+    "theorem2_report", "generalized_regularity_test",
     "parse_surface", "standard_family",
     "SuiteConfig", "run_suite", "list_catalog",
     "__version__",

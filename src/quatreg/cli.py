@@ -25,7 +25,8 @@ the rows made from them.  The integral suites have runners of their own.
 
 Exit status: 0 when every record's outcome is ok (controls failing count
 as ok), 1 when any record misbehaves, 2 for configuration errors, a
-non-finite number and a surface that meets the real axis among them.
+non-finite number, a surface that meets the real axis and a name whose
+rows would share one key among them.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class SuiteConfig:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; "
                                   f"choose from {','.join(SUITES)}")
+        _once(self.suites, "suite")
         if self.backend not in ("jets", "fd", "both"):
             raise ConfigError(f"backend must be jets, fd or both, "
                               f"got {self.backend!r}")
@@ -159,6 +161,16 @@ class SuiteConfig:
 
 def _split_commas(s: str) -> tuple:
     return tuple(tok.strip() for tok in s.split(",") if tok.strip())
+
+
+def _once(names, what: str) -> None:
+    """Refuse a name given twice, whose rows would share one (suite,
+    backend, function, anchor) key."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{what} {name!r} given twice")
+        seen.add(name)
 
 
 # -- report records --------------------------------------------------------
@@ -383,6 +395,8 @@ def _run_integral(cfg: SuiteConfig, members):
     rows = []
     anchor = "Integral Theorem"
     surfaces = _surfaces(cfg, _integral_default)
+    # A row names its sphere by radius and resolution only.
+    _once((K.name for K in surfaces), "integral surface")
     nodes = len(members) * sum(K.node_count + K.interior_count
                                for K in surfaces)
     for f in members:
@@ -437,9 +451,11 @@ _DEFAULT_INTEGRAL_IDS = ("power:1", "power:2", "power:3", "iota", "conj")
 def _members_for(suite: str, cfg: SuiteConfig):
     if cfg.functions:
         try:
-            return [catalog.from_string(s) for s in cfg.functions]
+            members = [catalog.from_string(s) for s in cfg.functions]
         except (UnknownFunction, BadParams) as exc:
             raise ConfigError(str(exc)) from None
+        _once((f.fid for f in members), "function")
+        return members
     inventory = catalog.default_inventory()
     if suite == "fueter_theorem":
         return [f for f in inventory if f.expected_regular]

@@ -284,15 +284,6 @@ def _integrand_at(f, seed: QJet, pts: Quaternion) -> Quaternion:
     return Quaternion(*rows[:4])
 
 
-def minus_two_v_over_r(f):
-    """The integral theorem's interior integrand -2v/r as a pointwise map.
-
-    Uses -2v/r = D_l f - (df/dt + iota df/dr), valid at every off-axis
-    point, with df/dr the radial directional derivative.
-    """
-    return lambda pts: _integrand_at(f, QJet.seed_cartesian(pts, 1), pts)
-
-
 @dataclass(frozen=True)
 class TheoremTwoReport:
     surface: str
@@ -318,8 +309,7 @@ def _report(K: Hypersurface, lhs: Quaternion,
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
     """The Integral Theorem's two sides for f on K.  The interior
-    integrand is minus_two_v_over_r(f) on one seed buffer for all of K's
-    blocks."""
+    integrand is _integrand_at on one seed buffer for all of K's blocks."""
     seed = QJet._seed_buffer(1, _longest_block(K.interior_count))
     return _report(K, surface_integral_left(f, K), volume_integral(
         lambda pts: _integrand_at(f, seed._seed_at(pts), pts), K))

@@ -451,9 +451,6 @@ class RJet:
         return self._compose(self._rows(w, lambda: d, lambda: 2.0 * a * d * d,
                                         lambda: (2.0 + 6.0 * a * a) * np.power(d, 3)))
 
-    def __repr__(self):
-        return f"RJet(order={self.order}, c={self.c!r})"
-
 
 # The elementary functions the catalog bodies call, on jets, floats and
 # numpy arrays alike, so one body serves point and jet evaluation.
@@ -628,6 +625,3 @@ class QJet(QuaternionAlgebra):
         return tuple(Quaternion(*(0.0 if cm is None else cm[1 + var, ...]
                                   for cm in rows))
                      for var in range(NVARS))
-
-    def __repr__(self):
-        return f"QJet(order={self.order}, value={self.value!r})"

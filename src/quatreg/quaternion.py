@@ -203,9 +203,6 @@ class Quaternion(QuaternionAlgebra):
 
     # -- conveniences ------------------------------------------------------
 
-    def is_batch(self) -> bool:
-        return any(np.ndim(c) > 0 for c in self.components())
-
     def __getitem__(self, idx) -> "Quaternion":
         """Select points from a batched quaternion; a structural-zero
         component stays one."""
@@ -216,7 +213,7 @@ class Quaternion(QuaternionAlgebra):
                             for c in comps))
 
     def __repr__(self):
-        if self.is_batch():
+        if any(np.ndim(c) > 0 for c in self.components()):
             return f"Quaternion(batch of {np.broadcast(*self.components()).size})"
         return (f"Quaternion({self.t:.12g}, {self.x:.12g}, "
                 f"{self.y:.12g}, {self.z:.12g})")

@@ -29,6 +29,13 @@ def small_cfg(**kw):
     return SuiteConfig(**base)
 
 
+def run_config(tmp_path, text):
+    """main's exit code for `quatreg run` on a config file holding text."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    return main(["run", str(cfg_path)])
+
+
 class TestConfig:
     def test_roundtrip(self):
         # Series and laurent ids keep the commas inside them.
@@ -90,6 +97,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "key 'suites' given twice" in err
         assert "surface parameter 'res' given twice" in err
+
+    # A suite, function or integral surface given twice would write two
+    # rows under one (suite, backend, function, anchor) key.
+    def test_suite_named_twice_exits_two(self, tmp_path, capsys):
+        assert run_config(tmp_path, "suites=lemma1,theorem1,lemma1\n"
+                                    "functions=power:2\nsamples=5\n") == 2
+        assert "suite 'lemma1' given twice" in capsys.readouterr().err
+
+    def test_function_given_twice_exits_two(self, tmp_path, capsys):
+        # Two spellings of one member share its canonical id.
+        assert run_config(tmp_path, "suites=lemma1\nsamples=5\n"
+                                    "functions=power:2,iota,power:02\n") == 2
+        assert "function 'power:2' given twice" in capsys.readouterr().err
+
+    def test_integral_surfaces_sharing_a_name_exit_two(self, tmp_path,
+                                                       capsys):
+        # Both spheres are named sphere(r=0.5,res=8).  An integral row
+        # carries the name; a generalized row, one per member, does not.
+        surfaces = ("functions=power:2\nsurfaces=sphere:center=0+2i,r=0.5,"
+                    "res=8;sphere:center=0-2j,r=0.5,res=8\n")
+        assert run_config(tmp_path, "suites=integral\n" + surfaces) == 2
+        assert ("integral surface 'sphere(r=0.5,res=8)' given twice"
+                in capsys.readouterr().err)
+        assert run_config(tmp_path, "suites=generalized\n" + surfaces) == 0
+        assert "|surfaces=2;" in capsys.readouterr().out
 
 
 class TestReports:
@@ -273,6 +305,26 @@ class TestMain:
             assert main(["run", str(cfg_path), "--output",
                          str(out_path)]) == 0
         assert len(runs) == 2 and out_path.exists()
+
+    def test_report_open_failure_exits_two(self, tmp_path, capsys,
+                                           monkeypatch):
+        # The path passed _check_writable, then opening it failed.  File
+        # modes do not stop root, so the failure is made by a patched open.
+        def refuse_writes(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(quatreg.cli, "open", refuse_writes,
+                            raising=False)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_cfg(samples=4).to_text())
+        out_path = tmp_path / "report.txt"
+        assert main(["run", str(cfg_path), "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write report: " in err
+        assert "Permission denied" in err and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_functions_list_keeps_series_commas(self, tmp_path, capsys):
         # A default-inventory series id in functions= is one member.

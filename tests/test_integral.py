@@ -17,17 +17,22 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      TouchesRealAxis, catalog_get, default_inventory,
                      from_string, fueter_left, gauss_report, iota_of,
                      iota_times, generalized_regularity_test,
-                     minus_two_v_over_r,
                      parse_surface, product, run_suite, slice_parts, sphere3,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
 from quatreg.cli import _RUNNERS
 from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
                               _Workspace, _blocks, _generalized_sweep,
-                              _verdict, _wsum)
+                              _integrand_at, _verdict, _wsum)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
+
+
+def minus_two_v_over_r(f):
+    """The interior integrand -2v/r of f as a pointwise map: the integrand
+    writer on a Cartesian seed at the points."""
+    return lambda pts: _integrand_at(f, QJet.seed_cartesian(pts, 1), pts)
 
 
 def unit_sphere(res=12, radius=1.0):
@@ -521,6 +526,15 @@ class TestSurfaceParsing:
                     "sphere:center=0+2i,r=1,res=1"):
             with pytest.raises(BadParams):
                 parse_surface(bad)
+
+    def test_empty_parameter_tokens_are_skipped(self):
+        # A trailing or doubled comma leaves an empty token, not an error.
+        ref = parse_surface("sphere:center=0+2i,r=1,res=4")
+        for text in ("sphere:center=0+2i,r=1,res=4,",
+                     "sphere:center=0+2i, ,r=1,,res=4"):
+            K = parse_surface(text)
+            assert (K.center.components(), K.radius, K.name) == (
+                ref.center.components(), ref.radius, ref.name)
 
     def test_duplicate_key_rejected(self):
         # The last value does not win silently.

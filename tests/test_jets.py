@@ -65,6 +65,14 @@ class TestRJetBasics:
         with pytest.raises(OrderTooHigh):
             RJet.constant(0.0, 4)
 
+    def test_coefficient_count_guard(self):
+        # An order-1 jet takes 5 coefficients per point, in the last axis.
+        for coeffs in (np.zeros(4), np.zeros((3, 6)), np.zeros((5, 3)),
+                       np.float64(1.0)):
+            with pytest.raises(BasisMismatch):
+                RJet(1, coeffs)
+        assert RJet(1, np.zeros((3, 5))).value.shape == (3,)
+
     def test_batch_seed(self):
         vals = np.array([1.0, 2.0, 3.0])
         j = RJet.seed(vals, 2, 2)
