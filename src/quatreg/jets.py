@@ -52,7 +52,10 @@ rows it is scaled into, shifted to or paired into with a row that can be
 nonzero, not every row it pairs with.
 
 sqrt, recip and atanh check their domain once, in the module-level point
-function, and the RJet methods take their value rows from it.
+function, and the RJet methods take their value rows from it.  ``RJet.sin``
+and ``RJet.cos`` run on no suite path: ``operators.spherical_frame`` writes
+its rows in closed form from the same derivative lists,
+``_sin_cos_derivs``, and no catalog body calls them.
 
 Orders above 3 are rejected: third derivatives are the deepest anything
 here needs (the Fueter operator applied to a Laplacian).
@@ -413,14 +416,10 @@ class RJet:
         return [value] + [row() for row in later[:self.order]]
 
     def sin(self):
-        a = self.value
-        return self._compose(self._rows(np.sin(a), lambda: np.cos(a),
-                                        lambda: -np.sin(a), lambda: -np.cos(a)))
+        return self._compose(_sin_cos_derivs(self.value, self.order)[0])
 
     def cos(self):
-        a = self.value
-        return self._compose(self._rows(np.cos(a), lambda: -np.sin(a),
-                                        lambda: -np.cos(a), lambda: np.sin(a)))
+        return self._compose(_sin_cos_derivs(self.value, self.order)[1])
 
     def sqrt(self):
         a = self.value
@@ -450,6 +449,14 @@ class RJet:
         d = 1.0 / (1.0 - a * a)
         return self._compose(self._rows(w, lambda: d, lambda: 2.0 * a * d * d,
                                         lambda: (2.0 + 6.0 * a * a) * np.power(d, 3)))
+
+
+def _sin_cos_derivs(a, order: int) -> tuple:
+    """The derivatives g^(m)(a), m = 0..order, of g = sin and g = cos: the
+    cycles (s, c, -s, -c) and (c, -s, -c, s) cut after the order."""
+    s, c = np.sin(a), np.cos(a)
+    cycle = [s, c, -s, -c]
+    return cycle[:order + 1], (cycle[1:] + cycle[:1])[:order + 1]
 
 
 # The elementary functions the catalog bodies call, on jets, floats and

@@ -25,13 +25,14 @@ available: "jets" (exact truncated-Taylor propagation, the primary) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParams, DegenerateChart, OnRealAxis
-from .jets import QJet, RJet
+from .errors import BadParams, DegenerateChart, IndexTooDeep, OnRealAxis
+from .jets import _NCOEF, _POS, MAX_ORDER, QJet, RJet, _sin_cos_derivs
 from .catalog import iota_of
 from .quaternion import (_HAMILTON, Quaternion, SphericalPoint,
                          from_spherical, to_spherical)
@@ -77,23 +78,65 @@ def _chart(p: Quaternion) -> SphericalPoint:
     return sp
 
 
+def _chart_rows(order: int) -> tuple:
+    """Row positions of a jet of order >= 1 in (t, r, alpha, beta): the
+    rows alpha^i beta^j (i + j <= order) with their i and j, the rows
+    beta^j, and the rows m of degree below the order among the first with
+    the rows m + e_r they shift into."""
+    pos = _POS[order]
+    ij = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    low = [(i, j) for i, j in ij if i + j < order]
+    return (np.array([pos[(0, 0, i, j)] for i, j in ij]),
+            np.array([i for i, _ in ij]), np.array([j for _, j in ij]),
+            np.array([pos[(0, 0, 0, j)] for j in range(order + 1)]),
+            np.array([pos[(0, 0, i, j)] for i, j in low]),
+            np.array([pos[(0, 1, i, j)] for i, j in low]))
+
+
+_CHART_ROWS = {n: _chart_rows(n) for n in range(1, MAX_ORDER + 1)}
+
+
+def _taylor_rows(angle, order: int) -> np.ndarray:
+    """The Taylor rows g^(m)(angle) / m!, m = 0..order, of sin and of cos
+    about angle, as one (2, order + 1) + batch array."""
+    rows = np.array(_sin_cos_derivs(angle, order))
+    for m in range(2, order + 1):
+        rows[:, m] /= math.factorial(m)
+    return rows
+
+
 def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
-    """The chart frame of p at jet order >= 1; refused at r <= R_MIN
-    (OnRealAxis) and at sin(beta) <= S_MIN (DegenerateChart)."""
+    """The chart frame of p at jet order 1..3; refused at r <= R_MIN
+    (OnRealAxis), at sin(beta) <= S_MIN (DegenerateChart), then at order
+    < 1 (IndexTooDeep) and order > 3 (OrderTooHigh).
+
+    Every coefficient is written in closed form, with one rounding:
+    iota_x[alpha^i beta^j] = cos_alpha[i] * sin_beta[j], iota_y the same
+    with sin_alpha[i], iota_z[beta^j] = cos_beta[j], where g[m] is the
+    Taylor row g^(m)/m! about alpha or beta.  The seed's x, y and z are
+    iota times r on the rows without r, and iota[m] in the row m + e_r.
+    Every other row is +0, and so is any product that is an exact zero.
+    So each coefficient has the bits the jet algebra gives the seeds of
+    t, r, alpha and beta, their sin and cos, the products cos(alpha) *
+    sin(beta), sin(alpha) * sin(beta) and r * iota, zero signs included."""
     sp = _chart(p)
     sin_beta = np.sin(sp.beta)
     if np.any(sin_beta <= S_MIN):
         raise DegenerateChart(
             f"sin(beta) below {S_MIN:g}; point too close to the plane t + z*k")
-    jt = RJet.seed(sp.t, 0, order)
-    jr = RJet.seed(sp.r, 1, order)
-    ja = RJet.seed(sp.alpha, 2, order)
-    jb = RJet.seed(sp.beta, 3, order)
-    sa, ca = ja.sin(), ja.cos()
-    sb, cb = jb.sin(), jb.cos()
-    ix, iy, iz = ca * sb, sa * sb, cb
-    seed = QJet(jt, jr * ix, jr * iy, jr * iz)
-    iota = QJet(RJet.zero(order), ix, iy, iz)
+    if order < 1:
+        raise IndexTooDeep(f"the chart frame needs jet order >= 1, got {order}")
+    jt = RJet.seed(sp.t, 0, order)     # OrderTooHigh above MAX_ORDER
+    ab, i, j, beta, low, up = _CHART_ROWS[order]
+    sc_a, sc_b = _taylor_rows(sp.alpha, order), _taylor_rows(sp.beta, order)
+    iota_cm = np.zeros((3, _NCOEF[order]) + np.shape(sp.r))
+    # + 0.0 turns an exact -0 into +0, as the products' sums of +-0 do.
+    iota_cm[:2, ab] = sc_a[::-1, i] * sc_b[0, j] + 0.0
+    iota_cm[2, beta] = sc_b[1]
+    xyz_cm = iota_cm * sp.r
+    xyz_cm[:, up] = iota_cm[:, low]
+    seed = QJet(jt, *(RJet._wrap(order, c) for c in xyz_cm))
+    iota = QJet(RJet.zero(order), *(RJet._wrap(order, c) for c in iota_cm))
     return SphericalFrame(sp, seed, iota, sin_beta)
 
 
@@ -236,8 +279,9 @@ def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 
 def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """The angular operator d/d_l(iota) applied to f at p."""
+    fd = _fd(backend)
     frame = spherical_frame(p, 1)
-    if not _fd(backend):
+    if not fd:
         return angular_jet(frame, f.eval_jet(frame.seed)).value
     sp = frame.chart
     da = _fd_sph_partial(f, sp, 2)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatreg import (BadParams, DegenerateChart, OnRealAxis, QJet, Quaternion,
-                     SampleDomain, angular_derivative, catalog_get,
+from quatreg import (BadParams, DegenerateChart, IndexTooDeep, OnRealAxis,
+                     OrderTooHigh, QJet, Quaternion, RJet, SampleDomain,
+                     SuiteConfig, angular_derivative, catalog_get,
                      cullen_left, default_inventory, fueter_laplacian,
                      fueter_left, fueter_left_spherical, iota_of, laplacian,
-                     lemma1_residual, spherical_frame, theorem1_residuals,
-                     to_spherical)
-from quatreg import operators
+                     lemma1_residual, run_suite, slice_parts, spherical_frame,
+                     theorem1_residuals, to_spherical)
+from quatreg import operators, regularity
 from conftest import FnWrap, assert_close, q
 
 P0 = q(1, 2, 3, 6)          # r = 7, well off the axis and the plane
@@ -214,9 +215,24 @@ class TestGuards:
     @pytest.mark.parametrize("check", FD_OPERATORS + (lemma1_residual,
                                                       theorem1_residuals))
     def test_unknown_backend(self, check):
-        # Neither backend stands in for a name that is not one.
-        with pytest.raises(BadParams, match="backend"):
-            check(POWER2, P0, backend="both")
+        # Neither backend stands in for a name that is not one, and the
+        # name is checked before the point's chart.
+        for p in (P0, q(t=2.0)):
+            with pytest.raises(BadParams, match="backend"):
+                check(POWER2, p, backend="both")
+
+    def test_frame_order_guards(self):
+        for order in (0, -1):
+            with pytest.raises(IndexTooDeep):
+                spherical_frame(P0, order)
+        with pytest.raises(OrderTooHigh):
+            spherical_frame(P0, 4)
+        # The chart is refused before either order.
+        for order in (0, 4):
+            with pytest.raises(OnRealAxis):
+                spherical_frame(q(t=2.0), order)
+            with pytest.raises(DegenerateChart):
+                spherical_frame(q(1, 0, 0, 1), order)
 
     def test_frame_fields(self):
         fr = spherical_frame(P0, 2)
@@ -228,3 +244,87 @@ class TestGuards:
         for tang in (fr.iota.derivative(2), fr.iota.derivative(3)):
             dot = (fr.iota.value.conjugate() * tang.value).t
             assert abs(float(dot)) < 1e-13
+
+
+def _composed_frame(p, order):
+    """The chart frame as the jet algebra composes it: the seeds of t, r,
+    alpha and beta, their sin and cos, iota's products and r times iota."""
+    sp = operators._chart(p)
+    sin_beta = np.sin(sp.beta)
+    if np.any(sin_beta <= operators.S_MIN):
+        raise DegenerateChart("sin(beta) below S_MIN")
+    jt, jr, ja, jb = (RJet.seed(v, var, order) for var, v
+                      in enumerate((sp.t, sp.r, sp.alpha, sp.beta)))
+    sa, ca = ja.sin(), ja.cos()
+    sb, cb = jb.sin(), jb.cos()
+    ix, iy, iz = ca * sb, sa * sb, cb
+    return operators.SphericalFrame(
+        sp, QJet(jt, jr * ix, jr * iy, jr * iz),
+        QJet(RJet.zero(order), ix, iy, iz), sin_beta)
+
+
+#: Sampled points; a batch with alpha exactly 0 (y = +0 and y = -0) and pi,
+#: beta past pi/2, t = 0 and a tiny y; a 0-d point at alpha = 0; and a
+#: (3, 4) batch with a 0-d t.
+FRAME_POINTS = (
+    SampleDomain().sample(600, seed=7),
+    Quaternion(np.array([0.0, 1.0, -1.0, 0.5, 0.0, 2.0]),
+               np.array([1.0, -2.0, 1.0, 1e-3, 3.0, 0.5]),
+               np.array([0.0, 0.0, -0.0, 0.0, 1e-300, -1.0]),
+               np.array([-0.5, 1.0, 2.0, -3.0, 0.1, 0.0])),
+    q(0.0, 1.0, 0.0, -0.7),
+    Quaternion(0.25, *np.random.default_rng(1).uniform(-1.5, 1.5, (3, 3, 4))),
+)
+
+
+class TestClosedFormFrame:
+    """spherical_frame writes its rows in closed form; every coefficient
+    keeps the bits of the composed frame, and so does every record."""
+
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    def test_bits_match_the_composition(self, order):
+        for p in FRAME_POINTS:
+            got, want = spherical_frame(p, order), _composed_frame(p, order)
+            for name in ("seed", "iota", "iota_alpha_inv", "iota_beta_inv"):
+                pairs = zip(getattr(got, name).components(),
+                            getattr(want, name).components())
+                for k, (g, w) in enumerate(pairs):
+                    where = f"{name}[{k}] at order {order}"
+                    assert g._cm.shape == w._cm.shape, where
+                    assert np.array_equal(g._cm.view(np.int64),
+                                          w._cm.view(np.int64)), where
+                    assert g._mark == w._mark, where
+                    assert g._cm.flags.c_contiguous, where
+                    assert w._cm.flags.c_contiguous, where
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_records_match_the_composition(self, seed, monkeypatch):
+        cfg = SuiteConfig(suites=("theorem1", "lemma1", "hyperholomorphy"),
+                          backend="both", samples=40, seed=seed)
+        members = default_inventory()
+        assert len(members) == 16
+
+        def records():
+            text, _ = run_suite(cfg)
+            body = [ln for ln in text.splitlines() if not ln.startswith("#")]
+            parts = []
+            for f in members:
+                pts = SampleDomain().merge(f.domain).sample(40, seed=seed)
+                sp = slice_parts(f, pts)
+                parts.append(b"".join(
+                    np.asarray(c).tobytes() for part
+                    in (sp.u, sp.v, sp.reconstruction)
+                    for c in part.components()))
+            return body, parts
+
+        closed = records()
+        calls = []
+
+        def composed(p, order):
+            calls.append(order)
+            return _composed_frame(p, order)
+
+        monkeypatch.setattr(operators, "spherical_frame", composed)
+        monkeypatch.setattr(regularity, "spherical_frame", composed)
+        assert records() == closed
+        assert {1, 2} <= set(calls)
