@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +57,10 @@ class SphericalFrame:
     seed: QJet            # (t, x, y, z) as jets of the chart variables
     iota: QJet
     sin_beta: np.ndarray | float
-
     # The inverses the angular operator applies, one order lower than the
-    # frame; each is computed once, on first use.
-    @cached_property
-    def iota_alpha_inv(self) -> QJet:
-        return self.iota.derivative(2).inverse()
-
-    @cached_property
-    def iota_beta_inv(self) -> QJet:
-        return self.iota.derivative(3).inverse()
+    # frame; spherical_frame builds them after its guards.
+    iota_alpha_inv: QJet
+    iota_beta_inv: QJet
 
 
 def _chart(p: Quaternion) -> SphericalPoint:
@@ -137,7 +130,9 @@ def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
     xyz_cm[:, up] = iota_cm[:, low]
     seed = QJet(jt, *(RJet._wrap(order, c) for c in xyz_cm))
     iota = QJet(RJet.zero(order), *(RJet._wrap(order, c) for c in iota_cm))
-    return SphericalFrame(sp, seed, iota, sin_beta)
+    return SphericalFrame(sp, seed, iota, sin_beta,
+                          iota.derivative(2).inverse(),
+                          iota.derivative(3).inverse())
 
 
 def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:

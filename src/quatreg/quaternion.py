@@ -80,7 +80,8 @@ def _hamilton(a, b, out=None, scratch=None) -> list:
             if za[k] or zb[q]:
                 continue
             if out is None:
-                p = a[k] * b[q]
+                # np.multiply: a computed zero is data, even from floats.
+                p = np.multiply(a[k], b[q])
                 if acc is None:
                     acc = p if sign > 0 else -p
                 else:

@@ -631,6 +631,17 @@ class TestMixedOperands:
         assert_close(1.0 - c, q(1.0) - c)
         assert_close((1.0 - g).value, q(1.0) - g.value)
 
+    def test_foreign_operands_raise_type_error(self):
+        # An operand that is neither a jet nor a real number is not
+        # lifted: the jet operators return NotImplemented and Python
+        # raises TypeError.
+        r = RJet.seed(0.5, 0, 2)
+        g = QJet.seed_cartesian(q(0.3, 1.0, -0.5, 2.0), 2)
+        for op in (lambda: r + "x", lambda: r - "x", lambda: r * "x",
+                   lambda: g * "x"):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestNumpyOperands:
     def test_ndarray_on_the_left_of_a_qjet(self):

@@ -233,6 +233,17 @@ class TestGuards:
                 spherical_frame(q(t=2.0), order)
             with pytest.raises(DegenerateChart):
                 spherical_frame(q(1, 0, 0, 1), order)
+        # Just inside both chart guards the frame builds at every order,
+        # its inverses included, and they are finite.
+        s = 2.0 * operators.S_MIN
+        near = q(0.5, 2.0 * operators.R_MIN * s, 0.0,
+                 2.0 * operators.R_MIN * np.sqrt(1.0 - s * s))
+        for order in (1, 2, 3):
+            fr = spherical_frame(near, order)
+            for inv in (fr.iota_alpha_inv, fr.iota_beta_inv):
+                assert inv.order == order - 1
+                assert all(np.all(np.isfinite(c._cm))
+                           for c in inv.components())
 
     def test_frame_fields(self):
         fr = spherical_frame(P0, 2)
@@ -258,9 +269,10 @@ def _composed_frame(p, order):
     sa, ca = ja.sin(), ja.cos()
     sb, cb = jb.sin(), jb.cos()
     ix, iy, iz = ca * sb, sa * sb, cb
+    iota = QJet(RJet.zero(order), ix, iy, iz)
     return operators.SphericalFrame(
-        sp, QJet(jt, jr * ix, jr * iy, jr * iz),
-        QJet(RJet.zero(order), ix, iy, iz), sin_beta)
+        sp, QJet(jt, jr * ix, jr * iy, jr * iz), iota, sin_beta,
+        iota.derivative(2).inverse(), iota.derivative(3).inverse())
 
 
 #: Sampled points; a batch with alpha exactly 0 (y = +0 and y = -0) and pi,

@@ -112,6 +112,10 @@ class TestArithmetic:
         one = a[2]
         assert float(one.t) == t[2]
         assert np.stack(a.components()).shape == (4, 5)
+        # A batch reprs by its size, the broadcast of its components.
+        assert repr(a) == "Quaternion(batch of 5)"
+        assert repr(Quaternion(0.5, np.ones((2, 3)))) == \
+            "Quaternion(batch of 6)"
 
     def test_mixed_batch_raises(self):
         a = Quaternion(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
@@ -208,6 +212,12 @@ class TestStructuralZeros:
             assert np.isnan((Quaternion(1.0, np.float64(0.0)) * inf).x)
             assert np.isnan((Quaternion(1.0, np.zeros(2)) * inf).x).all()
         assert (Quaternion(1.0, 0.0) * inf).x == 1.0
+        # So is a zero that a product of floats computes: the x part of
+        # (1+i)(1-i) cancels to a zero that is data.
+        cancelled = Quaternion(1.0, 1.0) * Quaternion(1.0, -1.0)
+        assert cancelled.x == 0.0 and not is_structural_zero(cancelled.x)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan((cancelled * Quaternion(1.0, np.inf, 1.0, 1.0)).t)
 
     def test_no_surviving_term_is_a_structural_zero(self):
         a = Quaternion(np.array([1.5, -2.0]))
