@@ -178,22 +178,24 @@ def over_r2(f: QFunction) -> QFunction:
 
 # -- quaternion literals ---------------------------------------------------
 
-_TERM = re.compile(r"(?P<sign>[+-])?"
+_TERM = re.compile(r" *(?P<sign>[+-])? *"
                    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
                    r"(?P<unit>[ijk])?")
 
 
 def parse_quaternion_literal(text: str) -> Quaternion:
-    """Parse strings like '1', '-i', '0.5j', '1+2i-0.5k' into a constant."""
-    s = text.strip().replace(" ", "")
+    """Parse strings like '1', '-i', '0.5j', '1+2i-0.5k' into a constant.
+    Every term after the first needs its sign, and whitespace may stand
+    only around a sign, so '1 2', '2i3j' and 'ii' are refused."""
+    s = text.strip()
     if not s:
         raise BadParams("empty quaternion literal")
     comps = {"": 0.0, "i": 0.0, "j": 0.0, "k": 0.0}
     pos = 0
     while pos < len(s):
         m = _TERM.match(s, pos)
-        if m is None or m.end() == pos or (m.group("num") is None
-                                           and m.group("unit") is None):
+        if (m.group("num") is None and m.group("unit") is None
+                or pos > 0 and m.group("sign") is None):
             raise BadParams(f"cannot parse quaternion literal {text!r}")
         sign = -1.0 if m.group("sign") == "-" else 1.0
         mag = float(m.group("num")) if m.group("num") is not None else 1.0

@@ -530,14 +530,16 @@ def list_catalog() -> str:
 
 def _check_writable(dest: str) -> None:
     """Refuse a report path that cannot be written before any suite runs,
-    without creating or truncating the file."""
+    without creating or truncating the file.  An empty path is refused: its
+    dirname "" would read as the writable current directory."""
     if dest == "-":
         return
     if os.path.exists(dest):
         ok = not os.path.isdir(dest) and os.access(dest, os.W_OK)
     else:
         parent = os.path.dirname(dest) or "."
-        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+        ok = (dest != "" and os.path.isdir(parent)
+              and os.access(parent, os.W_OK))
     if not ok:
         raise ConfigError(f"cannot write report: {dest!r} is not writable")
 

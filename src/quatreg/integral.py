@@ -31,12 +31,11 @@ the plane t + z*k (where the angular chart degenerates) are no obstacle.
 
 Interior integrands are evaluated in equal contiguous blocks of at most
 _BLOCK nodes (_blocks), so a member's jets take the same memory at any
-resolution.  The blocks' values are joined into one array per sphere and
-summed once, which keeps the bits of an evaluation over all nodes at once.
-The generalized sweep makes one _Workspace for its whole family: the
-joined integrands and one block's seed jet, filled in place for every
-(member, sphere) pair, so a sphere holds only its nodes, weights, 1/r,
--2/r and iota, and memory is not handed back and faulted in again.
+resolution, and each block is summed where it is made, the block sums
+added in block order.  The generalized sweep builds one _SphereJets per
+sphere: its blocks and one buffer set (a seed jet and nine rows) that
+every member fills in place, so memory is not handed back and faulted in
+again.
 
 The integrands and the surface fluxes are assembled in place, by the
 operations of the Quaternion formulas in their order (_integrands, and the
@@ -48,7 +47,9 @@ theorem2_report seeds all the blocks of a sphere on one seed buffer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -171,13 +172,6 @@ def _longest_block(n: int) -> int:
     return max(b.stop - b.start for b in _blocks(n))
 
 
-def _put(out, block, q: Quaternion):
-    """Write q's components into the columns block of out, shape (4, n);
-    a 0-d or structural-zero component fills its block."""
-    for row, comp in zip(out[:, block], q.components()):
-        row[...] = comp
-
-
 def _wsum(vals, w) -> Quaternion:
     """The sums over the nodes of vals * w, vals a Quaternion or a (4, n)
     array of the components, which is overwritten with vals * w: one
@@ -185,7 +179,8 @@ def _wsum(vals, w) -> Quaternion:
     product summed alone."""
     if isinstance(vals, Quaternion):
         joined = np.empty((4, w.size))
-        _put(joined, slice(None), vals)
+        for row, comp in zip(joined, vals.components()):
+            row[...] = comp     # a 0-d or structural zero fills its row
         vals = joined
     vals *= w
     return Quaternion(*(float(s) for s in vals.sum(axis=1)))
@@ -207,14 +202,11 @@ def surface_integral_left(f, K: Hypersurface) -> Quaternion:
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
     """Weighted sum of a pointwise map g over the interior nodes.  g is
-    called once per block of _blocks, and its values are joined into one
-    array before the one weighted sum, so the sum keeps the bits of g over
-    all nodes at once while g's temporaries stay one block long."""
+    called once per block of _blocks and its values summed there, so g's
+    temporaries stay one block long."""
     pts, w = K.volume_nodes()
-    vals = np.empty((4, w.size))
-    for block in _blocks(w.size):
-        _put(vals, block, g(pts[block]))
-    return _wsum(vals, w)
+    return reduce(operator.add, (_wsum(g(pts[block]), w[block])
+                                 for block in _blocks(w.size)))
 
 
 def divergence(fs, pts: Quaternion) -> Quaternion:
@@ -315,70 +307,61 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
         lambda pts: _integrand_at(f, seed._seed_at(pts), pts), K))
 
 
-class _Workspace:
-    """The arrays a generalized sweep over family fills in place for every
-    (member, sphere) pair, made once: the joined interior integrands of f
-    and of iota*f, sized to the family's largest interior; the order-1
-    Cartesian seed jet of its longest block, whose rows below the value are
-    written here and only its value rows per (member, block); and a
-    scratch row as long as that block, which made per block would slow
-    the integrands by about a sixth.  The integrands are assembled in
-    these arrays, and before them the surface products, which take less
-    room than a sphere's interior (at least 3 shells of its surface)."""
-
-    def __init__(self, family):
-        counts = [K.interior_count for K in family]
-        self.mv = np.empty((2, 4, max(counts)))
-        size = max(_longest_block(n) for n in counts)
-        self.seed = QJet._seed_buffer(1, size)
-        self.row = np.empty(size)
-
-
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
-    share, built once: the interior weights and, per block of _blocks, the
-    interior nodes, 1/r, -2/r and iota (the one iota_of); and iota at the
-    surface nodes.  The seed jet and the arrays the fluxes and integrands
-    are assembled in are the workspace's."""
+    share, built once: per block of _blocks, the interior nodes and
+    weights, 1/r, -2/r and iota (the one iota_of); iota at the surface
+    nodes; and the buffers every member fills in place.  These are the
+    order-1 Cartesian seed jet of the longest block, whose rows below the
+    value are written here and only its value rows per (member, block),
+    and nine rows as long as the surface or that block: two sets of four
+    for the products or integrands, and a scratch row, which made per
+    block would slow the integrands by about a sixth."""
 
-    def __init__(self, K: Hypersurface, workspace: _Workspace):
-        self.K, self.workspace = K, workspace
-        pts, self.w = K.volume_nodes()
+    def __init__(self, K: Hypersurface):
+        self.K = K
+        pts, w = K.volume_nodes()
         self.blocks = []
-        for block in _blocks(self.w.size):
+        for block in _blocks(w.size):
             p = pts[block]
             inv_r = 1.0 / p.imag_norm()
-            self.blocks.append((block, p, inv_r, -2.0 * inv_r, iota_of(p)))
+            self.blocks.append((p, w[block], inv_r, -2.0 * inv_r,
+                                iota_of(p)))
         self.iota_surface = iota_of(K.points)
+        longest = _longest_block(w.size)
+        self.seed = QJet._seed_buffer(1, longest)
+        self.rows = np.empty((9, max(K.node_count, longest)))
 
     def reports(self, f):
         """theorem2_report of f and of iota_times(f) on K from one
         evaluation of f: its values at the surface nodes and one order-1
-        Cartesian jet per interior block, on the workspace's seed at the
+        Cartesian jet per interior block, on the sphere's seed at the
         block's nodes and dropped before the next block's is made.
         iota*f's surface values are iota times f's, as in iota_times(f);
         its integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with
         no jet of iota*f.  The surface products n f, iota f and n (iota f)
-        are formed first, in the workspace's integrand memory, so that f's
-        values are dropped before any jet is made; then the interior
-        integrands are assembled there block by block (_integrands)."""
-        K, ws = self.K, self.workspace
+        are formed first, in the sphere's rows, so that f's values are
+        dropped before any jet is made; then each block's integrands are
+        assembled there (_integrands) and summed."""
+        K, rows, n = self.K, self.rows, self.K.node_count
         vals = f.eval_point(K.points)
-        surface = ws.mv.reshape(-1)[:9 * K.node_count].reshape(9, -1)
-        nf, iota_f, row = surface[:4], surface[4:8], surface[8]
+        nf, iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
         lhs_f = _flux(vals, K, nf, row)
         iota_vals = _hamilton(self.iota_surface.components(),
                               vals.components(), iota_f, row)
         lhs_iota_f = _flux(Quaternion(*iota_vals), K, nf, row)
         del vals, iota_vals
-        mv_f, mv_iota_f = ws.mv[:, :, :self.w.size]
-        for block, p, inv_r, m2_inv_r, iota in self.blocks:
-            g = f.eval_jet(ws.seed._seed_at(p))
-            _integrands(mv_f[:, block], g, p, inv_r, iota,
-                        mv_iota_f[:, block], ws.row[:p.t.size], m2_inv_r)
+        sums_f, sums_iota_f = [], []
+        for p, w, inv_r, m2_inv_r, iota in self.blocks:
+            n = w.size
+            mv_f, mv_iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
+            g = f.eval_jet(self.seed._seed_at(p))
+            _integrands(mv_f, g, p, inv_r, iota, mv_iota_f, row, m2_inv_r)
             del g           # freed before the next block's jet is made
-        return (_report(K, lhs_f, _wsum(mv_f, self.w)),
-                _report(K, lhs_iota_f, _wsum(mv_iota_f, self.w)))
+            sums_f.append(_wsum(mv_f, w))
+            sums_iota_f.append(_wsum(mv_iota_f, w))
+        return (_report(K, lhs_f, reduce(operator.add, sums_f)),
+                _report(K, lhs_iota_f, reduce(operator.add, sums_iota_f)))
 
 
 @dataclass(frozen=True)
@@ -425,24 +408,21 @@ def _generalized_sweep(members, family, tol: float):
     The family is visited one sphere at a time: what the members' reports
     share on a sphere is built once, every member still without an error
     is evaluated on it, and it is dropped before the next sphere's is
-    built.  A member that raised is skipped on later spheres.  One
-    _Workspace serves every (member, sphere) pair."""
+    built.  A member that raised is skipped on later spheres."""
     found = [[] for _ in members]   # per member: its report pairs, or error
     nodes = 0
-    workspace = _Workspace(family)
     for K in family:
         live = [i for i, out in enumerate(found) if isinstance(out, list)]
         if not live:
             break
         nodes += len(live) * (K.node_count + K.interior_count)
-        sphere = _SphereJets(K, workspace)
+        sphere = _SphereJets(K)
         for i in live:
             try:
                 found[i].append(sphere.reports(members[i]))
             except RUNTIME_ERRORS as exc:
                 found[i] = _without_locals(exc)
         del sphere      # else held while the next sphere's jets are built
-    del workspace       # else held by a kept error through this frame
     return [_verdict(out, tol) if isinstance(out, list) else out
             for out in found], nodes
 

@@ -185,14 +185,18 @@ class TestGrammar:
         cases = (("1", (1, 0, 0, 0)), ("-2i", (0, -2, 0, 0)),
                  ("0.5j", (0, 0, 0.5, 0)),
                  ("1+2i-3j+0.25k", (1, 2, -3, 0.25)),
-                 ("1k", (0, 0, 0, 1)))
+                 ("1k", (0, 0, 0, 1)), ("1 + 2i", (1, 2, 0, 0)),
+                 ("- i", (0, -1, 0, 0)))
         for text, comps in cases:
             assert_close(parse_quaternion_literal(text),
                          Quaternion(*map(float, comps)), tol=0.0 + 1e-15,
                          msg=text)
 
     def test_literal_rejects(self):
-        for bad in ("", "2m", "1++2i", "i+", "one"):
+        # A term after the first needs its sign, and a space may stand only
+        # around a sign: '1 2' would read 12, '2i3j' 2i+3j and 'ii' 2i.
+        for bad in ("", "2m", "1++2i", "i+", "one", "1 2", "2i3j", "ii",
+                    "1e -3"):
             with pytest.raises(BadParams):
                 parse_quaternion_literal(bad)
 

@@ -286,13 +286,13 @@ class TestMain:
     def test_unwritable_report_exits_two(self, tmp_path, capsys,
                                          monkeypatch):
         # The path is refused before any suite runs: a missing directory,
-        # or a directory where the report file should be.
+        # a directory where the report file should be, or an empty path.
         runs = []
         monkeypatch.setattr(quatreg.cli, "run_suite",
                             lambda cfg: runs.append(cfg) or ("", 0))
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_cfg(samples=4).to_text())
-        for out_path in (tmp_path / "missing" / "report.txt", tmp_path):
+        for out_path in (tmp_path / "missing" / "report.txt", tmp_path, ""):
             assert main(["run", str(cfg_path), "--output",
                          str(out_path)]) == 2
             err = capsys.readouterr().err
@@ -558,14 +558,13 @@ class TestGeneralizedSweep:
     def test_shared_jets_built_once_per_sphere(self, monkeypatch):
         # 3 members on 5 spheres: seed_cartesian is never called.  Every
         # seed that reaches eval_jet, one per (member, sphere, block), is a
-        # view of the seed buffer of the sweep's one workspace, sized to
-        # the longest block: 384 nodes at res 4 and 8,192 at res 16.  And
-        # iota*f's integrand comes from f's jet by Lemma 1, so no jet of
-        # iota is built.
+        # view of its sphere's one seed buffer, sized to the longest block:
+        # 384 nodes at res 4 and 8,192 at res 16.  And iota*f's integrand
+        # comes from f's jet by Lemma 1, so no jet of iota is built.
         calls = {"seed": 0, "iota_jet": 0}
-        seeds, workspaces = [], []
+        seeds, spheres = [], []
         seed_cartesian, iota_of = QJet.seed_cartesian, integral.iota_of
-        eval_jet, workspace = QFunction.eval_jet, integral._Workspace
+        eval_jet, sphere_jets = QFunction.eval_jet, integral._SphereJets
 
         def counted_seed(cls, p, order):
             calls["seed"] += 1
@@ -579,30 +578,37 @@ class TestGeneralizedSweep:
             seeds.append(g)
             return eval_jet(f, g)
 
-        class Recorded(workspace):
-            def __init__(self, family):
-                super().__init__(family)
-                workspaces.append(self)
+        class Recorded(sphere_jets):
+            def __init__(self, K):
+                super().__init__(K)
+                spheres.append(self)
 
         monkeypatch.setattr(QJet, "seed_cartesian",
                             classmethod(counted_seed))
         monkeypatch.setattr(integral, "iota_of", counted_iota)
         monkeypatch.setattr(QFunction, "eval_jet", recorded_eval_jet)
-        monkeypatch.setattr(integral, "_Workspace", Recorded)
+        monkeypatch.setattr(integral, "_SphereJets", Recorded)
         members = [from_string(s) for s in ("power:2", "power:3", "conj")]
         for res, blocks, longest in ((4, 1, 384), (16, 8, 8192)):
             seeds.clear()
-            workspaces.clear()
+            spheres.clear()
             rows, work = _RUNNERS["generalized"](
                 SuiteConfig(resolution=res), members)
             assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
             assert calls == {"seed": 0, "iota_jet": 0}
-            (ws,) = workspaces
-            buf = ws.seed.t._cm.base
-            assert buf.shape == (4, 5, longest)
-            assert len(seeds) == 3 * 5 * blocks
-            assert all(np.shares_memory(c._cm, buf)
-                       for g in seeds for c in g.components())
+            assert len(spheres) == 5 and len(seeds) == 3 * 5 * blocks
+            # The sweep visits the spheres in order and every member in
+            # order on each, so seeds come in runs of 3 * blocks per sphere.
+            per_sphere = 3 * blocks
+            for n, sphere in enumerate(spheres):
+                buf = sphere.seed.t._cm.base
+                assert buf.shape == (4, 5, longest)
+                assert all(np.shares_memory(c._cm, buf)
+                           for g in seeds[n * per_sphere:(n + 1) * per_sphere]
+                           for c in g.components())
+            assert not any(np.shares_memory(a.seed.t._cm.base,
+                                            b.seed.t._cm.base)
+                           for a, b in zip(spheres, spheres[1:]))
             family = integral.standard_family(res)
             assert work == {"nodes": 3 * sum(K.node_count + K.interior_count
                                              for K in family)}
@@ -676,8 +682,7 @@ class TestGeneralizedSweep:
         assert "raise_on_jets" in "".join(traceback.format_tb(
             exc.__traceback__))
         for frame, _ in traceback.walk_tb(exc.__traceback__):
-            assert not any(isinstance(v, (QJet, integral._SphereJets,
-                                          integral._Workspace))
+            assert not any(isinstance(v, (QJet, integral._SphereJets))
                            for v in frame.f_locals.values()), frame
         # Alone, that member stops the sweep after the first sphere.
         builds = []

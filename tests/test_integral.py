@@ -22,8 +22,8 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      volume_integral)
 from quatreg.cli import _RUNNERS
 from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
-                              _Workspace, _blocks, _generalized_sweep,
-                              _integrand_at, _verdict, _wsum)
+                              _blocks, _generalized_sweep, _integrand_at,
+                              _verdict, _wsum)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
@@ -278,8 +278,7 @@ class TestGeneralized:
         # so its rhs and residual agree with the jet route to rounding.
         family = standard_family(10)
         members = default_inventory()
-        workspace = _Workspace(family)
-        spheres = [_SphereJets(K, workspace) for K in family]
+        spheres = [_SphereJets(K) for K in family]
         pairs = [[sphere.reports(f) for sphere in spheres] for f in members]
         verdicts, _ = _generalized_sweep(members, family, 1e-3)
         for f, reports, verdict in zip(members, pairs, verdicts):
@@ -323,9 +322,10 @@ class TestGeneralized:
 
 
 def _whole_sphere_rhs(f, K):
-    """The interior sides of f and of iota*f on K as one evaluation over
+    """The interior sides of f and of iota*f on K from one evaluation over
     all interior nodes at once, by the Quaternion formulas the in-place
-    integrands of _SphereJets.reports and theorem2_report must match."""
+    integrands of _SphereJets.reports and theorem2_report must match,
+    summed per block of _blocks with the block sums added in order."""
     pts, w = K.volume_nodes()
     g = f.eval_jet(QJet.seed_cartesian(pts, 1))
     inv_r, iota = 1.0 / pts.imag_norm(), iota_of(pts)
@@ -335,8 +335,16 @@ def _whole_sphere_rhs(f, K):
                      dt.y - dx.z + dy.t + dz.x, dt.z + dx.y - dy.x + dz.t)
     mv_f = d_l - (dt + iota * dr)
     mv_iota_f = g.value * (-2.0 * inv_r) - iota * mv_f
-    return [Quaternion(*(float(np.sum(c * w)) for c in mv.components()))
-            for mv in (mv_f, mv_iota_f)]
+    sides = []
+    for mv in (mv_f, mv_iota_f):
+        comps = [np.broadcast_to(c, w.shape) for c in mv.components()]
+        total = None
+        for block in _blocks(w.size):
+            part = Quaternion(*(float(np.sum(c[block] * w[block]))
+                                for c in comps))
+            total = part if total is None else total + part
+        sides.append(total)
+    return sides
 
 
 def _whole_sphere_lhs(f, K):
@@ -351,8 +359,9 @@ def _bits(q):
 
 
 class TestBlocks:
-    """Interior integrands are evaluated in the blocks of _blocks and
-    joined before one weighted sum, so every float keeps its bits."""
+    """Interior integrands are evaluated and summed in the blocks of
+    _blocks, and the block sums added in order, so every float keeps the
+    bits of the Quaternion formulas summed the same way."""
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 10000, 65536,
                                    5308416])
@@ -376,7 +385,7 @@ class TestBlocks:
         # coord:x a jet and values with three of them.
         K = standard_family(16)[1]
         assert len(_blocks(K.interior_count)) == 8
-        sphere = _SphereJets(K, _Workspace([K]))
+        sphere = _SphereJets(K)
         for fid in ("power:-3", "laurent:-2=1k", "iota", "conj", "coord:x",
                     "series:1,1i,0.5j"):
             f = from_string(fid)
@@ -419,17 +428,21 @@ class TestBlocks:
 
     def test_unequal_blocks_and_mixed_resolutions_in_every_float(self):
         # res 17 has 78,608 interior nodes in 10 blocks of 7,860 or 7,861,
-        # so the workspace's seed and integrands are used through views
-        # shorter than they are, and the res-6 sphere between the two
-        # res-17 ones through much shorter views still.
+        # so a sphere's seed is used through views shorter than it is, and
+        # its rows, as long as its 9,826 surface nodes, through views
+        # shorter still.  The res-6 sphere between the two res-17 ones has
+        # one block of 1,296 nodes, longer than its 432 surface nodes, so
+        # its rows are as long as the block.
         res17 = standard_family(17)
         family = (res17[0], standard_family(6)[2], res17[1])
         sizes = {b.stop - b.start for b in _blocks(res17[0].interior_count)}
         assert sizes == {7860, 7861}
         assert len(_blocks(res17[0].interior_count)) == 10
-        workspace = _Workspace(family)
-        assert workspace.seed.t._cm.shape == (5, 7861)
-        spheres = [_SphereJets(K, workspace) for K in family]
+        spheres = [_SphereJets(K) for K in family]
+        assert spheres[0].seed.t._cm.shape == (5, 7861)
+        assert res17[0].node_count == 9826
+        assert spheres[0].rows.shape == (9, 9826)
+        assert spheres[1].rows.shape == (9, 1296)
         members = [from_string(fid) for fid in (
             "power:-3", "laurent:-2=1k", "iota", "conj", "coord:x")]
         verdicts, _ = _generalized_sweep(members, family, 1e-3)
@@ -489,9 +502,10 @@ class TestBlocks:
             "error|pass|FAIL")
 
     def test_peak_memory_per_interior_node(self):
-        # A block's jets are about 800 B per node, but only the joined
-        # integrands, the weights and the shared per-block arrays grow
-        # with the sphere (ROADMAP aim 3).  Res 24: 331,776 nodes.
+        # A block's jets are about 800 B per node, but only the weights
+        # and the shared per-block nodes, 1/r, -2/r and iota grow with the
+        # sphere: no integrand array does (ROADMAP aim 3).  Res 24:
+        # 331,776 nodes.
         f = from_string("power:-3")
         family = standard_family(24)
         n = family[1].interior_count
@@ -504,8 +518,8 @@ class TestBlocks:
             sweep_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert theorem2_peak < 250 * n
-        assert sweep_peak < 250 * n
+        assert theorem2_peak < 150 * n
+        assert sweep_peak < 150 * n
 
 
 class TestSurfaceParsing:
