@@ -17,7 +17,7 @@ plus two deliberately non-regular controls (conj, a bare coordinate).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class QFunction:
 
     fid: str
     body: object
-    domain: SampleDomain = field(default_factory=lambda: UNRESTRICTED)
+    domain: SampleDomain = UNRESTRICTED
     expected_regular: bool = True
 
     @property
@@ -267,8 +267,9 @@ def _coerce_laurent(text):
     return tuple(terms)
 
 
-_SHELL = SampleDomain(t_range=(-np.inf, np.inf), r_range=(1e-300, np.inf),
-                      s_min=1e-300, p_norm_range=(0.2, np.inf))
+# Keeps negative powers and Laurent sums off 0; a NaN norm is excluded too.
+_SHELL = replace(UNRESTRICTED, exclusions=(
+    ("|p| < 0.2", lambda q: ~(q.norm() >= 0.2)),))
 
 
 def catalog_get(name: str, params: str | None = None) -> QFunction:
@@ -284,7 +285,7 @@ def catalog_get(name: str, params: str | None = None) -> QFunction:
     if name == "series":
         coeffs = _coerce_coeffs(params)
         fid = "series:" + ",".join(_format_const(a) for a in coeffs)
-        return QFunction(fid, _series_body(coeffs), UNRESTRICTED)
+        return QFunction(fid, _series_body(coeffs))
     if name == "laurent":
         terms = _coerce_laurent(params)
         fid = "laurent:" + ",".join(f"{d}={_format_const(c)}"
@@ -293,28 +294,24 @@ def catalog_get(name: str, params: str | None = None) -> QFunction:
     if name == "iota":
         if params is not None:
             raise BadParams("iota takes no parameters")
-        return QFunction("iota", iota_of, UNRESTRICTED)
+        return QFunction("iota", iota_of)
     if name == "arctan_ex":
         k = _parse_int(params, "arctan_ex index")
         if k not in (1, 2, 3):
             raise BadParams("arctan_ex index must be 1, 2 or 3")
         _, den, axial = _ARCTAN_COORDS[k]
-        dom = SampleDomain(
-            t_range=(-np.inf, np.inf), r_range=(1e-300, np.inf),
-            s_min=1e-300,
-            exclusions=((f"{den}-cut/{axial}-margin",
-                         _cut_exclusion(den, axial)),))
+        dom = replace(UNRESTRICTED, exclusions=(
+            (f"{den}-cut/{axial}-margin", _cut_exclusion(den, axial)),))
         return QFunction(f"arctan_ex:{k}", _arctan_body(k), dom)
     if name == "conj":
         if params is not None:
             raise BadParams("conj takes no parameters")
-        return QFunction("conj", _conj_body, UNRESTRICTED,
-                         expected_regular=False)
+        return QFunction("conj", _conj_body, expected_regular=False)
     if name == "coord":
         which = (params or "").strip()
         if which not in ("t", "x", "y", "z"):
             raise BadParams("coord needs one of t, x, y, z")
-        return QFunction(f"coord:{which}", _coord_body(which), UNRESTRICTED,
+        return QFunction(f"coord:{which}", _coord_body(which),
                          expected_regular=False)
     raise UnknownFunction(f"no catalog member named {name!r}")
 

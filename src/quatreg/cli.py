@@ -374,29 +374,14 @@ def _run_pointwise(suite: str, cfg: SuiteConfig, members):
     return rows, {"points": points}
 
 
-def _surfaces(cfg: SuiteConfig, default):
-    """The configured surfaces, else default(cfg.resolution).  A descriptor
-    that does not parse, or a sphere that meets the real axis, is a
-    configuration error."""
-    if not cfg.surfaces:
-        return default(cfg.resolution)
-    try:
-        return [integral.parse_surface(s) for s in cfg.surfaces]
-    except (BadParams, TouchesRealAxis) as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _integral_default(resolution: int):
     return [integral.sphere3(Quaternion(0.0, 2.0, 0.0, 0.0), 1.0, resolution),
             integral.sphere3(Quaternion(1.0, 0.0, 2.0, 0.0), 0.8, resolution)]
 
 
-def _run_integral(cfg: SuiteConfig, members):
+def _run_integral(cfg: SuiteConfig, members, surfaces):
     rows = []
     anchor = "Integral Theorem"
-    surfaces = _surfaces(cfg, _integral_default)
-    # A row names its sphere by radius and resolution only.
-    _once((K.name for K in surfaces), "integral surface")
     nodes = len(members) * sum(K.node_count + K.interior_count
                                for K in surfaces)
     for f in members:
@@ -420,10 +405,9 @@ def _run_integral(cfg: SuiteConfig, members):
     return rows, {"nodes": nodes}
 
 
-def _run_generalized(cfg: SuiteConfig, members):
+def _run_generalized(cfg: SuiteConfig, members, family):
     rows = []
     anchor = "Generalized Cullen-regularity (Integral Theorem family)"
-    family = _surfaces(cfg, integral.standard_family)
     verdicts, nodes = integral._generalized_sweep(members, family,
                                                   cfg.tol_generalized)
     for f, verdict in zip(members, verdicts):
@@ -464,6 +448,28 @@ def _members_for(suite: str, cfg: SuiteConfig):
     return list(inventory)
 
 
+def _plan(suite: str, cfg: SuiteConfig, members=None):
+    """suite's run on members, cfg's by default, and on an integral suite's
+    surfaces, built here once.  A bad descriptor, a sphere that meets the
+    real axis and two integral surfaces of one name are config errors."""
+    members = _members_for(suite, cfg) if members is None else members
+    run = partial(_RUNNERS[suite], cfg, members)
+    if suite not in ("integral", "generalized"):
+        return run
+    if not cfg.surfaces:
+        default = (_integral_default if suite == "integral"
+                   else integral.standard_family)
+        return partial(run, default(cfg.resolution))
+    try:
+        surfaces = [integral.parse_surface(s) for s in cfg.surfaces]
+    except (BadParams, TouchesRealAxis) as exc:
+        raise ConfigError(str(exc)) from None
+    if suite == "integral":
+        # A row names its sphere by radius and resolution only.
+        _once((K.name for K in surfaces), "integral surface")
+    return partial(run, surfaces)
+
+
 # -- report assembly -------------------------------------------------------
 
 def _sized_by(suite: str, cfg: SuiteConfig) -> str:
@@ -476,29 +482,30 @@ def _sized_by(suite: str, cfg: SuiteConfig) -> str:
 
 
 def run_suite(cfg: SuiteConfig):
-    """Execute every configured suite; return (report text, exit code)."""
+    """Plan every suite, then run each; return (report text, exit code)."""
     cfg.validate()
     t0 = time.time()
-    rows, timing = [], []
-    for suite in cfg.suites:
-        start = time.perf_counter()
-        members = _members_for(suite, cfg)
-        try:
-            found, work = _RUNNERS[suite](cfg, members)
-        except EmptyDomain as exc:
-            raise ConfigError(f"{suite}: {exc}") from None
-        except MemoryError as exc:
-            # numpy refuses an array larger than memory at once, so no
-            # fixed ceiling on samples or resolution is needed.
-            size = str(exc).split(" for an array")[0]   # not an inner shape
-            detail = f" ({size})" if size else ""
-            raise ConfigError(f"{suite}: {_sized_by(suite, cfg)} needs "
-                              f"more memory than there is{detail}") from None
-        rows.extend(found)
-        timing.append(f"# timing: suite={suite} wall_s="
-                      f"{time.perf_counter() - start:.3f} "
-                      f"rows={len(found)} " + " ".join(
-                          f"{key}={n}" for key, n in work.items()))
+    rows, timing, runs = [], [], {}
+    try:
+        for suite in cfg.suites:
+            runs[suite] = _plan(suite, cfg)
+        for suite in cfg.suites:
+            start = time.perf_counter()
+            found, work = runs.pop(suite)()   # dropped once run, spheres too
+            rows.extend(found)
+            timing.append(f"# timing: suite={suite} wall_s="
+                          f"{time.perf_counter() - start:.3f} "
+                          f"rows={len(found)} " + " ".join(
+                              f"{key}={n}" for key, n in work.items()))
+    except EmptyDomain as exc:
+        raise ConfigError(f"{suite}: {exc}") from None
+    except MemoryError as exc:
+        # numpy refuses an array larger than memory at once, so no fixed
+        # ceiling on samples or resolution is needed.
+        size = str(exc).split(" for an array")[0]   # not an inner shape
+        detail = f" ({size})" if size else ""
+        raise ConfigError(f"{suite}: {_sized_by(suite, cfg)} needs more "
+                          f"memory than there is{detail}") from None
     wall = time.time() - t0
     failures = sum(1 for r in rows if r.outcome != "ok")
     header = [
@@ -524,22 +531,23 @@ def list_catalog() -> str:
     for f in catalog.default_inventory():
         claim = ("expected-regular expected-hyperholomorphic"
                  if f.expected_regular else "control")
-        lines.append(f"{f.fid} {claim} | {f.domain.describe()}")
+        where = "; ".join(f"excluding {lb}" for lb, _ in f.domain.exclusions)
+        lines.append(f"{f.fid} {claim} | {where or 'unrestricted'}")
     return "\n".join(lines) + "\n"
 
 
 def _check_writable(dest: str) -> None:
     """Refuse a report path that cannot be written before any suite runs,
-    without creating or truncating the file.  An empty path is refused: its
-    dirname "" would read as the writable current directory."""
+    without creating or truncating the file.  A symlink is judged by its
+    target; an empty path is refused, not read as the current directory."""
     if dest == "-":
         return
-    if os.path.exists(dest):
-        ok = not os.path.isdir(dest) and os.access(dest, os.W_OK)
+    path = dest and os.path.realpath(dest)
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
     else:
-        parent = os.path.dirname(dest) or "."
-        ok = (dest != "" and os.path.isdir(parent)
-              and os.access(parent, os.W_OK))
+        parent = os.path.dirname(path)
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
     if not ok:
         raise ConfigError(f"cannot write report: {dest!r} is not writable")
 

@@ -27,6 +27,9 @@ table, which their products walk under the same skipping rule.  In a jet a
 structural zero is ``jets.RJet.zero``.  A Quaternion product is the walk of
 ``_hamilton``, which can also write the product into given rows in place,
 term for term as it forms new values.
+
+SampleDomain draws a suite's points from its base box merged with a
+member's domain, which is UNRESTRICTED plus the member's exclusions.
 """
 
 from __future__ import annotations
@@ -276,17 +279,17 @@ def from_spherical(s: SphericalPoint) -> Quaternion:
 class SampleDomain:
     """Rejection sampler for points off the real axis and chart singularities.
 
-    Ranges are intersected under ``merge``, so catalog members can carry open
-    constraints (infinite ranges) that become concrete only when combined
-    with a suite's base domain.  ``exclusions`` are (label, predicate) pairs;
-    a predicate maps a batched Quaternion to a boolean mask of points to
-    reject (branch cuts and similar loci).
+    A suite's base domain is the box of its t and r ranges and its s_min
+    floor on sin(beta).  A catalog member's domain is ``UNRESTRICTED`` plus
+    the ``exclusions`` it needs: (label, predicate) pairs, a predicate
+    mapping a batched Quaternion to a boolean mask of points to reject
+    (branch cuts, the origin of a negative power and similar loci).
+    ``merge`` intersects the ranges and joins the exclusions.
     """
 
     t_range: tuple = (-1.5, 1.5)
     r_range: tuple = (0.5, 2.0)
     s_min: float = 0.1
-    p_norm_range: tuple = (0.0, math.inf)
     exclusions: tuple = field(default_factory=tuple)
 
     def merge(self, other: "SampleDomain") -> "SampleDomain":
@@ -296,8 +299,6 @@ class SampleDomain:
             r_range=(max(self.r_range[0], other.r_range[0]),
                      min(self.r_range[1], other.r_range[1])),
             s_min=max(self.s_min, other.s_min),
-            p_norm_range=(max(self.p_norm_range[0], other.p_norm_range[0]),
-                          min(self.p_norm_range[1], other.p_norm_range[1])),
             exclusions=self.exclusions + other.exclusions,
         )
 
@@ -308,8 +309,6 @@ class SampleDomain:
         ok = ((p.t >= self.t_range[0]) & (p.t <= self.t_range[1])
               & (r >= self.r_range[0]) & (r <= self.r_range[1])
               & (sb >= self.s_min))
-        pn = p.norm()
-        ok &= (pn >= self.p_norm_range[0]) & (pn <= self.p_norm_range[1])
         for _, pred in self.exclusions:
             ok &= ~np.asarray(pred(p))
         return ok
@@ -317,14 +316,12 @@ class SampleDomain:
     def sample(self, n: int, seed: int = 0) -> Quaternion:
         """Draw n admissible points as one batched Quaternion."""
         # rng.uniform needs a finite width; an infinite bound has none.
-        if not (self.t_range[0] <= self.t_range[1]
-                and 0.0 < self.r_range[0] <= self.r_range[1]
-                and 0.0 < self.s_min <= 1.0
-                and math.isfinite(self.t_range[1] - self.t_range[0])
-                and math.isfinite(self.r_range[1] - self.r_range[0])):
+        if not (0.0 <= self.t_range[1] - self.t_range[0] < math.inf
+                and 0.0 <= self.r_range[1] - self.r_range[0] < math.inf
+                and 0.0 < self.r_range[0] and 0.0 < self.s_min <= 1.0):
             raise EmptyDomain(f"empty or invalid sample domain: {self}")
         rng = np.random.default_rng(seed)
-        beta_lo = math.asin(min(self.s_min, 1.0))
+        beta_lo = math.asin(self.s_min)
         kept = []
         total = 0
         for _ in range(64):
@@ -335,31 +332,17 @@ class SampleDomain:
             beta = rng.uniform(beta_lo, math.pi - beta_lo, m)
             p = from_spherical(SphericalPoint(t, r, alpha, beta))
             mask = self.contains(p)
-            if np.any(mask):
-                kept.append(p[mask])
-                total += int(np.count_nonzero(mask))
+            kept.append(p[mask])
+            total += int(np.count_nonzero(mask))
             if total >= n:
                 break
         else:
             raise EmptyDomain("rejection sampling failed to fill the "
                               "request; domain too restrictive")
-        t = np.concatenate([q.t for q in kept])[:n]
-        x = np.concatenate([q.x for q in kept])[:n]
-        y = np.concatenate([q.y for q in kept])[:n]
-        z = np.concatenate([q.z for q in kept])[:n]
-        return Quaternion(t, x, y, z)
-
-    def describe(self) -> str:
-        bits = [f"t in [{self.t_range[0]:g},{self.t_range[1]:g}]",
-                f"r in [{self.r_range[0]:g},{self.r_range[1]:g}]",
-                f"sin(beta) >= {self.s_min:g}"]
-        if self.p_norm_range != (0.0, math.inf):
-            bits.append(f"|p| in [{self.p_norm_range[0]:g},{self.p_norm_range[1]:g}]")
-        for label, _ in self.exclusions:
-            bits.append(f"excluding {label}")
-        return "; ".join(bits)
+        return Quaternion(*(np.concatenate(parts)[:n] for parts
+                            in zip(*(q.components() for q in kept))))
 
 
-#: Open domain carried by catalog members with no constraints of their own.
+#: The open box every catalog member's domain starts from.
 UNRESTRICTED = SampleDomain(t_range=(-math.inf, math.inf),
                             r_range=(1e-300, math.inf), s_min=1e-300)

@@ -128,6 +128,28 @@ class TestDomainGuards:
         tiny = q(0.05, 0.05, 0.05, 0.05)
         assert not bool(np.all(f.domain.contains(tiny)))
 
+    def test_shell_is_an_exclusion(self):
+        # A box whose r reaches below the 0.2 floor: the shell members'
+        # merged domains reject |p| = 0.19 and a NaN point, keep |p| = 0.2.
+        from quatreg import SampleDomain
+        from quatreg.quaternion import UNRESTRICTED
+        base = SampleDomain(r_range=(0.01, 2.0))
+        pts = Quaternion(np.array([0.0, 0.0, np.nan]),
+                         np.array([0.19, 0.2, 1.0]), 0.0, 0.0)
+        assert float(pts.norm()[1]) == 0.2
+        for fid in ("power:-1", "power:-3", "laurent:-2=1k"):
+            f = from_string(fid)
+            assert f.domain == dataclasses.replace(
+                UNRESTRICTED, exclusions=f.domain.exclusions), fid
+            (label, pred), = f.domain.exclusions
+            assert label == "|p| < 0.2", fid
+            assert base.merge(f.domain).contains(pts).tolist() == [
+                False, True, False], fid
+            # The exclusion itself rejects NaN, not only the t range.
+            assert np.asarray(pred(pts)).tolist() == [True, False, True]
+        assert base.merge(from_string("power:1").domain).contains(
+            pts).tolist() == [True, True, False]
+
 
 class TestJetConsistency:
     def test_order_zero_matches_point(self):

@@ -20,7 +20,7 @@ from quatreg import (ConfigError, DomainError, EmptyDomain, OnRealAxis,
                      generalized_regularity_test, integral, iota_times,
                      lemma1_residual, list_catalog, over_r2, parse_surface,
                      run_suite, theorem2_report)
-from quatreg.cli import SUITES, _RUNNERS, _robust, main
+from quatreg.cli import SUITES, _RUNNERS, _plan, _robust, main
 
 
 def small_cfg(**kw):
@@ -122,6 +122,61 @@ class TestConfig:
                 in capsys.readouterr().err)
         assert run_config(tmp_path, "suites=generalized\n" + surfaces) == 0
         assert "|surfaces=2;" in capsys.readouterr().out
+
+
+class TestConfigBeforeAnySuite:
+    # Each mistake shows only in the integral suites named with it, each
+    # listed after lemma1.
+    MISTAKES = (
+        ("surfaces=sphere:center=0+2i,r=abc,res=4", "bad number",
+         ("integral", "generalized")),
+        ("surfaces=sphere:center=0+0.5i,r=1,res=4", "real axis",
+         ("integral", "generalized")),
+        ("surfaces=sphere:center=0+2i,r=0.5,res=4;"
+         "sphere:center=0-2j,r=0.5,res=4", "given twice", ("integral",)),
+        ("resolution=5000000", "needs more memory than there is",
+         ("integral", "generalized")))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        for suite, runner in list(quatreg.cli._RUNNERS.items()):
+            def counted(*args, _suite=suite, _runner=runner):
+                calls.append(_suite)
+                return _runner(*args)
+            monkeypatch.setitem(quatreg.cli._RUNNERS, suite, counted)
+        return calls
+
+    @pytest.mark.parametrize("entry,message,suites", MISTAKES)
+    def test_no_suite_runs(self, entry, message, suites, tmp_path, capsys,
+                           monkeypatch):
+        calls = self._counted(monkeypatch)
+        for suite in suites:
+            assert run_config(tmp_path, f"suites=lemma1,{suite}\n"
+                              f"samples=5\nfunctions=power:2\n"
+                              f"{entry}\n") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
+        assert calls == []
+
+    def test_each_sphere_built_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        spheres = []
+        sphere3 = integral.sphere3
+
+        def counted(*args):
+            spheres.append(args[1:])
+            return sphere3(*args)
+
+        monkeypatch.setattr(integral, "sphere3", counted)
+        text, _ = run_suite(small_cfg(
+            suites=("lemma1", "integral", "generalized"), resolution=4,
+            samples=5))
+        assert "|power:2|Integral Theorem on sphere(r=0.8,res=4)|" in text
+        assert calls == ["lemma1", "integral", "generalized"]
+        # Two default integral spheres and the five of the family.
+        assert len(spheres) == 7
+        assert all(res == 4 for _, res in spheres)
 
 
 class TestReports:
@@ -306,6 +361,28 @@ class TestMain:
                          str(out_path)]) == 0
         assert len(runs) == 2 and out_path.exists()
 
+    def test_dangling_symlink_report_exits_two(self, tmp_path, capsys,
+                                               monkeypatch):
+        # os.path.exists is false for a dangling link and the directory
+        # holding it is writable; the directory it points into is missing.
+        runs = []
+        monkeypatch.setattr(quatreg.cli, "run_suite",
+                            lambda cfg: runs.append(cfg) or ("report\n", 0))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_cfg(samples=4).to_text())
+        link = tmp_path / "link.txt"
+        link.symlink_to(tmp_path / "missing" / "report.txt")
+        assert main(["run", str(cfg_path), "--output", str(link)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write report" in err
+        assert runs == []
+        # A dangling link into a directory that exists is written through.
+        fresh = tmp_path / "fresh.txt"
+        fresh.symlink_to(tmp_path / "target.txt")
+        assert main(["run", str(cfg_path), "--output", str(fresh)]) == 0
+        assert len(runs) == 1
+        assert (tmp_path / "target.txt").read_text() == "report\n"
+
     def test_report_open_failure_exits_two(self, tmp_path, capsys,
                                            monkeypatch):
         # The path passed _check_writable, then opening it failed.  File
@@ -460,6 +537,27 @@ class TestMain:
         assert "RuntimeWarning" not in done.stderr
         assert done.stdout == list_catalog()
 
+    def test_list_names_claims_and_exclusions(self):
+        # Each line is the member's id, its claim and the labels of what
+        # its domain excludes; no member narrows the suite's box.
+        regular = "expected-regular expected-hyperholomorphic"
+        shell = f"{regular} | excluding |p| < 0.2"
+        assert list_catalog().splitlines() == [
+            f"power:-3 {shell}", f"power:-2 {shell}", f"power:-1 {shell}",
+            f"power:1 {regular} | unrestricted",
+            f"power:2 {regular} | unrestricted",
+            f"power:3 {regular} | unrestricted",
+            f"power:4 {regular} | unrestricted",
+            f"power:5 {regular} | unrestricted",
+            f"series:1,1i,0.5j {regular} | unrestricted",
+            f"laurent:-2=1k {shell}",
+            f"iota {regular} | unrestricted",
+            f"arctan_ex:1 {regular} | excluding y-cut/z-margin",
+            f"arctan_ex:2 {regular} | excluding z-cut/x-margin",
+            f"arctan_ex:3 {regular} | excluding x-cut/y-margin",
+            "conj control | unrestricted",
+            "coord:x control | unrestricted"]
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -489,7 +587,7 @@ class TestNonFiniteResiduals:
                                 expected_regular=False)
         cfg = SuiteConfig(samples=6, resolution=4, backend="both")
         for suite in SUITES:
-            rows, _ = _RUNNERS[suite](cfg, [nan_control])
+            rows, _ = _plan(suite, cfg, [nan_control])()
             assert rows, suite
             for row in rows:
                 assert row.status == "error", (suite, row.render())
@@ -513,7 +611,7 @@ class TestDerivedMembers:
         f = over_r2(from_string("power:2"))
         cfg = SuiteConfig(resolution=8)
         for suite in SUITES:
-            rows, _ = _RUNNERS[suite](cfg, [f])
+            rows, _ = _plan(suite, cfg, [f])()
             assert rows, suite
             bad = [row.render() for row in rows if row.outcome != "ok"]
             assert not bad, (suite, bad)
@@ -540,7 +638,7 @@ class TestErrorRows:
             raise DomainError("outside the member's domain")
 
         member = QFunction("raises", body)
-        rows, _ = _RUNNERS["integral"](small_cfg(resolution=4), [member])
+        rows, _ = _plan("integral", small_cfg(resolution=4), [member])()
         assert len(rows) == 2       # one per default surface
         for row in rows:
             assert row.anchor.startswith("Integral Theorem on ")
@@ -592,8 +690,8 @@ class TestGeneralizedSweep:
         for res, blocks, longest in ((4, 1, 384), (16, 8, 8192)):
             seeds.clear()
             spheres.clear()
-            rows, work = _RUNNERS["generalized"](
-                SuiteConfig(resolution=res), members)
+            rows, work = _plan("generalized", SuiteConfig(resolution=res),
+                               members)()
             assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
             assert calls == {"seed": 0, "iota_jet": 0}
             assert len(spheres) == 5 and len(seeds) == 3 * 5 * blocks
@@ -648,7 +746,7 @@ class TestGeneralizedSweep:
         with pytest.raises(DomainError) as on_second:
             theorem2_report(arctan, family[1])
         members = [from_string(s) for s in ("power:2", "arctan_ex:1", "conj")]
-        rows, _ = _RUNNERS["generalized"](cfg, members)
+        rows, _ = _plan("generalized", cfg, members)()
         assert rows[1].render() == (
             f"generalized|jets|arctan_ex:1|{_GENERALIZED_ANCHOR}|"
             "error=DomainError: arctanh argument outside the 1 - 1e-6 "
@@ -656,7 +754,7 @@ class TestGeneralizedSweep:
         assert rows[1].stats["error"] == f"DomainError: {on_second.value}"
         # The members around it keep the rows they have on their own.
         for f, row in zip(members[::2], rows[::2]):
-            (alone,), _ = _RUNNERS["generalized"](cfg, [f])
+            (alone,), _ = _plan("generalized", cfg, [f])()
             assert row.render() == alone.render()
             assert row.stats["surfaces"] == 2
         with pytest.raises(DomainError, match="arctanh argument"):
@@ -702,7 +800,8 @@ class TestGeneralizedSweep:
 
         f = QFunction("nan-later", nan_where_x_negative,
                       expected_regular=True)
-        (row,), _ = _RUNNERS["generalized"](SuiteConfig(resolution=4), [f])
+        (row,), _ = _plan("generalized", SuiteConfig(resolution=4),
+                                 [f])()
         assert row.status == "error"
         assert math.isnan(row.stats["worst_rel_f"])
         assert "worst_rel_f=nan" in row.render()

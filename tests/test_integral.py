@@ -20,7 +20,7 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      parse_surface, product, run_suite, slice_parts, sphere3,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
-from quatreg.cli import _RUNNERS
+from quatreg.cli import _plan
 from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
                               _blocks, _generalized_sweep, _integrand_at,
                               _verdict, _wsum)
@@ -490,12 +490,12 @@ class TestBlocks:
         member = QFunction("outer-shell", body)
         descriptor = "sphere:center=0.4-1.4i+1.2j+1.3k,r=0.7,res=16"
         cfg = SuiteConfig(surfaces=(descriptor,))
-        (row,), _ = _RUNNERS["integral"](cfg, [member])
+        (row,), _ = _plan("integral", cfg, [member])()
         assert row.render() == (
             "integral|jets|outer-shell|Integral Theorem on "
             "sphere(r=0.7,res=16)|error=DomainError: beyond 0.95 R|"
             "error|pass|FAIL")
-        (row,), _ = _RUNNERS["generalized"](cfg, [member])
+        (row,), _ = _plan("generalized", cfg, [member])()
         assert row.render() == (
             "generalized|jets|outer-shell|Generalized Cullen-regularity "
             "(Integral Theorem family)|error=DomainError: beyond 0.95 R|"

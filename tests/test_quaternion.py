@@ -369,9 +369,11 @@ class TestSampleDomain:
 
     def test_merge_tightens(self):
         a = SampleDomain(r_range=(0.5, 2.0))
-        b = SampleDomain(r_range=(1.0, 3.0), p_norm_range=(1.2, np.inf))
+        b = SampleDomain(r_range=(1.0, 3.0), exclusions=(
+            ("|p| < 1.2", lambda p: ~(p.norm() >= 1.2)),))
         m = a.merge(b)
         assert m.r_range == (1.0, 2.0)
+        assert [label for label, _ in m.exclusions] == ["|p| < 1.2"]
         pts = m.sample(100, seed=1)
         assert np.all(pts.norm() >= 1.2)
 
