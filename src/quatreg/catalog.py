@@ -57,7 +57,12 @@ def _ipow(p, n: int):
 def iota_of(p):
     """iota = (x i + y j + z k)/r in the algebra of p: a Quaternion for a
     point, a QJet for a jet, its real part the algebra's structural zero;
-    refused on the real axis (OnRealAxis)."""
+    refused on the real axis (OnRealAxis).  A seed's iota is built once
+    (QJet._once)."""
+    return p._once(_iota) if isinstance(p, QJet) else _iota(p)
+
+
+def _iota(p):
     x, y, z = p.x, p.y, p.z
     r2 = x * x + y * y + z * z
     check_off_axis(np.sqrt(_values(r2)), _values(p.t))

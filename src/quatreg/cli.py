@@ -35,6 +35,7 @@ import argparse
 import datetime
 import math
 import os
+import resource
 import sys
 import time
 import zlib
@@ -481,20 +482,29 @@ def _sized_by(suite: str, cfg: SuiteConfig) -> str:
     return f"resolution={cfg.resolution}"
 
 
+def _usage():
+    """This process's resource usage so far: its minor page faults and its
+    peak resident memory in KiB (Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
 def run_suite(cfg: SuiteConfig):
     """Plan every suite, then run each; return (report text, exit code)."""
     cfg.validate()
     t0 = time.time()
     rows, timing, runs = [], [], {}
     try:
+        start = time.perf_counter()
         for suite in cfg.suites:
             runs[suite] = _plan(suite, cfg)
+        plan_s = time.perf_counter() - start
         for suite in cfg.suites:
-            start = time.perf_counter()
+            start, faults = time.perf_counter(), _usage().ru_minflt
             found, work = runs.pop(suite)()   # dropped once run, spheres too
             rows.extend(found)
             timing.append(f"# timing: suite={suite} wall_s="
                           f"{time.perf_counter() - start:.3f} "
+                          f"minflt={_usage().ru_minflt - faults} "
                           f"rows={len(found)} " + " ".join(
                               f"{key}={n}" for key, n in work.items()))
     except EmptyDomain as exc:
@@ -512,6 +522,8 @@ def run_suite(cfg: SuiteConfig):
         "# quatreg verification report",
         f"# created: {datetime.datetime.now().isoformat(timespec='seconds')}",
         f"# wall_seconds: {wall:.2f}",
+        f"# plan_seconds: {plan_s:.3f}",
+        f"# peak_rss_mb: {_usage().ru_maxrss / 1024:.1f}",
         "# schema: suite|backend|function|anchor|stats|status|expected|outcome",
     ]
     header.extend(f"# config: {line}"
@@ -539,11 +551,14 @@ def list_catalog() -> str:
 def _check_writable(dest: str) -> None:
     """Refuse a report path that cannot be written before any suite runs,
     without creating or truncating the file.  A symlink is judged by its
-    target; an empty path is refused, not read as the current directory."""
+    target, and a symlink loop is refused; an empty path is refused, not
+    read as the current directory."""
     if dest == "-":
         return
     path = dest and os.path.realpath(dest)
-    if os.path.exists(path):
+    if os.path.islink(path):    # a symlink loop, which realpath leaves
+        ok = False
+    elif os.path.exists(path):
         ok = not os.path.isdir(path) and os.access(path, os.W_OK)
     else:
         parent = os.path.dirname(path)

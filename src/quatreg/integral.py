@@ -35,7 +35,10 @@ resolution, and each block is summed where it is made, the block sums
 added in block order.  The generalized sweep builds one _SphereJets per
 sphere: its blocks and one buffer set (a seed jet and nine rows) that
 every member fills in place, so memory is not handed back and faulted in
-again.
+again.  It visits a sphere block by block: each block is seeded once,
+and every member is evaluated on that one seed jet, whose inverse and
+iota are built on first use and shared by the later members
+(QJet._once).
 
 The integrands and the surface fluxes are assembled in place, by the
 operations of the Quaternion formulas in their order (_integrands, and the
@@ -313,10 +316,15 @@ class _SphereJets:
     weights, 1/r, -2/r and iota (the one iota_of); iota at the surface
     nodes; and the buffers every member fills in place.  These are the
     order-1 Cartesian seed jet of the longest block, whose rows below the
-    value are written here and only its value rows per (member, block),
-    and nine rows as long as the surface or that block: two sets of four
-    for the products or integrands, and a scratch row, which made per
-    block would slow the integrands by about a sixth."""
+    value are written here and only its value rows per block, and nine
+    rows as long as the surface or that block: two sets of four for the
+    products or integrands, and a scratch row, which made per block would
+    slow the integrands by about a sixth.
+
+    reports visits the members block by block: each block is seeded once
+    and every member still without an error is evaluated on that one
+    seed jet, so the seed's inverse and its iota are built once per block
+    (QJet._once) and shared by the members whose bodies take them."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
@@ -332,36 +340,57 @@ class _SphereJets:
         self.seed = QJet._seed_buffer(1, longest)
         self.rows = np.empty((9, max(K.node_count, longest)))
 
-    def reports(self, f):
-        """theorem2_report of f and of iota_times(f) on K from one
-        evaluation of f: its values at the surface nodes and one order-1
-        Cartesian jet per interior block, on the sphere's seed at the
-        block's nodes and dropped before the next block's is made.
-        iota*f's surface values are iota times f's, as in iota_times(f);
-        its integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with
-        no jet of iota*f.  The surface products n f, iota f and n (iota f)
-        are formed first, in the sphere's rows, so that f's values are
-        dropped before any jet is made; then each block's integrands are
-        assembled there (_integrands) and summed."""
+    def _surface_sides(self, f) -> tuple:
+        """The surface sides of f and of iota*f on K from f's values at the
+        surface nodes: iota*f's values are iota times f's, as in
+        iota_times(f), and the products n f, iota f and n (iota f) are
+        formed in the sphere's rows."""
         K, rows, n = self.K, self.rows, self.K.node_count
         vals = f.eval_point(K.points)
         nf, iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
         lhs_f = _flux(vals, K, nf, row)
         iota_vals = _hamilton(self.iota_surface.components(),
                               vals.components(), iota_f, row)
-        lhs_iota_f = _flux(Quaternion(*iota_vals), K, nf, row)
-        del vals, iota_vals
-        sums_f, sums_iota_f = [], []
+        return lhs_f, _flux(Quaternion(*iota_vals), K, nf, row)
+
+    def reports(self, members) -> list:
+        """Per member f, theorem2_report of f and of iota_times(f) on K
+        from one evaluation of f, or the first runtime error f raised, its
+        frames' locals not cleared.  Every member's surface sides come
+        first, so that f's values are dropped before any jet is made.
+        Then per block the seed is set at the block's nodes once, and each
+        live member's order-1 Cartesian jet on it is made, its integrands
+        assembled in the sphere's rows (_integrands) and summed.  iota*f's
+        integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no
+        jet of iota*f.  Each member's block sums are added in block
+        order, and it makes the operations of a sweep of its own, so every
+        float keeps its bits."""
+        found = []      # per member: (lhs_f, lhs_iota_f, sums, sums), or error
+        for f in members:
+            try:
+                found.append((*self._surface_sides(f), [], []))
+            except RUNTIME_ERRORS as exc:
+                found.append(exc)
+        rows = self.rows
         for p, w, inv_r, m2_inv_r, iota in self.blocks:
+            seed = self.seed._seed_at(p)
             n = w.size
             mv_f, mv_iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
-            g = f.eval_jet(self.seed._seed_at(p))
-            _integrands(mv_f, g, p, inv_r, iota, mv_iota_f, row, m2_inv_r)
-            del g           # freed before the next block's jet is made
-            sums_f.append(_wsum(mv_f, w))
-            sums_iota_f.append(_wsum(mv_iota_f, w))
-        return (_report(K, lhs_f, reduce(operator.add, sums_f)),
-                _report(K, lhs_iota_f, reduce(operator.add, sums_iota_f)))
+            for i, f in enumerate(members):
+                if isinstance(found[i], Exception):
+                    continue
+                try:
+                    _integrands(mv_f, f.eval_jet(seed), p, inv_r, iota,
+                                mv_iota_f, row, m2_inv_r)
+                except RUNTIME_ERRORS as exc:
+                    found[i] = exc
+                    continue
+                found[i][2].append(_wsum(mv_f, w))
+                found[i][3].append(_wsum(mv_iota_f, w))
+        return [out if isinstance(out, Exception) else
+                (_report(self.K, out[0], reduce(operator.add, out[2])),
+                 _report(self.K, out[1], reduce(operator.add, out[3])))
+                for out in found]
 
 
 @dataclass(frozen=True)
@@ -408,7 +437,8 @@ def _generalized_sweep(members, family, tol: float):
     The family is visited one sphere at a time: what the members' reports
     share on a sphere is built once, every member still without an error
     is evaluated on it, and it is dropped before the next sphere's is
-    built.  A member that raised is skipped on later spheres."""
+    built.  A member that raised on a block is skipped on later blocks
+    and spheres."""
     found = [[] for _ in members]   # per member: its report pairs, or error
     nodes = 0
     for K in family:
@@ -416,13 +446,14 @@ def _generalized_sweep(members, family, tol: float):
         if not live:
             break
         nodes += len(live) * (K.node_count + K.interior_count)
-        sphere = _SphereJets(K)
-        for i in live:
-            try:
-                found[i].append(sphere.reports(members[i]))
-            except RUNTIME_ERRORS as exc:
-                found[i] = _without_locals(exc)
-        del sphere      # else held while the next sphere's jets are built
+        # No name holds the sphere: it is dropped once reports returns, or
+        # once the frames of the errors it kept are cleared here.
+        outs = _SphereJets(K).reports([members[i] for i in live])
+        for i, out in zip(live, outs):
+            if isinstance(out, Exception):
+                found[i] = _without_locals(out)
+            else:
+                found[i].append(out)
     return [_verdict(out, tol) if isinstance(out, list) else out
             for out in found], nodes
 

@@ -500,7 +500,8 @@ class QJet(QuaternionAlgebra):
     """Quaternion-valued jet: four RJets sharing order and batch shape; an
     RJet scales it as a real scalar does."""
 
-    __slots__ = ("t", "x", "y", "z")
+    # _built is set on the seeds of _seed_at only (see _once).
+    __slots__ = ("t", "x", "y", "z", "_built")
 
     _scalars = (RJet,) + SCALARS
 
@@ -533,14 +534,29 @@ class QJet(QuaternionAlgebra):
         """This seed buffer as the Cartesian seed at the points q, a batch
         of at most its size: q's components are written into the value
         rows of its leading columns, and the jet is views of them with
-        this one's marks.  It is valid until the next _seed_at."""
+        this one's marks.  It is valid until the next _seed_at, and what
+        _once builds on it lives as long as it does."""
         cols = slice(0, np.size(q.t))
         out = []
         for comp, jet in zip(q.components(), self.components()):
             cm = jet._cm[:, cols]
             cm[0] = comp
             out.append(RJet._wrap(jet.order, cm, jet._mark))
-        return QJet(*out)
+        seed = QJet(*out)
+        seed._built = {}
+        return seed
+
+    def _once(self, build):
+        """build(self).  On a seed of _seed_at it is built at most once,
+        on first use, and every later call gets the same jet, so the
+        members evaluated on one seed share it; on any other jet it is
+        built on each call."""
+        built = getattr(self, "_built", None)
+        if built is None:
+            return build(self)
+        if build not in built:
+            built[build] = build(self)
+        return built[build]
 
     # -- algebra ---------------------------------------------------------
 
@@ -599,9 +615,7 @@ class QJet(QuaternionAlgebra):
         return QJet(*out)
 
     def inverse(self) -> "QJet":
-        n2 = self.norm_sq()
-        check_invertible(n2.value)
-        return self.conjugate() * n2.recip()
+        return self._once(_inverse)
 
     # -- structure ---------------------------------------------------------
 
@@ -632,3 +646,10 @@ class QJet(QuaternionAlgebra):
         return tuple(Quaternion(*(0.0 if cm is None else cm[1 + var, ...]
                                   for cm in rows))
                      for var in range(NVARS))
+
+
+def _inverse(g: QJet) -> QJet:
+    """The inverse of the jet g, conj(g) / |g|^2."""
+    n2 = g.norm_sq()
+    check_invertible(n2.value)
+    return g.conjugate() * n2.recip()

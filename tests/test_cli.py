@@ -277,12 +277,21 @@ class TestReports:
             alone += [l for l in one.splitlines()
                       if not l.startswith(("#", "summary"))]
         assert body[:-1] == alone and body[-1].startswith("summary|")
-        for (_, _, suite, wall, rows, work), name in zip(timing, suites):
+        for (_, _, suite, wall, minflt, rows, work), name in zip(timing,
+                                                                 suites):
             assert float(wall.removeprefix("wall_s=")) >= 0.0
+            assert minflt.startswith("minflt=")
+            assert int(minflt.removeprefix("minflt=")) >= 0
             assert int(rows.removeprefix("rows=")) == sum(
                 1 for l in body if l.startswith(name + "|"))
             # Two members of cfg.samples points each.
             assert work == f"points={2 * cfg.samples}"
+        # The planning of every suite and the run's peak resident memory
+        # have one header line each.
+        for key in ("plan_seconds", "peak_rss_mb"):
+            (line,) = [l for l in text.splitlines()
+                       if l.startswith(f"# {key}: ")]
+            assert float(line.split()[-1]) >= 0.0
 
     def test_stats_formatting(self):
         text, _ = run_suite(small_cfg())
@@ -382,6 +391,25 @@ class TestMain:
         assert main(["run", str(cfg_path), "--output", str(fresh)]) == 0
         assert len(runs) == 1
         assert (tmp_path / "target.txt").read_text() == "report\n"
+
+    def test_symlink_loop_report_exits_two(self, tmp_path, capsys,
+                                          monkeypatch):
+        # realpath leaves a loop a -> b -> a unresolved, and that link does
+        # not exist in a writable directory; it is refused before any
+        # suite runs, not when the report is written.
+        runs = []
+        monkeypatch.setattr(quatreg.cli, "run_suite",
+                            lambda cfg: runs.append(cfg) or ("report\n", 0))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_cfg(samples=4).to_text())
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        for out_path in (tmp_path / "a", tmp_path / "a" / "report.txt"):
+            assert main(["run", str(cfg_path), "--output",
+                         str(out_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: cannot write report" in err
+        assert runs == []
 
     def test_report_open_failure_exits_two(self, tmp_path, capsys,
                                            monkeypatch):
@@ -695,8 +723,9 @@ class TestGeneralizedSweep:
             assert [row.stats["surfaces"] for row in rows] == [5, 5, 5]
             assert calls == {"seed": 0, "iota_jet": 0}
             assert len(spheres) == 5 and len(seeds) == 3 * 5 * blocks
-            # The sweep visits the spheres in order and every member in
-            # order on each, so seeds come in runs of 3 * blocks per sphere.
+            # The sweep visits the spheres in order and each one's blocks
+            # in order, every member on each block, so seeds come in runs
+            # of 3 * blocks per sphere.
             per_sphere = 3 * blocks
             for n, sphere in enumerate(spheres):
                 buf = sphere.seed.t._cm.base
@@ -805,6 +834,95 @@ class TestGeneralizedSweep:
         assert row.status == "error"
         assert math.isnan(row.stats["worst_rel_f"])
         assert "worst_rel_f=nan" in row.render()
+
+    def test_seed_inverse_and_iota_built_once_per_block(self, monkeypatch):
+        # Four members invert the seed and two take its iota.  Block by
+        # block they share one seed, so per (sphere, block) the inverse's
+        # body runs once, not four times, and the jet iota once, not
+        # twice; and every member keeps its rows of a sweep of its own.
+        calls = {"inverse": 0, "iota_jet": 0}
+        in_jet = [False]
+        check_invertible = quatreg.jets.check_invertible
+        check_off_axis = quatreg.catalog.check_off_axis
+        eval_jet = QFunction.eval_jet
+
+        def counted_invertible(n2):
+            calls["inverse"] += 1
+            return check_invertible(n2)
+
+        def counted_off_axis(r, t):
+            calls["iota_jet"] += in_jet[0]
+            return check_off_axis(r, t)
+
+        def flagged_eval_jet(f, g):
+            in_jet[0] = True
+            try:
+                return eval_jet(f, g)
+            finally:
+                in_jet[0] = False
+
+        family = integral.standard_family(4)
+        members = [from_string(fid) for fid in (
+            "power:-1", "power:-2", "power:-3", "laurent:-2=1k", "iota",
+            "arctan_ex:1")]
+        solo = [integral._generalized_sweep([f], family, 1e-3)
+                for f in members]
+        monkeypatch.setattr(quatreg.jets, "check_invertible",
+                            counted_invertible)
+        monkeypatch.setattr(quatreg.catalog, "check_off_axis",
+                            counted_off_axis)
+        monkeypatch.setattr(QFunction, "eval_jet", flagged_eval_jet)
+        verdicts, nodes = integral._generalized_sweep(members, family, 1e-3)
+        blocks = sum(len(integral._blocks(K.interior_count))
+                     for K in family)
+        assert blocks == 5
+        assert calls == {"inverse": blocks, "iota_jet": blocks}
+        for f, verdict, ((alone,), alone_nodes) in zip(members, verdicts,
+                                                       solo):
+            assert verdict.rows == alone.rows, f.fid
+            assert verdict.status == alone.status, f.fid
+        assert nodes == sum(n for _, n in solo)
+
+    def test_error_on_a_second_block_only(self):
+        # Res 17 has 10 blocks per sphere.  The member raises on the first
+        # sphere's second block: it reads error, is evaluated on no later
+        # block or sphere, and the members around it keep the rows of a
+        # sweep of their own.  Its kept error holds no jet or sphere.
+        family = (integral.standard_family(17)[0],
+                  integral.standard_family(4)[1])
+        pts, w = family[0].volume_nodes()
+        blocks = integral._blocks(w.size)
+        assert len(blocks) == 10
+        second = pts.t[blocks[1]]
+        evaluated = []
+
+        def body(p):
+            if isinstance(p, QJet):
+                evaluated.append(np.size(p.t.value))
+                if np.array_equal(p.t.value, second):
+                    raise DomainError("on the second block")
+            return p * p
+
+        members = [from_string("power:-1"), QFunction("second-block", body),
+                   from_string("iota")]
+        verdicts, nodes = integral._generalized_sweep(members, family, 1e-3)
+        exc = verdicts[1]
+        assert isinstance(exc, DomainError)
+        assert evaluated == [b.stop - b.start for b in blocks[:2]]
+        per_sphere = [K.node_count + K.interior_count for K in family]
+        assert nodes == 3 * per_sphere[0] + 2 * per_sphere[1]
+        for f, verdict in zip(members[::2], verdicts[::2]):
+            (alone,), _ = integral._generalized_sweep([f], family, 1e-3)
+            assert verdict.rows == alone.rows, f.fid
+            assert verdict.status == alone.status, f.fid
+        assert "body" in "".join(traceback.format_tb(exc.__traceback__))
+        for frame, _ in traceback.walk_tb(exc.__traceback__):
+            assert not any(isinstance(v, (QJet, integral._SphereJets))
+                           for v in frame.f_locals.values()), frame
+        rows, _ = _RUNNERS["generalized"](SuiteConfig(), members, family)
+        assert rows[1].render() == (
+            f"generalized|jets|second-block|{_GENERALIZED_ANCHOR}|"
+            "error=DomainError: on the second block|error|pass|FAIL")
 
 
 class TestRobust:

@@ -279,7 +279,8 @@ class TestGeneralized:
         family = standard_family(10)
         members = default_inventory()
         spheres = [_SphereJets(K) for K in family]
-        pairs = [[sphere.reports(f) for sphere in spheres] for f in members]
+        pairs = [[sphere.reports([f])[0] for sphere in spheres]
+                 for f in members]
         verdicts, _ = _generalized_sweep(members, family, 1e-3)
         for f, reports, verdict in zip(members, pairs, verdicts):
             assert verdict == _verdict(reports, 1e-3), f.fid
@@ -392,7 +393,7 @@ class TestBlocks:
             rhs_f, rhs_iota_f = _whole_sphere_rhs(f, K)
             lhs_f, lhs_iota_f = _whole_sphere_lhs(f, K)
             rep = theorem2_report(f, K)
-            got_f, got_iota_f = sphere.reports(f)
+            got_f, got_iota_f = sphere.reports([f])[0]
             for got, lhs, rhs in ((rep, lhs_f, rhs_f),
                                   (got_f, lhs_f, rhs_f),
                                   (got_iota_f, lhs_iota_f, rhs_iota_f)):
@@ -448,7 +449,7 @@ class TestBlocks:
         verdicts, _ = _generalized_sweep(members, family, 1e-3)
         for f, verdict in zip(members, verdicts):
             for K, sphere, row in zip(family, spheres, verdict.rows):
-                got, _ = sphere.reports(f)
+                got, _ = sphere.reports([f])[0]
                 want = theorem2_report(f, K)
                 assert _bits(got.lhs) == _bits(want.lhs), (f.fid, K.name)
                 assert _bits(got.rhs) == _bits(want.rhs), (f.fid, K.name)
