@@ -16,7 +16,8 @@ except in the views ``QJet._seed_at`` takes of a reused seed's leading
 columns, whose rows lie a full seed row apart.  Batch axes
 align from the right as in numpy: an operand of lower batch rank gains
 unit axes after axis 0.  ``RJet.c`` shows the same coefficients in the
-layout (batch..., N) as a view.
+layout (batch..., N) as a view.  The derivative of an order-1 jet is a
+read-only view of one of its rows.
 
 A product coefficient sums its pair products a[i] * b[j] left to right, i
 outer (Griewank & Walther, *Evaluating Derivatives*, ch. 13); at orders 2
@@ -34,7 +35,15 @@ it is that scale plus a shift, which adds a[m] to the row of m + e_v.
 
 A QJet product adds the pair products sign * a_k * b_q of the one
 ``quaternion._HAMILTON`` table in place, in the Hamilton formula's order,
-and skips the terms with a zero factor, as a Quaternion product does.
+and skips the terms with a zero factor, as a Quaternion product does.  All
+its pair products go into one set of arrays made per product: four
+results, a scratch, at order 1 a tail, and at orders 2 and 3 a plan's
+accumulator and its two gather buffers.  At orders 2 and 3 a component
+with a pair of unmarked operands sums every term in the plan's ranking (a
+seed's or a constant's scale and shift is ranked into it) and is unranked
+once, into its result; a component of marked pairs only sums them in
+coefficient order.  Ranking moves whole rows, so each coefficient sums the
+same terms in the same order either way.
 
 Elementary functions compose about the value: g(a + h) sums
 g^(m)(a) h^m / m!, where h = a - a[0] keeps the operand's mark (a seed's h
@@ -65,6 +74,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -92,14 +102,20 @@ _POS = {n: {m: i for i, m in enumerate(INDICES[n])} for n in range(MAX_ORDER + 1
 _NCOEF = {n: len(INDICES[n]) for n in range(MAX_ORDER + 1)}   # 1, 5, 15, 35
 
 
+# Row r of a product in a plan's ranking is output rank[r]; output k is
+# its row unrank[k].
+_Plan = namedtuple("_Plan", "steps rank unrank")
+
+
 def _mul_plan(order, low=(0, 0)):
-    """(steps, unrank) for operands a and b with no rows below degrees
+    """The _Plan for operands a and b with no rows below degrees
     low[0] and low[1]: output k sums a[i] * b[j] over its pairs (i, j) of
     those rows, i outer.  Ranked by pair count, longest first, the outputs
     with an m-th pair form a prefix, so step m is
     ``acc[:len(ia)] += a[ia] * b[ib]`` (8 steps at order 3, 4 at order 2
-    for full operands); the outputs with no pair rank last, on zero rows,
-    and ``acc[unrank]`` is the product.  The first step of full operands
+    for full operands); the outputs with no pair rank last, on zero rows.
+    Row r of acc is output rank[r], and ``acc[unrank]`` is the product in
+    coefficient order.  The first step of full operands
     pairs a0 with every row: its ia is the row slice a[:1]."""
     idx = INDICES[order]
     deg = [sum(m) for m in idx]
@@ -117,7 +133,8 @@ def _mul_plan(order, low=(0, 0)):
         steps[0] = (slice(0, 1), steps[0][1])
     # The inverse of rank without np.argsort, whose sort kernels would add
     # 0.4 MB to the resident memory of every process.
-    return steps, np.array([rank.index(k) for k in range(len(idx))])
+    return _Plan(steps, np.array(rank),
+                 np.array([rank.index(k) for k in range(len(idx))]))
 
 
 _MUL = {n: _mul_plan(n) for n in (2, 3)}
@@ -173,13 +190,13 @@ def _aligned(a, b):
 
 def _product(order, a, b, marks=(None, None), out=None, tail=None):
     """Product of coefficient-major a and b of one batch rank, whose jets
-    carry the marks (see RJet).  A constant or seed operand makes it a
-    scale or a scale plus a shift, into out when given.  Otherwise each
+    carry the marks (see RJet), into out when given.  A constant or seed
+    operand makes it a scale or a scale plus a shift.  Otherwise each
     output sums its pairs left to right, a0*bi first, ai*b0 last: with row
-    slices at orders 0 and 1 (at order 1 into out and, for the ai*b0 rows,
-    tail when given), in the steps of _mul_plan at orders 2 and 3."""
+    slices at orders 0 and 1 (at order 1 the ai*b0 rows into tail when
+    given), in the steps of _mul_plan at orders 2 and 3."""
     if order == 0:
-        return a * b
+        return np.multiply(a, b, out=out)
     # The marked operand goes to b, a constant before a seed.
     if marks[0] is not None and marks[1] != "constant":
         a, b, marks = b, a, marks[::-1]
@@ -193,29 +210,43 @@ def _product(order, a, b, marks=(None, None), out=None, tail=None):
         out = np.multiply(a[:1], b, out=out)
         out[1:] += np.multiply(a[1:], b[:1], out=tail)
         return out
-    return _plan_product(_MUL[order], a, b)
+    plan = _MUL[order]
+    return _reorder(_plan_product(plan, a, b), plan.unrank, out)
 
 
-def _plan_product(plan, a, b):
-    """The product of coefficient-major a and b of one batch rank by the
-    steps of a _mul_plan.  Step 1 gathers b into the live rows of the
-    result and multiplies them by a's rows in place; the later steps
-    gather into two buffers made once per call."""
-    steps, unrank = plan
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    (ia, ib), *rest = steps
+def _plan_product(plan, a, b, acc=None, gather=None):
+    """The product of coefficient-major a and b by the steps of a
+    _mul_plan, in the plan's ranking (see _Plan).  Step 1 gathers b into
+    the live rows of acc and multiplies them by a's rows in place; the
+    later steps gather into the two rows of gather.  acc, of the
+    product's shape, and gather, two of its live rows, are made here
+    unless given; an operand whose shape is not acc's is broadcast to
+    it."""
+    (ia, ib), *rest = plan.steps
     n = len(ib)
-    acc = np.empty((len(unrank),) + a.shape[1:])
+    if acc is None:
+        acc = np.empty(a.shape if a.shape == b.shape
+                       else np.broadcast_shapes(a.shape, b.shape))
+    if a.shape != acc.shape:
+        a = np.broadcast_to(a, acc.shape)
+    if b.shape != acc.shape:
+        b = np.broadcast_to(b, acc.shape)
     acc[n:] = 0.0
     live = b.take(ib, axis=0, out=acc[:n], mode="clip")
     live *= a[ia]
-    ga, gb = np.empty((2, n) + a.shape[1:])
+    ga, gb = np.empty((2, n) + acc.shape[1:]) if gather is None else gather
     for ia, ib in rest:
         x = a.take(ia, axis=0, out=ga[:len(ia)], mode="clip")
         x *= b.take(ib, axis=0, out=gb[:len(ib)], mode="clip")
         acc[:len(ia)] += x
-    return acc[unrank]
+    return acc
+
+
+def _reorder(rows, index, out=None):
+    """rows[index] along the coefficient axis, taken into out when given:
+    a product from a plan's ranking with its unrank, into it with its
+    rank."""
+    return np.take(rows, index, axis=0, out=out, mode="clip")
 
 
 class RJet:
@@ -375,14 +406,20 @@ class RJet:
         return self._cm[_POS[self.order][multi], ...] * fac
 
     def derivative(self, var: int) -> "RJet":
-        """d/dx_var as a jet of one order lower."""
+        """d/dx_var as a jet of one order lower; of an order-1 jet, a
+        read-only view of its row 1 + var, whose factor is 1.0."""
         if self.order < 1:
             raise IndexTooDeep("cannot differentiate an order-0 jet")
         if self._mark == "zero":
             return RJet.zero(self.order - 1)
+        if self.order == 1:
+            row = self._cm[1 + var:2 + var]
+            row.flags.writeable = False
+            return RJet._wrap(0, row)
         src, fac = _DERIV[(self.order, var)]
-        return RJet._wrap(self.order - 1,
-                          self._cm[src] * _lift(fac, self._cm.ndim - 1))
+        rows = self._cm[src]
+        rows *= _lift(fac, rows.ndim - 1)
+        return RJet._wrap(self.order - 1, rows)
 
     # -- elementary functions ---------------------------------------------
 
@@ -403,8 +440,9 @@ class RJet:
             if m == 1:
                 power = h
             elif h._mark is None:
-                power = RJet._wrap(order, _plan_product(
-                    _POWERS[(order, m)], power._cm, h._cm))
+                plan = _POWERS[(order, m)]
+                power = RJet._wrap(order, _reorder(
+                    _plan_product(plan, power._cm, h._cm), plan.unrank))
             else:
                 power = power * h
             fact *= m
@@ -451,10 +489,11 @@ class RJet:
                                         lambda: (2.0 + 6.0 * a * a) * np.power(d, 3)))
 
 
-def _sin_cos_derivs(a, order: int) -> tuple:
+def _sin_cos_derivs(a, order: int, s=None) -> tuple:
     """The derivatives g^(m)(a), m = 0..order, of g = sin and g = cos: the
-    cycles (s, c, -s, -c) and (c, -s, -c, s) cut after the order."""
-    s, c = np.sin(a), np.cos(a)
+    cycles (s, c, -s, -c) and (c, -s, -c, s) cut after the order.  s, when
+    given, is np.sin(a), taken by the caller."""
+    s, c = np.sin(a) if s is None else s, np.cos(a)
     cycle = [s, c, -s, -c]
     return cycle[:order + 1], (cycle[1:] + cycle[:1])[:order + 1]
 
@@ -588,30 +627,49 @@ class QJet(QuaternionAlgebra):
                  else np.broadcast_shapes(*shapes))
         full = (_NCOEF[order],) + batch
         x, y = ([_lift(c._cm, len(batch)) for c in s] for s in (a, b))
-        # At order 1 every pair product goes into an array made here: four
-        # results, a scratch and a tail (fresh ones cost 5 % on quadrature).
-        *accs, scratch, tail = ([np.empty(full) for _ in range(5)]
-                                + [np.empty((NVARS,) + batch)]
-                                if order == 1 else [None] * 6)
+        # Every pair product goes into arrays made here, once per product:
+        # four results, a scratch, at order 1 a tail and at orders 2 and 3
+        # the plan's accumulator and gather buffers.  Fresh ones per pair
+        # product cost 5 % on quadrature at order 1, and at order 3 would
+        # be 1.1 MB per pair product at 1,000 points.
+        *accs, scratch = (np.empty(full) for _ in range(5))
+        tail = np.empty((NVARS,) + batch) if order == 1 else None
+        plan = _MUL.get(order)
+        if plan is not None:
+            rank_acc, gather = np.empty(full), np.empty((2,) + full)
         out = []
         for terms, buf in zip(_HAMILTON, accs):
+            # At orders 2 and 3 a component with an unmarked pair sums its
+            # terms in the plan's ranking and is unranked once, into buf.
+            ranked = plan is not None and any(
+                a[k]._mark is None and b[q]._mark is None
+                for k, q, _ in terms)
             acc = None
             for k, q, sign in terms:
-                if a[k]._mark == "zero" or b[q]._mark == "zero":
-                    continue
                 marks = (a[k]._mark, b[q]._mark)
+                if "zero" in marks:
+                    continue
+                dst = (scratch if acc is not None
+                       else rank_acc if ranked else buf)
+                if not ranked:
+                    p = _product(order, x[k], y[q], marks, dst, tail)
+                elif marks == (None, None):
+                    p = _plan_product(plan, x[k], y[q], dst, gather)
+                else:
+                    # A scale (plus a shift), into the plan's ranking.
+                    p = _reorder(_product(order, x[k], y[q], marks,
+                                          gather[0]), plan.rank, dst)
                 if acc is None:
-                    acc = _product(order, x[k], y[q], marks, buf, tail)
-                    if acc.shape != full:
-                        acc = np.broadcast_to(acc, full).copy()
+                    acc = p
                     if sign < 0:
                         np.negative(acc, out=acc)
-                    continue
-                p = _product(order, x[k], y[q], marks, scratch, tail)
-                (np.add if sign > 0 else np.subtract)(acc, p, out=acc)
-                del p       # freed before the next pair's product is made
-            out.append(RJet.zero(order) if acc is None
-                       else RJet._wrap(order, acc))
+                else:
+                    (np.add if sign > 0 else np.subtract)(acc, p, out=acc)
+            if acc is None:
+                out.append(RJet.zero(order))
+            else:
+                out.append(RJet._wrap(order, _reorder(acc, plan.unrank, buf)
+                                      if ranked else acc))
         return QJet(*out)
 
     def inverse(self) -> "QJet":

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DegenerateChart, IndexTooDeep, OnRealAxis
-from .jets import _NCOEF, _POS, MAX_ORDER, QJet, RJet, _sin_cos_derivs
+from .jets import (_DERIV, _NCOEF, _POS, MAX_ORDER, QJet, RJet, _check_order,
+                   _sin_cos_derivs)
 from .catalog import iota_of
 from .quaternion import (_HAMILTON, Quaternion, SphericalPoint,
-                         from_spherical, to_spherical)
+                         check_invertible, from_spherical, to_spherical)
 
 #: Fixed guards: the spherical chart is refused at r <= R_MIN and at
 #: sin(beta) <= S_MIN.
@@ -89,13 +90,41 @@ def _chart_rows(order: int) -> tuple:
 _CHART_ROWS = {n: _chart_rows(n) for n in range(1, MAX_ORDER + 1)}
 
 
-def _taylor_rows(angle, order: int) -> np.ndarray:
+def _taylor_rows(angle, order: int, sin=None) -> np.ndarray:
     """The Taylor rows g^(m)(angle) / m!, m = 0..order, of sin and of cos
-    about angle, as one (2, order + 1) + batch array."""
-    rows = np.array(_sin_cos_derivs(angle, order))
+    about angle, as one (2, order + 1) + batch array; sin, when given, is
+    np.sin(angle)."""
+    rows = np.array(_sin_cos_derivs(angle, order, sin))
     for m in range(2, order + 1):
         rows[:, m] /= math.factorial(m)
     return rows
+
+
+def _guarded_chart(p: Quaternion, order: int) -> tuple:
+    """The chart of p, sin(beta) and the Taylor rows of sin and cos about
+    beta at jet order `order`, all from one sine of beta, after the guards
+    of spherical_frame in its order."""
+    sp = _chart(p)
+    sin_beta = np.sin(sp.beta)
+    if np.any(sin_beta <= S_MIN):
+        raise DegenerateChart(
+            f"sin(beta) below {S_MIN:g}; point too close to the plane t + z*k")
+    if order < 1:
+        raise IndexTooDeep(f"the chart frame needs jet order >= 1, got {order}")
+    _check_order(order)
+    return sp, sin_beta, _taylor_rows(sp.beta, order, sin_beta)
+
+
+def _iota_rows(sp: SphericalPoint, sc_b: np.ndarray, order: int) -> np.ndarray:
+    """iota's coefficient rows at the chart sp, as one (3, N) + batch
+    array for (x, y, z), from sc_b, the Taylor rows about beta."""
+    ab, i, j, beta, _, _ = _CHART_ROWS[order]
+    sc_a = _taylor_rows(sp.alpha, order)
+    iota_cm = np.zeros((3, _NCOEF[order]) + np.shape(sp.r))
+    # + 0.0 turns an exact -0 into +0, as the products' sums of +-0 do.
+    iota_cm[:2, ab] = sc_a[::-1, i] * sc_b[0, j] + 0.0
+    iota_cm[2, beta] = sc_b[1]
+    return iota_cm
 
 
 def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
@@ -112,20 +141,10 @@ def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
     So each coefficient has the bits the jet algebra gives the seeds of
     t, r, alpha and beta, their sin and cos, the products cos(alpha) *
     sin(beta), sin(alpha) * sin(beta) and r * iota, zero signs included."""
-    sp = _chart(p)
-    sin_beta = np.sin(sp.beta)
-    if np.any(sin_beta <= S_MIN):
-        raise DegenerateChart(
-            f"sin(beta) below {S_MIN:g}; point too close to the plane t + z*k")
-    if order < 1:
-        raise IndexTooDeep(f"the chart frame needs jet order >= 1, got {order}")
-    jt = RJet.seed(sp.t, 0, order)     # OrderTooHigh above MAX_ORDER
-    ab, i, j, beta, low, up = _CHART_ROWS[order]
-    sc_a, sc_b = _taylor_rows(sp.alpha, order), _taylor_rows(sp.beta, order)
-    iota_cm = np.zeros((3, _NCOEF[order]) + np.shape(sp.r))
-    # + 0.0 turns an exact -0 into +0, as the products' sums of +-0 do.
-    iota_cm[:2, ab] = sc_a[::-1, i] * sc_b[0, j] + 0.0
-    iota_cm[2, beta] = sc_b[1]
+    sp, sin_beta, sc_b = _guarded_chart(p, order)
+    jt = RJet.seed(sp.t, 0, order)
+    *_, low, up = _CHART_ROWS[order]
+    iota_cm = _iota_rows(sp, sc_b, order)
     xyz_cm = iota_cm * sp.r
     xyz_cm[:, up] = iota_cm[:, low]
     seed = QJet(jt, *(RJet._wrap(order, c) for c in xyz_cm))
@@ -273,23 +292,74 @@ def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 
 
 def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
-    """The angular operator d/d_l(iota) applied to f at p."""
-    fd = _fd(backend)
-    frame = spherical_frame(p, 1)
-    if not fd:
+    """The angular operator d/d_l(iota) applied to f at p.  The fd backend
+    builds no jet: it applies _angular_inverses to the alpha and beta
+    differences, the inverses checked before f is called."""
+    if not _fd(backend):
+        frame = spherical_frame(p, 1)
         return angular_jet(frame, f.eval_jet(frame.seed)).value
-    sp = frame.chart
-    da = _fd_sph_partial(f, sp, 2)
-    db = _fd_sph_partial(f, sp, 3)
-    return frame.iota_alpha_inv.value * da + frame.iota_beta_inv.value * db
+    sp, ia, ib = _angular_inverses(p)
+    return ia * _fd_sph_partial(f, sp, 2) + ib * _fd_sph_partial(f, sp, 3)
+
+
+def _angular_inverses(p: Quaternion) -> tuple:
+    """The chart of p, (iota_alpha)^-1 and (iota_beta)^-1 at p with no
+    jet built: the values of spherical_frame(p, 1).iota_alpha_inv and
+    iota_beta_inv, bit for bit and t a structural zero, refused as that
+    frame is.  Each inverts iota's alpha or beta row as QJet.inverse does
+    at order 0: (x*x + y*y) + z*z checked by check_invertible, then -x,
+    -y and -z times its reciprocal."""
+    sp, _, sc_b = _guarded_chart(p, 1)
+    iota_cm = _iota_rows(sp, sc_b, 1)
+    invs = []
+    for x, y, z in (iota_cm[:, 1 + var] for var in (2, 3)):
+        n2 = (x * x + y * y) + z * z
+        check_invertible(n2)
+        inv = 1.0 / n2
+        invs.append(Quaternion(0.0, -x * inv, -y * inv, -z * inv))
+    return (sp, *invs)
+
+
+def _laplacian_map(order: int) -> tuple:
+    """d^2/dx_v^2, v = 0..3, on a jet of order 2 or 3 as _DERIV's maps for
+    d/dx_v composed: row m of the result is (c[src[v, m]] * first[v, m]) *
+    second[v, m], the row m + 2 e_v times m_v + 2, then times m_v + 1."""
+    src, first, second = [], [], []
+    for v in range(4):
+        s1, f1 = _DERIV[(order, v)]
+        s2, f2 = _DERIV[(order - 1, v)]
+        src.append(s1[s2])
+        first.append(f1[s2])
+        second.append(f2)
+    return np.array(src), np.array(first), np.array(second)
+
+
+_LAPLACIAN = {n: _laplacian_map(n) for n in (2, 3)}
 
 
 def _laplacian_jet(g: QJet) -> QJet:
-    """The Laplacian of a Cartesian-seeded jet, two orders lower."""
-    lap = g.derivative(0).derivative(0)
-    for v in (1, 2, 3):
-        lap = lap + g.derivative(v).derivative(v)
-    return lap
+    """The Laplacian of a Cartesian-seeded jet of order 2 or 3, two orders
+    lower.  Each component reads only the rows of _LAPLACIAN and sums its
+    four second derivatives over v = 0..3 in that order: the float
+    operations of g.derivative(v).derivative(v) summed, with no jet built
+    between them."""
+    src, first, second = _LAPLACIAN[g.order]
+    order = g.order - 2
+    comps = []
+    for comp in g.components():
+        if comp._mark == "zero":
+            comps.append(RJet.zero(order))
+            continue
+        cm = comp._cm
+        unit = (1,) * (cm.ndim - 1)
+        rows = cm[src]
+        rows *= first.reshape(first.shape + unit)
+        rows *= second.reshape(second.shape + unit)
+        lap = rows[0] + rows[1]
+        lap += rows[2]
+        lap += rows[3]
+        comps.append(RJet._wrap(order, lap))
+    return QJet(*comps)
 
 
 def laplacian(f, p: Quaternion, backend: str = "jets") -> Quaternion:

@@ -610,6 +610,132 @@ class TestMarkedProducts:
         assert np.all(np.isposinf(by_seed[~np.isfinite(by_seed)]))
 
 
+def _mixed_component(rng, order, kind, batch):
+    """A component of kind "zero", "constant", "seed" (of a random
+    variable) or "data": random rows with a -0.0, an inf and a NaN."""
+    if kind == "zero":
+        return RJet.zero(order)
+    value = rng.uniform(-2.0, 2.0, batch)
+    if kind == "constant":
+        return RJet.constant(value, order)
+    if kind == "seed":
+        return RJet.seed(value, int(rng.integers(4)), order)
+    c = rng.uniform(-2.0, 2.0, batch + (len(jets.INDICES[order]),))
+    flat = c.reshape(-1)
+    for pos, v in zip((1, 4, 6), (-0.0, math.inf, math.nan)):
+        if flat.size > pos:
+            flat[pos] = v
+    return RJet(order, c)
+
+
+def _per_pair_hamilton(a, b):
+    """The Hamilton product with every pair product made on its own: by
+    _ref_mul for two unmarked components and by RJet.__mul__, its scale
+    and shift, for a seed or constant one.  Terms with a structural zero
+    are skipped and the rest added left to right; an output with no term
+    left is None."""
+    ca, cb = a.components(), b.components()
+    out = []
+    for terms in jets._HAMILTON:
+        acc = None
+        for k, q, sign in terms:
+            x, y = ca[k], cb[q]
+            if "zero" in (x._mark, y._mark):
+                continue
+            if x._mark is None and y._mark is None:
+                term = _ref_mul(a.order, x.c, y.c)
+            else:
+                term = (x * y).c
+            if acc is None:
+                acc = term if sign > 0 else -term
+            else:
+                acc = acc + term if sign > 0 else acc - term
+        out.append(acc)
+    return out
+
+
+class TestBufferedProducts:
+    """Order-2 and 3 QJet products sum their terms in buffers made once per
+    product; every coefficient keeps the bits of the pair products made
+    one by one."""
+
+    KINDS = ("data", "data", "data", "zero", "constant", "seed")
+    BATCHES = ((), (3, 4), (4,), (3, 1), (1000,))
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_bits_match_the_per_pair_products(self, order):
+        rng = np.random.default_rng(100 + order)
+        cases = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(60):
+                batches = [self.BATCHES[i] for i in rng.integers(4, size=8)]
+                if rng.random() < 0.2:
+                    batches = [(1000,)] * 8
+                kinds = [self.KINDS[i] for i in rng.integers(6, size=8)]
+                a, b = (QJet(*(_mixed_component(rng, order, kind, batch)
+                               for kind, batch in zip(kinds[s], batches[s])))
+                        for s in (slice(0, 4), slice(4, 8)))
+                full = np.broadcast_shapes(*(c.c.shape for c in
+                                             a.components() + b.components()))
+                for comp, want in zip((a * b).components(),
+                                      _per_pair_hamilton(a, b)):
+                    if want is None:
+                        assert comp._mark == "zero"
+                        continue
+                    cases += 1
+                    assert comp._mark is None
+                    assert _same_bits(comp.c, np.broadcast_to(want, full))
+                    assert _batch_major(comp)
+        assert cases > 150
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_every_kind_of_component(self, order):
+        # Each pairing of kinds on each side, with a 0-d component, a
+        # (3, 4) batch and a (3, 1) one: every term kind of the loop.
+        rng = np.random.default_rng(110 + order)
+        kinds = ("data", "zero", "constant", "seed")
+        with np.errstate(invalid="ignore", over="ignore"):
+            for ka in kinds:
+                for kb in kinds:
+                    a = QJet(*(_mixed_component(rng, order, k, bt)
+                               for k, bt in zip((ka, "data", kb, "data"),
+                                                ((), (3, 4), (3, 1), ()))))
+                    b = QJet(*(_mixed_component(rng, order, k, bt)
+                               for k, bt in zip((kb, ka, "data", "seed"),
+                                                ((3, 4), (), (4,), (3, 1)))))
+                    for x, y in ((a, b), (b, a), (a, a)):
+                        for comp, want in zip((x * y).components(),
+                                              _per_pair_hamilton(x, y)):
+                            if want is None:
+                                assert comp._mark == "zero"
+                                continue
+                            assert _same_bits(comp.c, np.broadcast_to(
+                                want, comp.c.shape))
+                            assert comp.c.shape[:-1] == (3, 4)
+
+
+class TestDerivativeViews:
+    def test_order1_derivative_is_a_read_only_row(self):
+        rng = np.random.default_rng(120)
+        for batch in ((), (7,), (3, 4)):
+            jet = _random_jet(rng, 1, batch)
+            for var in range(4):
+                d = jet.derivative(var)
+                assert d.order == 0 and d._mark is None
+                assert np.shares_memory(d._cm, jet._cm)
+                assert np.array_equal(d.c[..., 0], jet.c[..., 1 + var])
+                with pytest.raises(ValueError, match="read-only"):
+                    d._cm[...] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.negative(d._cm, out=d._cm)
+            # The jet itself stays writeable.
+            assert jet._cm.flags.writeable
+        g = QJet.seed_cartesian(SampleDomain().sample(5, seed=2), 1)
+        for comp in g.derivative(2).components():
+            with pytest.raises(ValueError, match="read-only"):
+                comp._cm += 1.0
+
+
 class TestMixedOperands:
     """Points and real numbers on either side of a QJet sum or difference
     are lifted to constant jets."""

@@ -340,3 +340,107 @@ class TestClosedFormFrame:
         monkeypatch.setattr(regularity, "spherical_frame", composed)
         assert records() == closed
         assert {1, 2} <= set(calls)
+
+
+def _bits(c):
+    return np.asarray(c, dtype=float).view(np.int64)
+
+
+#: The points of FRAME_POINTS, sin(beta) just above S_MIN at alpha = 0
+#: with y = +0 and -0, and a 0-d point at alpha = 0 with y = -0.
+_S = 1.5 * operators.S_MIN
+ANGULAR_POINTS = FRAME_POINTS + (
+    Quaternion(0.5, np.array([_S, _S, -_S, 0.3]), np.array([0.0, -0.0, 0.0, -_S]),
+               np.array([np.sqrt(1.0 - _S * _S)] * 3 + [-1.0])),
+    q(0.0, 1.0, -0.0, 2.0),
+)
+
+
+class TestAngularInverses:
+    """The FD angular operator inverts iota's alpha and beta rows with no
+    jet built, with the bits of the order-1 frame's inverses."""
+
+    def test_bits_match_the_frame(self):
+        for p in ANGULAR_POINTS:
+            sp, *got = operators._angular_inverses(p)
+            frame = spherical_frame(p, 1)
+            assert np.array_equal(_bits(sp.r), _bits(frame.chart.r))
+            for inv, jet in zip(got, (frame.iota_alpha_inv,
+                                      frame.iota_beta_inv)):
+                want = jet.value
+                assert type(inv.t) is float and inv.t == 0.0
+                assert type(want.t) is float
+                for g, w in zip(inv.components()[1:],
+                                want.components()[1:]):
+                    assert np.shape(g) == np.shape(w)
+                    assert np.array_equal(_bits(g), _bits(w))
+
+    def test_guards_in_the_frame_order(self):
+        bad = ((q(t=2.0), OnRealAxis), (q(1, 0, 0, 1), DegenerateChart),
+               (Quaternion(0.0, np.array([1.0, 0.0]), 0.0,
+                           np.array([1.0, 1.0])), DegenerateChart))
+        for p, err in bad:
+            for check in (lambda: spherical_frame(p, 1),
+                          lambda: operators._angular_inverses(p),
+                          lambda: angular_derivative(IOTA, p, backend="fd")):
+                with pytest.raises(err):
+                    check()
+
+
+def _laplacian_chain(g):
+    """The Laplacian as the sum of g.derivative(v).derivative(v)."""
+    lap = g.derivative(0).derivative(0)
+    for v in (1, 2, 3):
+        lap = lap + g.derivative(v).derivative(v)
+    return lap
+
+
+class TestLaplacianRows:
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_bits_match_the_derivative_chain(self, order):
+        rng = np.random.default_rng(130 + order)
+        pts = SampleDomain().sample(300, seed=order)
+        z = RJet.zero(order)
+        n = len(operators._POS[order])
+        jets_ = [f.eval_jet(QJet.seed_cartesian(pts, order))
+                 for f in default_inventory()]
+        jets_.append(QJet(z, RJet(order, rng.uniform(-2, 2, (3, 4, n))),
+                          RJet.seed(0.5, 1, order),
+                          RJet(order, rng.uniform(-2, 2, n))))
+        jets_.append(QJet(RJet.constant(2.0, order), z, z, z))
+        for g in jets_:
+            got, want = operators._laplacian_jet(g), _laplacian_chain(g)
+            assert got.order == order - 2
+            for gc, wc in zip(got.components(), want.components()):
+                assert gc._mark == wc._mark
+                assert gc._cm.shape == wc._cm.shape
+                assert np.array_equal(gc._cm.view(np.int64),
+                                      wc._cm.view(np.int64))
+
+
+class TestFramesStayUnchanged:
+    """The order-1 derivatives the jet checkers take are views of their
+    frame's rows; no checker writes into them."""
+
+    def test_checkers_leave_the_frame_bits(self, monkeypatch):
+        frames = []
+
+        def recorded(p, order):
+            fr = spherical_frame(p, order)
+            frames.append((fr, _frame_bytes(fr)))
+            return fr
+
+        monkeypatch.setattr(regularity, "spherical_frame", recorded)
+        for f in default_inventory():
+            pts = SampleDomain().merge(f.domain).sample(50, seed=5)
+            theorem1_residuals(f, pts)
+            lemma1_residual(f, pts)
+            regularity.hyperholomorphy_report(f, pts)
+        assert {fr.seed.order for fr, _ in frames} == {1, 2}
+        for fr, before in frames:
+            assert _frame_bytes(fr) == before
+
+
+def _frame_bytes(fr):
+    return b"".join(comp._cm.tobytes() for jet in (fr.seed, fr.iota)
+                    for comp in jet.components())
