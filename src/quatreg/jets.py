@@ -641,6 +641,9 @@ class QJet(QuaternionAlgebra):
         for terms, buf in zip(_HAMILTON, accs):
             # At orders 2 and 3 a component with an unmarked pair sums its
             # terms in the plan's ranking and is unranked once, into buf.
+            # Ranking a component of marked pairs only would copy each of
+            # its scales once more: +41 % on an order-3 product of a full
+            # jet by the Cartesian seed, as every power p^k makes.
             ranked = plan is not None and any(
                 a[k]._mark is None and b[q]._mark is None
                 for k, q, _ in terms)

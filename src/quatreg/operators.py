@@ -35,7 +35,7 @@ from .jets import (_DERIV, _NCOEF, _POS, MAX_ORDER, QJet, RJet, _check_order,
                    _sin_cos_derivs)
 from .catalog import iota_of
 from .quaternion import (_HAMILTON, Quaternion, SphericalPoint,
-                         check_invertible, from_spherical, to_spherical)
+                         from_spherical, to_spherical)
 
 #: Fixed guards: the spherical chart is refused at r <= R_MIN and at
 #: sin(beta) <= S_MIN.
@@ -115,16 +115,23 @@ def _guarded_chart(p: Quaternion, order: int) -> tuple:
     return sp, sin_beta, _taylor_rows(sp.beta, order, sin_beta)
 
 
-def _iota_rows(sp: SphericalPoint, sc_b: np.ndarray, order: int) -> np.ndarray:
-    """iota's coefficient rows at the chart sp, as one (3, N) + batch
-    array for (x, y, z), from sc_b, the Taylor rows about beta."""
+def _iota_jet(sp: SphericalPoint, sc_b: np.ndarray, order: int) -> tuple:
+    """iota at the chart sp as a jet of the chart variables and its
+    coefficient rows, one (3, N) + batch array for (x, y, z) that the
+    jet's x, y and z wrap; sc_b is the Taylor rows about beta."""
     ab, i, j, beta, _, _ = _CHART_ROWS[order]
     sc_a = _taylor_rows(sp.alpha, order)
     iota_cm = np.zeros((3, _NCOEF[order]) + np.shape(sp.r))
     # + 0.0 turns an exact -0 into +0, as the products' sums of +-0 do.
     iota_cm[:2, ab] = sc_a[::-1, i] * sc_b[0, j] + 0.0
     iota_cm[2, beta] = sc_b[1]
-    return iota_cm
+    iota = QJet(RJet.zero(order), *(RJet._wrap(order, c) for c in iota_cm))
+    return iota, iota_cm
+
+
+def _iota_inverses(iota: QJet) -> tuple:
+    """(iota_alpha)^-1 and (iota_beta)^-1, one order below iota."""
+    return iota.derivative(2).inverse(), iota.derivative(3).inverse()
 
 
 def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
@@ -144,14 +151,11 @@ def spherical_frame(p: Quaternion, order: int) -> SphericalFrame:
     sp, sin_beta, sc_b = _guarded_chart(p, order)
     jt = RJet.seed(sp.t, 0, order)
     *_, low, up = _CHART_ROWS[order]
-    iota_cm = _iota_rows(sp, sc_b, order)
+    iota, iota_cm = _iota_jet(sp, sc_b, order)
     xyz_cm = iota_cm * sp.r
     xyz_cm[:, up] = iota_cm[:, low]
     seed = QJet(jt, *(RJet._wrap(order, c) for c in xyz_cm))
-    iota = QJet(RJet.zero(order), *(RJet._wrap(order, c) for c in iota_cm))
-    return SphericalFrame(sp, seed, iota, sin_beta,
-                          iota.derivative(2).inverse(),
-                          iota.derivative(3).inverse())
+    return SphericalFrame(sp, seed, iota, sin_beta, *_iota_inverses(iota))
 
 
 def angular_jet(frame: SphericalFrame, g: QJet) -> QJet:
@@ -293,8 +297,9 @@ def cullen_left(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 
 def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
     """The angular operator d/d_l(iota) applied to f at p.  The fd backend
-    builds no jet: it applies _angular_inverses to the alpha and beta
-    differences, the inverses checked before f is called."""
+    builds no chart frame: it applies _angular_inverses, the values of the
+    order-1 frame's iota inverses, to the alpha and beta differences, the
+    inverses checked before f is called."""
     if not _fd(backend):
         frame = spherical_frame(p, 1)
         return angular_jet(frame, f.eval_jet(frame.seed)).value
@@ -303,21 +308,12 @@ def angular_derivative(f, p: Quaternion, backend: str = "jets") -> Quaternion:
 
 
 def _angular_inverses(p: Quaternion) -> tuple:
-    """The chart of p, (iota_alpha)^-1 and (iota_beta)^-1 at p with no
-    jet built: the values of spherical_frame(p, 1).iota_alpha_inv and
-    iota_beta_inv, bit for bit and t a structural zero, refused as that
-    frame is.  Each inverts iota's alpha or beta row as QJet.inverse does
-    at order 0: (x*x + y*y) + z*z checked by check_invertible, then -x,
-    -y and -z times its reciprocal."""
+    """The chart of p and the values of spherical_frame(p, 1)'s
+    iota_alpha_inv and iota_beta_inv, refused as that frame is: the
+    frame's order-1 iota and _iota_inverses, with no seed built."""
     sp, _, sc_b = _guarded_chart(p, 1)
-    iota_cm = _iota_rows(sp, sc_b, 1)
-    invs = []
-    for x, y, z in (iota_cm[:, 1 + var] for var in (2, 3)):
-        n2 = (x * x + y * y) + z * z
-        check_invertible(n2)
-        inv = 1.0 / n2
-        invs.append(Quaternion(0.0, -x * inv, -y * inv, -z * inv))
-    return (sp, *invs)
+    ia, ib = _iota_inverses(_iota_jet(sp, sc_b, 1)[0])
+    return sp, ia.value, ib.value
 
 
 def _laplacian_map(order: int) -> tuple:

@@ -358,7 +358,7 @@ ANGULAR_POINTS = FRAME_POINTS + (
 
 class TestAngularInverses:
     """The FD angular operator inverts iota's alpha and beta rows with no
-    jet built, with the bits of the order-1 frame's inverses."""
+    chart frame built, with the bits of the order-1 frame's inverses."""
 
     def test_bits_match_the_frame(self):
         for p in ANGULAR_POINTS:
