@@ -45,12 +45,25 @@ def _values(a):
 
 
 def _ipow(p, n: int):
+    """p^n as the chain ((base * base) * base)..., base p or p.inverse().
+    On a seed of QJet._seed_at, whose members share it, one slot of the
+    seed's _built keeps the sign, the exponent and the jet of the last
+    power made with |n| >= 2, and a power of that sign and an exponent at
+    least the slot's continues its chain: the same products in the same
+    order, so every bit is kept.  The slot lives as long as the seed."""
     if n == 0:
         return _real_elem(p, p.t * 0.0 + 1.0)
     base = p if n > 0 else p.inverse()
-    out = base
-    for _ in range(abs(n) - 1):
+    built = getattr(p, "_built", None) if abs(n) >= 2 else None
+    done, out = 1, base
+    if built is not None:
+        positive, exponent, power = built.get(_ipow, (None, 0, None))
+        if positive == (n > 0) and exponent <= abs(n):
+            done, out = exponent, power
+    for _ in range(abs(n) - done):
         out = out * base
+    if built is not None:
+        built[_ipow] = (n > 0, abs(n), out)
     return out
 
 

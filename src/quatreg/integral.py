@@ -30,15 +30,17 @@ Cartesian jet and one radial directional derivative, so interior nodes on
 the plane t + z*k (where the angular chart degenerates) are no obstacle.
 
 Interior integrands are evaluated in equal contiguous blocks of at most
-_BLOCK nodes (_blocks), so a member's jets take the same memory at any
-resolution, and each block is summed where it is made, the block sums
-added in block order.  The generalized sweep builds one _SphereJets per
-sphere: its blocks and one buffer set (a seed jet and nine rows) that
-every member fills in place, so memory is not handed back and faulted in
-again.  It visits a sphere block by block: each block is seeded once,
-and every member is evaluated on that one seed jet, whose inverse and
-iota are built on first use and shared by the later members
-(QJet._once).
+_BLOCK nodes (_blocks), and each block is summed where it is made, the
+block sums added in block order.  A block's nodes and weights are built
+where the block is used (Hypersurface.volume_nodes(block)), so no array
+spans a sphere's interior and memory grows with the surface, not the
+interior.  The generalized sweep builds one _SphereJets per sphere: one
+buffer set (a seed jet and nine rows) that every member fills in place,
+so memory is not handed back and faulted in again.  It visits a sphere
+block by block: each block is seeded once, and every member is
+evaluated on that one seed jet, whose inverse and iota are built on
+first use and shared by the later members (QJet._once), and whose powers
+continue one chain (catalog._ipow).
 
 The integrands and the surface fluxes are assembled in place, by the
 operations of the Quaternion formulas in their order (_integrands, and the
@@ -111,7 +113,11 @@ class Hypersurface:
         self.name = f"sphere(r={radius:g},res={int(resolution)})"
         self.center = center
         self.radius = float(radius)
-        self._radial_nodes = max(3, int(resolution) // 2)
+        # The interior's radial Gauss-Legendre rule: shell i lies at
+        # rho_i R, and its volume weight per unit surface weight is
+        # rho_i^3 wrho_i R (dV = (rho R)^3 R drho dS / R^3).
+        rho, wrho = _gl_nodes(max(3, int(resolution) // 2), 0.0, 1.0)
+        self._shells = rho, rho ** 3 * wrho
 
     @property
     def node_count(self) -> int:
@@ -120,25 +126,37 @@ class Hypersurface:
     @property
     def interior_count(self) -> int:
         """The number of interior nodes, without building them."""
-        return self._radial_nodes * self.node_count
+        return self._shells[0].size * self.node_count
 
     def area(self) -> float:
         return float(np.sum(self.weights))
 
-    def volume_nodes(self):
-        """Interior nodes (points, weights), built anew on each call."""
-        rho, wrho = _gl_nodes(self._radial_nodes, 0.0, 1.0)
-        shell = self.points - self.center       # radius * unit normal
-        pts = Quaternion(self.center.t + shell.t * rho[:, None],
-                         self.center.x + shell.x * rho[:, None],
-                         self.center.y + shell.y * rho[:, None],
-                         self.center.z + shell.z * rho[:, None])
-        # dV = (rho R)^3 drho/R * dS/R^3 * R ... collapses to
-        # rho^3 * R * wrho * surface weight.
-        w = (rho ** 3 * wrho)[:, None] * self.weights[None, :] * self.radius
-        flat = lambda a: a.reshape(-1)
-        return (Quaternion(flat(pts.t), flat(pts.x), flat(pts.y),
-                           flat(pts.z)), flat(w))
+    def volume_nodes(self, block=None):
+        """The interior nodes (points, weights) of block, a contiguous
+        slice of the shell-major order (shell by shell, each shell in the
+        order of the surface nodes), or of the whole interior without one.
+        They are built anew on each call, one shell segment at a time from
+        that segment of the surface nodes and weights, into one (5, n)
+        array whose rows are the four components and the weights."""
+        n = self.node_count
+        start, stop = ((0, self.interior_count) if block is None
+                       else (block.start, block.stop))
+        out = np.empty((5, stop - start))
+        rho, rho_w = self._shells
+        surface, center = self.points.components(), self.center.components()
+        pos = start
+        while pos < stop:
+            shell, lo = divmod(pos, n)
+            hi = min(n, lo + stop - pos)
+            seg = out[:, pos - start:pos - start + hi - lo]
+            for row, p, c in zip(seg, surface, center):
+                np.subtract(p[lo:hi], c, out=row)   # radius * unit normal
+                np.multiply(row, rho[shell], out=row)
+                np.add(c, row, out=row)
+            np.multiply(rho_w[shell], self.weights[lo:hi], out=seg[4])
+            seg[4] *= self.radius
+            pos += hi - lo
+        return Quaternion(*out[:4]), out[4]
 
     def volume(self) -> float:
         return float(np.sum(self.volume_nodes()[1]))
@@ -204,12 +222,13 @@ def surface_integral_left(f, K: Hypersurface) -> Quaternion:
 
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
-    """Weighted sum of a pointwise map g over the interior nodes.  g is
-    called once per block of _blocks and its values summed there, so g's
-    temporaries stay one block long."""
-    pts, w = K.volume_nodes()
-    return reduce(operator.add, (_wsum(g(pts[block]), w[block])
-                                 for block in _blocks(w.size)))
+    """Weighted sum of a pointwise map g over the interior nodes.  Per
+    block of _blocks the nodes are built, g is called on them and its
+    values summed there, so the nodes and g's temporaries stay one block
+    long."""
+    return reduce(operator.add, (
+        _wsum(g(pts), w) for pts, w in map(K.volume_nodes,
+                                           _blocks(K.interior_count))))
 
 
 def divergence(fs, pts: Quaternion) -> Quaternion:
@@ -312,31 +331,26 @@ def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
 
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
-    share, built once: per block of _blocks, the interior nodes and
-    weights, 1/r, -2/r and iota (the one iota_of); iota at the surface
-    nodes; and the buffers every member fills in place.  These are the
-    order-1 Cartesian seed jet of the longest block, whose rows below the
-    value are written here and only its value rows per block, and nine
-    rows as long as the surface or that block: two sets of four for the
-    products or integrands, and a scratch row, which made per block would
-    slow the integrands by about a sixth.
+    share: iota at the surface nodes, and the buffers every member fills
+    in place.  These are the order-1 Cartesian seed jet of the longest
+    block of _blocks, whose rows below the value are written here and
+    only its value rows per block, and nine rows as long as the surface or
+    that block: two sets of four for the products or integrands, and a
+    scratch row, which made per block would slow the integrands by about
+    a sixth.
 
-    reports visits the members block by block: each block is seeded once
-    and every member still without an error is evaluated on that one
-    seed jet, so the seed's inverse and its iota are built once per block
-    (QJet._once) and shared by the members whose bodies take them."""
+    reports visits the members block by block.  A block's interior nodes
+    and weights, 1/r, -2/r and iota (the one iota_of) are built when it
+    is visited and dropped with it, so no array spans the interior.  The
+    block is seeded once and every member still without an error is
+    evaluated on that one seed jet, so the seed's inverse and its iota
+    are built once per block (QJet._once), and the members' powers of the
+    seed continue one chain (catalog._ipow)."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
-        pts, w = K.volume_nodes()
-        self.blocks = []
-        for block in _blocks(w.size):
-            p = pts[block]
-            inv_r = 1.0 / p.imag_norm()
-            self.blocks.append((p, w[block], inv_r, -2.0 * inv_r,
-                                iota_of(p)))
         self.iota_surface = iota_of(K.points)
-        longest = _longest_block(w.size)
+        longest = _longest_block(K.interior_count)
         self.seed = QJet._seed_buffer(1, longest)
         self.rows = np.empty((9, max(K.node_count, longest)))
 
@@ -358,8 +372,9 @@ class _SphereJets:
         from one evaluation of f, or the first runtime error f raised, its
         frames' locals not cleared.  Every member's surface sides come
         first, so that f's values are dropped before any jet is made.
-        Then per block the seed is set at the block's nodes once, and each
-        live member's order-1 Cartesian jet on it is made, its integrands
+        Then per block, while any member is without an error, the block's
+        nodes are built and the seed set at them once, and each such
+        member's order-1 Cartesian jet on it is made, its integrands
         assembled in the sphere's rows (_integrands) and summed.  iota*f's
         integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no
         jet of iota*f.  Each member's block sums are added in block
@@ -371,26 +386,38 @@ class _SphereJets:
                 found.append((*self._surface_sides(f), [], []))
             except RUNTIME_ERRORS as exc:
                 found.append(exc)
-        rows = self.rows
-        for p, w, inv_r, m2_inv_r, iota in self.blocks:
-            seed = self.seed._seed_at(p)
-            n = w.size
-            mv_f, mv_iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
-            for i, f in enumerate(members):
-                if isinstance(found[i], Exception):
-                    continue
-                try:
-                    _integrands(mv_f, f.eval_jet(seed), p, inv_r, iota,
-                                mv_iota_f, row, m2_inv_r)
-                except RUNTIME_ERRORS as exc:
-                    found[i] = exc
-                    continue
-                found[i][2].append(_wsum(mv_f, w))
-                found[i][3].append(_wsum(mv_iota_f, w))
+        for block in _blocks(self.K.interior_count):
+            if all(isinstance(out, Exception) for out in found):
+                break
+            self._add_block(block, members, found)
         return [out if isinstance(out, Exception) else
                 (_report(self.K, out[0], reduce(operator.add, out[2])),
                  _report(self.K, out[1], reduce(operator.add, out[3])))
                 for out in found]
+
+    def _add_block(self, block, members, found) -> None:
+        """Evaluate on block's nodes every member whose entry in found is
+        not an error: append its two block sums to that entry, or put the
+        error it raised in its place.  The block's nodes, weights, 1/r,
+        -2/r, iota and seed jet are this call's locals, so they are
+        dropped before the next block's are built."""
+        p, w = self.K.volume_nodes(block)
+        inv_r = 1.0 / p.imag_norm()
+        m2_inv_r, iota = -2.0 * inv_r, iota_of(p)
+        seed = self.seed._seed_at(p)
+        n, rows = w.size, self.rows
+        mv_f, mv_iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
+        for i, f in enumerate(members):
+            if isinstance(found[i], Exception):
+                continue
+            try:
+                _integrands(mv_f, f.eval_jet(seed), p, inv_r, iota,
+                            mv_iota_f, row, m2_inv_r)
+            except RUNTIME_ERRORS as exc:
+                found[i] = exc
+                continue
+            found[i][2].append(_wsum(mv_f, w))
+            found[i][3].append(_wsum(mv_iota_f, w))
 
 
 @dataclass(frozen=True)

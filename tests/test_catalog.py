@@ -16,7 +16,7 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      default_inventory, from_string, hyperholomorphy_report,
                      iota_of, iota_times, over_r2, parse_quaternion_literal,
                      product)
-from quatreg import catalog, jets
+from quatreg import catalog, jets, standard_family
 from quatreg.catalog import _INVENTORY, split_ids
 from conftest import assert_close, q
 
@@ -200,6 +200,93 @@ class TestArctanBody:
             for p in args:
                 assert np.array_equal(_bits(f.body(p)),
                                       _bits(_arctan_hamilton(k, p))), k
+
+
+def _plain_ipow(p, n):
+    """p^n as the chain ((base * base) * base)... made anew on every call,
+    with no slot: the reference for catalog._ipow."""
+    if n == 0:
+        return catalog._real_elem(p, p.t * 0.0 + 1.0)
+    base = p if n > 0 else p.inverse()
+    out = base
+    for _ in range(abs(n) - 1):
+        out = out * base
+    return out
+
+
+def _jet_bits(g):
+    """The marks and coefficients of a jet's components, the coefficients
+    as int64 views."""
+    return [(c._mark, c._cm.view(np.int64)) for c in g.components()]
+
+
+class TestPowerChain:
+    """On a seed of QJet._seed_at, which the members on a quadrature block
+    share, _ipow continues one chain of powers: fewer QJet products, and
+    every member's jet keeps the bits it has on a seed of its own."""
+
+    PTS = standard_family(4)[0].volume_nodes()[0]   # one block, 384 nodes
+
+    def _on_one_seed(self, fids, ipow=None):
+        """The QJet products the members make in turn on one seed of the
+        block, with catalog._ipow replaced by ipow if given, and their
+        jets."""
+        count, mul = [0], QJet.__mul__
+
+        def counted(a, b):
+            count[0] += 1
+            return mul(a, b)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(QJet, "__mul__", counted)
+            if ipow is not None:
+                m.setattr(catalog, "_ipow", ipow)
+            seed = QJet._seed_buffer(1, 384)._seed_at(self.PTS)
+            out = [from_string(fid).eval_jet(seed) for fid in fids]
+        return count[0], out
+
+    def _assert_fresh_bits(self, fids, got):
+        for fid, g in zip(fids, got):
+            _, (alone,) = self._on_one_seed([fid])
+            for (mark, bits), (mark_alone, bits_alone) in zip(
+                    _jet_bits(g), _jet_bits(alone)):
+                assert mark == mark_alone, fid
+                assert np.array_equal(bits, bits_alone), fid
+
+    def test_default_inventory_makes_six_fewer_products(self):
+        # power:3, 4 and 5 continue power:2's chain: 1 + 2 + 3 products
+        # fewer than the chain made anew.
+        plain, _ = self._on_one_seed(_INVENTORY, _plain_ipow)
+        chained, got = self._on_one_seed(_INVENTORY)
+        assert plain - chained == 6
+        self._assert_fresh_bits(_INVENTORY, got)
+
+    @pytest.mark.parametrize("fids, saved", [
+        # a lower exponent after a higher one starts a new chain
+        (("power:5", "power:3"), 0),
+        # so does the other sign, at a lower and at an equal exponent
+        (("power:5", "laurent:-2=1k"), 0),
+        (("power:2", "power:-2"), 0),
+        # power:-1 keeps no slot, so power:-3 continues power:-2
+        (("power:-2", "power:-1", "power:-3"), 1),
+        # an equal exponent is the slot's own jet
+        (("power:3", "laurent:3=1"), 2),
+    ])
+    def test_chain_cases_keep_every_bit(self, fids, saved):
+        plain, _ = self._on_one_seed(fids, _plain_ipow)
+        chained, got = self._on_one_seed(fids)
+        assert plain - chained == saved
+        self._assert_fresh_bits(fids, got)
+
+    def test_points_and_other_jets_keep_no_slot(self):
+        pts = self.PTS
+        seed = QJet.seed_cartesian(pts, 1)
+        for p in (pts, seed):
+            catalog._ipow(p, 3)
+            assert getattr(p, "_built", None) is None
+        fresh = QJet._seed_buffer(1, 384)._seed_at(pts)
+        cube = catalog._ipow(fresh, 3)
+        assert fresh._built[catalog._ipow] == (True, 3, cube)
 
 
 class TestGrammar:

@@ -743,25 +743,72 @@ class TestGeneralizedSweep:
                        for K in family)
 
     def test_interior_nodes_live_one_sphere_at_a_time(self, monkeypatch):
-        # The surfaces keep no interior nodes: when the sweep builds a
-        # sphere's nodes, no earlier sphere's are alive, and after it none
-        # are, though the family still is.
+        # The surfaces keep no interior nodes, and the sweep builds them
+        # one block at a time: at res 10 each sphere has 2 blocks, and
+        # when the sweep builds a block's nodes, no earlier block's are
+        # alive, nor the array they are rows of, and after it none are,
+        # though the family still is.
         refs, alive_at_build = [], []
         volume_nodes = integral.Hypersurface.volume_nodes
 
-        def recorded(K):
+        def recorded(K, block):
             gc.collect()
             alive_at_build.append(sum(ref() is not None for ref in refs))
-            pts, w = volume_nodes(K)
-            refs.extend(weakref.ref(a) for a in (*pts.components(), w))
+            pts, w = volume_nodes(K, block)
+            refs.extend(weakref.ref(a)
+                        for a in (*pts.components(), w, w.base))
             return pts, w
 
         monkeypatch.setattr(integral.Hypersurface, "volume_nodes", recorded)
-        family = integral.standard_family(4)
+        family = integral.standard_family(10)
+        assert all(len(integral._blocks(K.interior_count)) == 2
+                   for K in family)
         integral._generalized_sweep([from_string("power:2")], family, 1e-3)
         gc.collect()
-        assert alive_at_build == [0] * 5
-        assert len(refs) == 25 and all(ref() is None for ref in refs)
+        assert alive_at_build == [0] * 10
+        assert len(refs) == 60 and all(ref() is None for ref in refs)
+
+    def test_no_block_built_once_no_member_is_live(self, monkeypatch):
+        # A member that raises on the surface nodes is live on no block,
+        # so the sphere builds and seeds none; beside a live member every
+        # block is built once; and a member that raises on the first
+        # block's jets stops the blocks after it.
+        def raise_on_points(p):
+            if not isinstance(p, QJet):
+                raise DomainError("no points here")
+            return p
+
+        def raise_on_jets(p):
+            if isinstance(p, QJet):
+                raise DomainError("no jets here")
+            return p
+
+        calls, seeds = [], []
+        volume_nodes = integral.Hypersurface.volume_nodes
+        seed_at = QJet._seed_at
+        monkeypatch.setattr(integral.Hypersurface, "volume_nodes",
+                            lambda K, block=None: calls.append(block)
+                            or volume_nodes(K, block))
+        monkeypatch.setattr(QJet, "_seed_at",
+                            lambda g, q: seeds.append(q) or seed_at(g, q))
+        points_only = QFunction("points-only", raise_on_jets)
+        jets_only = QFunction("jets-only", raise_on_points)
+        family = integral.standard_family(10)
+        blocks = integral._blocks(family[0].interior_count)
+        assert len(blocks) == 2
+        (exc,), nodes = integral._generalized_sweep([jets_only], family,
+                                                    1e-3)
+        assert isinstance(exc, DomainError) and "no points" in str(exc)
+        assert calls == [] and seeds == []
+        sphere = integral._SphereJets(family[0])
+        assert calls == []
+        out = sphere.reports([jets_only, from_string("power:2")])
+        assert isinstance(out[0], DomainError) and len(out[1]) == 2
+        assert calls == blocks and len(seeds) == 2
+        calls.clear()
+        (exc,), _ = integral._generalized_sweep([points_only], family, 1e-3)
+        assert isinstance(exc, DomainError) and "no jets" in str(exc)
+        assert calls == blocks[:1]
 
     def test_error_on_the_second_sphere_only(self):
         # arctan_ex:1 crosses its arctanh margin near the z-axis, which
@@ -815,7 +862,8 @@ class TestGeneralizedSweep:
         builds = []
         volume_nodes = integral.Hypersurface.volume_nodes
         monkeypatch.setattr(integral.Hypersurface, "volume_nodes",
-                            lambda K: builds.append(K) or volume_nodes(K))
+                            lambda K, block: builds.append(K)
+                            or volume_nodes(K, block))
         (exc,), nodes = integral._generalized_sweep([f], family, 1e-3)
         assert isinstance(exc, DomainError)
         assert builds == [family[0]] and nodes == per_sphere[0]

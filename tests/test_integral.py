@@ -22,8 +22,8 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      volume_integral)
 from quatreg.cli import _plan
 from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
-                              _blocks, _generalized_sweep, _integrand_at,
-                              _verdict, _wsum)
+                              _blocks, _generalized_sweep, _gl_nodes,
+                              _integrand_at, _verdict, _wsum)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
@@ -502,11 +502,59 @@ class TestBlocks:
             "(Integral Theorem family)|error=DomainError: beyond 0.95 R|"
             "error|pass|FAIL")
 
+    def test_block_nodes_equal_the_whole_interior_in_every_float(self):
+        # Res 17: 8 shells of 9,826 nodes in 10 blocks of 7,860 or 7,861,
+        # so every block but the first starts inside a shell and some
+        # span two.  Each block's nodes and weights are the whole
+        # interior's at its slice, and the whole interior is the
+        # shell-by-surface broadcast the rule is written as.
+        K = standard_family(17)[0]
+        rho, wrho = _gl_nodes(8, 0.0, 1.0)
+        shell = K.points - K.center
+        want = np.stack(
+            [(c + s * rho[:, None]).reshape(-1) for c, s in
+             zip(K.center.components(), shell.components())]
+            + [((rho ** 3 * wrho)[:, None] * K.weights[None, :]
+                * K.radius).reshape(-1)]).view(np.int64)
+        pts, w = K.volume_nodes()
+        whole = np.stack([*pts.components(), w]).view(np.int64)
+        assert np.array_equal(whole, want)
+        blocks = _blocks(K.interior_count)
+        assert len(blocks) == 10
+        assert {b.stop - b.start for b in blocks} == {7860, 7861}
+        for block in blocks:
+            pts, w = K.volume_nodes(block)
+            got = np.stack([*pts.components(), w]).view(np.int64)
+            assert np.array_equal(got, whole[:, block]), block
+
+    def test_memory_does_not_grow_with_the_interior(self):
+        # ROADMAP item 2: one member on one res-32 sphere, whose 1,048,576
+        # interior nodes are 16 times its 65,536 surface nodes, in 128
+        # blocks.  Only the surface's arrays and one block's grow: the
+        # budget is 150 B per surface node plus 500 B per node of a full
+        # block, 13.9 MB.  The interior's nodes, weights, 1/r, -2/r and
+        # iota alone would take 84 MB.
+        f = from_string("power:2")
+        K = standard_family(32)[1]
+        assert K.interior_count == 16 * K.node_count == 1048576
+        budget = 150 * K.node_count + 500 * _BLOCK
+        tracemalloc.start()
+        try:
+            theorem2_report(f, K)
+            theorem2_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _generalized_sweep([f], (K,), 1e-3)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theorem2_peak < budget
+        assert sweep_peak < budget
+
     def test_peak_memory_per_interior_node(self):
-        # A block's jets are about 800 B per node, but only the weights
-        # and the shared per-block nodes, 1/r, -2/r and iota grow with the
-        # sphere: no integrand array does (ROADMAP aim 3).  Res 24:
-        # 331,776 nodes.
+        # A block's jets are about 800 B per node, but no array grows with
+        # the interior: each block's nodes, weights, 1/r, -2/r and iota
+        # are built where the block is used, and its integrands summed
+        # there (ROADMAP aim 3).  Res 24: 331,776 nodes.
         f = from_string("power:-3")
         family = standard_family(24)
         n = family[1].interior_count
