@@ -8,8 +8,12 @@ residual checkers for the structure theorems, and hypersurface quadrature
 for the integral characterization.  The ``quatreg`` command line wraps it
 all into reproducible batch suites.
 
-The package's own arithmetic calls no BLAS routine.  QUATREG_THREADS caps
-the BLAS thread pools before numpy is first imported by this package.
+The integral suites' quadrature sums are BLAS matrix products (dgemm);
+jet products and every other operation are elementwise numpy.
+QUATREG_THREADS caps the BLAS thread pools before numpy is first imported
+by this package, and a report's ``# blas_threads:`` line names that cap:
+the last bits of the integral rows may depend on the BLAS build and its
+threads.
 """
 
 import os as _os
@@ -19,6 +23,8 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
+#: The cap put on the BLAS thread pools: QUATREG_THREADS, or "unpinned".
+_blas_threads = _threads or "unpinned"
 del _os, _threads
 
 from .errors import (QuatRegError, OnRealAxis, ZeroDivisor, DegenerateChart,

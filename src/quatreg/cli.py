@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog, integral, regularity
+from . import _blas_threads, catalog, integral, regularity
 from .errors import (RUNTIME_ERRORS, BadParams, ConfigError, EmptyDomain,
                      TouchesRealAxis, UnknownFunction, residual_status)
 from .operators import fueter_laplacian
@@ -524,6 +524,7 @@ def run_suite(cfg: SuiteConfig):
         f"# wall_seconds: {wall:.2f}",
         f"# plan_seconds: {plan_s:.3f}",
         f"# peak_rss_mb: {_usage().ru_maxrss / 1024:.1f}",
+        f"# blas_threads: {_blas_threads}",
         "# schema: suite|backend|function|anchor|stats|status|expected|outcome",
     ]
     header.extend(f"# config: {line}"

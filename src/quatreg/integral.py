@@ -29,28 +29,43 @@ which follows from the spherical form D_l = d/dt + iota d/dr
 Cartesian jet and one radial directional derivative, so interior nodes on
 the plane t + z*k (where the angular chart degenerates) are no obstacle.
 
-Interior integrands are evaluated in equal contiguous blocks of at most
-_BLOCK nodes (_blocks), and each block is summed where it is made, the
-block sums added in block order.  A block's nodes and weights are built
-where the block is used (Hypersurface.volume_nodes(block)), so no array
-spans a sphere's interior and memory grows with the surface, not the
-interior.  The generalized sweep builds one _SphereJets per sphere: one
-buffer set (a seed jet and nine rows) that every member fills in place,
-so memory is not handed back and faulted in again.  It visits a sphere
-block by block: each block is seeded once, and every member is
-evaluated on that one seed jet, whose inverse and iota are built on
-first use and shared by the later members (QJet._once), and whose powers
-continue one chain (catalog._ipow).
+Both sides are sums that are linear in f's values or in the rows of its
+order-1 Cartesian jet, with coefficients that depend only on the node, so
+each is a BLAS matrix product (matmul) and no per-node integrand is
+formed.  With d_r f = sum_v iota_v d_v f (v = x, y, z) the Cullen part is
+d_t f + sum_u e_u sum_v iota_u iota_v d_v f, and by Lemma 1 iota*f's
+integrand is -2u/r = -2f/r - iota (-2v/r).  An interior block's sums are
+then its coefficient rows w, -2w/r, w iota_u and w iota_u iota_v
+(_weight_rows), built once per block and shared by every member,
+contracted with one matmul against each component's jet rows.  The
+contraction against w is the block's weighted sum of f's jet, whose D_l
+(operators.fueter_of_jet) is the sum of D_l f; one fixed table derived
+from the Hamilton product signs the rest into the sums of the Cullen
+part and of iota*f's integrand (_block_sides, _SIDES).  The surface side
+is the 16 sums of w n_k f_q, one matmul, signed the same way
+(_flux, _FLUX).  BLAS sums in its own order, so the last bits of these
+sums may depend on the BLAS build; the integral suites call the same
+functions on arrays of the same shapes, so they agree with each other
+bit for bit.
 
-The integrands and the surface fluxes are assembled in place, by the
-operations of the Quaternion formulas in their order (_integrands, and the
-in-place form of the one Hamilton walk, quaternion._hamilton), so a block
-makes no Quaternion temporaries and every float keeps its bits.
-theorem2_report seeds all the blocks of a sphere on one seed buffer.
+Interior blocks are equal contiguous slices of at most _BLOCK nodes
+(_blocks), and each block is summed where it is made, the block sums
+added in block order.  A block's nodes and weights are built where the
+block is used (Hypersurface.volume_nodes(block)), so no array spans a
+sphere's interior and memory grows with the surface, not the interior.
+The generalized sweep builds one _SphereJets per sphere: one buffer set
+(a seed jet and _ROWS rows) that every member uses in place, so memory is
+not handed back and faulted in again.  It visits a sphere block by block:
+each block is seeded once, and every member is evaluated on that one seed
+jet, whose inverse and iota are built on first use and shared by the
+later members (QJet._once), and whose powers continue one chain
+(catalog._ipow).  theorem2_report seeds all the blocks of a sphere on one
+seed buffer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,9 +76,9 @@ import numpy as np
 from .catalog import iota_of, parse_quaternion_literal
 from .errors import (RUNTIME_ERRORS, BadParams, TouchesRealAxis,
                      residual_status)
-from .jets import QJet
+from .jets import QJet, RJet, _lift
 from .operators import fueter_of_jet
-from .quaternion import Quaternion, _hamilton
+from .quaternion import _HAMILTON, Quaternion, _hamilton
 
 
 class Hypersurface:
@@ -193,39 +208,121 @@ def _longest_block(n: int) -> int:
     return max(b.stop - b.start for b in _blocks(n))
 
 
+def _fill(rows, vals: Quaternion):
+    """rows with the components of vals written into them, a 0-d or
+    structural zero filling its row."""
+    for row, comp in zip(rows, vals.components()):
+        row[...] = comp
+    return rows
+
+
 def _wsum(vals, w) -> Quaternion:
     """The sums over the nodes of vals * w, vals a Quaternion or a (4, n)
     array of the components, which is overwritten with vals * w: one
     multiply and one sum along axis 1, with the bits of each component's
-    product summed alone."""
+    product summed alone.  vals may also be a block contraction, a
+    function of w that forms the block's sums itself (_block_sides)."""
+    if callable(vals):
+        return vals(w)
     if isinstance(vals, Quaternion):
-        joined = np.empty((4, w.size))
-        for row, comp in zip(joined, vals.components()):
-            row[...] = comp     # a 0-d or structural zero fills its row
-        vals = joined
+        vals = _fill(np.empty((4, w.size)), vals)
     vals *= w
     return Quaternion(*(float(s) for s in vals.sum(axis=1)))
 
 
-def _flux(vals: Quaternion, K: Hypersurface, out, scratch) -> Quaternion:
-    """int_K n(p) f(p) dS from the values of f at K's surface nodes: n f
-    is written into out, a (4, nodes) array, with scratch one row of
-    nodes, and summed there."""
-    _hamilton(K.normals.components(), vals.components(), out, scratch)
-    return _wsum(out, K.weights)
+def _unit_terms(k: int, i: int) -> tuple:
+    """(q, sign): component i of e_k x is sign * x_q (_HAMILTON)."""
+    (q, sign), = [(q, sign) for kk, q, sign in _HAMILTON[i] if kk == k]
+    return q, sign
+
+
+def _flux_table():
+    """The (4, 16) table of signs that takes the 16 surface sums
+    S[k, q] = sum w n_k f_q to int_K n f dS: component i of n f sums
+    sign * S[k, q] over the terms (k, q, sign) of _HAMILTON[i]."""
+    table = np.zeros((4, 4, 4))
+    for i, terms in enumerate(_HAMILTON):
+        for k, q, sign in terms:
+            table[i, k, q] = sign
+    return table.reshape(4, 16)
+
+
+_FLUX = _flux_table()
+
+#: The coefficient rows an interior block's members share: w, -2w/r, the
+#: rows 1 + u of w iota_u (u = 1, 2, 3 for x, y, z), and w iota_u iota_v
+#: for the pairs of _PAIRS, from row 5 on.
+_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+_ROWS = 5 + len(_PAIRS)
+
+
+def _side_table():
+    """The (8, 4 * _ROWS * 5) table of signs that takes the contractions
+    P[q, a, b] = sum over a block of coefficient row a times row b of
+    component q of f's order-1 Cartesian jet (b = 0 the value, 1 + v the
+    partial d_v, v = 0..3 for t..z) to the block sums of f's Cullen part
+    d_t f + iota d_r f (entries 0-3) and of iota*f's -2u/r (4-7).
+
+    With d_r f = sum_v iota_v d_v f, iota d_r f = sum_u e_u sum_v iota_u
+    iota_v d_v f.  By Lemma 1, iota*f's -2u/r = -2f/r - iota (-2v/r),
+    and in iota (-2v/r) = iota D_l f - iota (d_t f + iota d_r f) =
+    sum_{v,u} iota_v e_v e_u d_u f + d_r f the terms with v = u cancel,
+    leaving
+
+        -2u/r = -2f/r - sum_{v != u} e_v e_u iota_v d_u f.
+
+    Every term is one P entry times a sign, for e_u x and e_v e_u x are
+    signed components of x."""
+    table = np.zeros((8, 4, _ROWS, 5))
+    for i in range(4):
+        table[i, i, 0, 1] = 1.0
+        for u in (1, 2, 3):
+            q, sign = _unit_terms(u, i)
+            for v in (1, 2, 3):
+                pair = _PAIRS.index((min(u, v), max(u, v)))
+                table[i, q, 5 + pair, 1 + v] += sign
+        table[4 + i, i, 1, 0] = 1.0
+        for v, u in itertools.permutations((1, 2, 3), 2):
+            # e_v e_u = sign_vu e_s
+            (s, sign_vu), = [(s, sign) for s, terms in enumerate(_HAMILTON)
+                             for k, q, sign in terms if (k, q) == (v, u)]
+            q, sign = _unit_terms(s, i)
+            table[4 + i, q, 1 + v, 1 + u] -= sign_vu * sign
+    return table.reshape(8, -1)
+
+
+_SIDES = _side_table()
+
+
+def _weighted_normals(K: Hypersurface, rows):
+    """rows, four rows of K's nodes, holding w n_k, k = 0..3; returned."""
+    for row, n in zip(rows, K.normals.components()):
+        np.multiply(K.weights, n, out=row)
+    return rows
+
+
+def _flux(rows) -> Quaternion:
+    """int_K n(p) f(p) dS from rows, an (8, nodes) array of K's weighted
+    normals (_weighted_normals) over f's values at the surface nodes: one
+    matmul of the halves gives the 16 sums of w n_k f_q, and _FLUX signs
+    them."""
+    sums = rows[:4] @ rows[4:8].T
+    return Quaternion(*(_FLUX @ sums.reshape(16)).tolist())
 
 
 def surface_integral_left(f, K: Hypersurface) -> Quaternion:
     """int_K n(p) f(p) dS with n(p) multiplying from the left."""
-    buf = np.empty((5, K.node_count))
-    return _flux(f.eval_point(K.points), K, buf[:4], buf[4])
+    vals = f.eval_point(K.points)
+    rows = np.empty((8, K.node_count))
+    _fill(rows[4:], vals)
+    return _flux(_weighted_normals(K, rows))
 
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
     """Weighted sum of a pointwise map g over the interior nodes.  Per
     block of _blocks the nodes are built, g is called on them and its
-    values summed there, so the nodes and g's temporaries stay one block
-    long."""
+    values summed there (_wsum), so the nodes and g's temporaries stay one
+    block long."""
     return reduce(operator.add, (
         _wsum(g(pts), w) for pts, w in map(K.volume_nodes,
                                            _blocks(K.interior_count))))
@@ -252,50 +349,44 @@ def gauss_report(f0, f1, f2, f3, K: Hypersurface):
     return lhs, rhs, rep.residual, rep.scale
 
 
-def _integrands(mv, g: QJet, pts: Quaternion, inv_r, iota: Quaternion,
-                work, row, m2_inv_r=None) -> None:
-    """Write -2v/r at pts into the four rows mv from g, an order-1
-    Cartesian jet of f there, with inv_r = 1/r and iota = iota_of(pts);
-    the four rows work and the row row are overwritten.  Given m2_inv_r =
-    -2/r, work ends as iota*f's integrand -2u/r = -2f/r - iota (-2v/r)
-    (Lemma 1).  The operations and their order are those of
-
-        dr = (dx * pts.x + dy * pts.y + dz * pts.z) * inv_r
-        mv = D_l f - (dt + iota * dr)
-        work = f * m2_inv_r - iota * mv
-
-    on the Quaternions (dt, dx, dy, dz) = g.first_partials(), so every
-    float keeps their bits."""
-    dt, dx, dy, dz = g.first_partials()
-    for acc, a, b, c in zip(work, dx.components(), dy.components(),
-                            dz.components()):
-        np.multiply(a, pts.x, out=acc)
-        np.add(acc, np.multiply(b, pts.y, out=row), out=acc)
-        np.add(acc, np.multiply(c, pts.z, out=row), out=acc)
-        np.multiply(acc, inv_r, out=acc)
-    _hamilton(iota.components(), work, mv, row)          # iota * dr
-    for acc, a in zip(mv, dt.components()):
-        np.add(a, acc, out=acc)
-    fueter_of_jet(g, out=work)
-    for acc, a in zip(mv, work):
-        np.subtract(a, acc, out=acc)
-    if m2_inv_r is None:
-        return
-    _hamilton(iota.components(), mv, work, row)          # iota * mv
-    for acc, a in zip(work, g.value.components()):
-        np.subtract(np.multiply(a, m2_inv_r, out=row), acc, out=acc)
+def _weight_rows(p: Quaternion, w, buf):
+    """A block's coefficient rows (see _PAIRS) from its nodes p and
+    weights w, written into the start of buf, a flat array, and returned
+    as an (_ROWS, n) array."""
+    rows = buf[:_ROWS * w.size].reshape(_ROWS, w.size)
+    iota = iota_of(p).components()
+    rows[0] = w
+    np.divide(w, p.imag_norm(), out=rows[1])
+    rows[1] *= -2.0
+    for u in (1, 2, 3):
+        np.multiply(w, iota[u], out=rows[1 + u])
+    for row, (u, v) in zip(rows[5:], _PAIRS):
+        np.multiply(rows[1 + u], iota[v], out=row)
+    return rows
 
 
-def _integrand_at(f, seed: QJet, pts: Quaternion) -> Quaternion:
-    """-2v/r of f at pts from f's jet on seed, the Cartesian seed at pts.
-    Its components are four rows of one array made after the jet, which
-    also holds _integrands' scratch."""
-    g = f.eval_jet(seed)
-    buf = np.empty((9,) + np.broadcast(*pts.components()).shape)
-    rows = [buf[i, ...] for i in range(9)]
-    _integrands(rows[:4], g, pts, 1.0 / pts.imag_norm(), iota_of(pts),
-                rows[4:8], rows[8])
-    return Quaternion(*rows[:4])
+def _block_sides(g: QJet, rows) -> tuple:
+    """The block sums of -2v/r and of iota*f's -2u/r from g, f's order-1
+    Cartesian jet on the block, and the block's coefficient rows
+    (_weight_rows): per component of g that is not a structural zero one
+    matmul of the rows against its five jet rows.  The sums against the
+    row w are the block's w-weighted sum of g, itself an order-1 jet, so
+    fueter_of_jet of it is the block sum of D_l f; -2v/r's sum is that
+    less the Cullen part's, -2v/r = D_l f - (d_t f + iota d_r f), and
+    _SIDES gives the Cullen part's and iota*f's.  A NaN or infinity
+    anywhere in g makes both sums NaN."""
+    n = rows.shape[1]
+    sums = np.zeros((4, _ROWS, 5))
+    for out, comp in zip(sums, g.components()):
+        if comp._mark == "zero":
+            continue
+        cm = comp._cm
+        if cm.shape[1:] != (n,):    # a constant without the batch axis
+            cm = np.broadcast_to(_lift(cm, 1), (5, n))
+        np.matmul(rows, cm.T, out=out)
+    d_l = fueter_of_jet(QJet(*(RJet._wrap(1, jet) for jet in sums[:, 0])))
+    sides = (_SIDES @ sums.reshape(-1)).tolist()
+    return d_l - Quaternion(*sides[:4]), Quaternion(*sides[4:])
 
 
 @dataclass(frozen=True)
@@ -322,50 +413,60 @@ def _report(K: Hypersurface, lhs: Quaternion,
 
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
-    """The Integral Theorem's two sides for f on K.  The interior
-    integrand is _integrand_at on one seed buffer for all of K's blocks."""
-    seed = QJet._seed_buffer(1, _longest_block(K.interior_count))
-    return _report(K, surface_integral_left(f, K), volume_integral(
-        lambda pts: _integrand_at(f, seed._seed_at(pts), pts), K))
+    """The Integral Theorem's two sides for f on K.  The interior side is
+    volume_integral of f's block contraction (_block_sides), with every
+    block seeded on one seed buffer and its coefficient rows written into
+    one array, as in _SphereJets."""
+    longest = _longest_block(K.interior_count)
+    seed = QJet._seed_buffer(1, longest)
+    buf = np.empty(_ROWS * longest)
+
+    def contraction(p):
+        g = f.eval_jet(seed._seed_at(p))
+        return lambda w: _block_sides(g, _weight_rows(p, w, buf))[0]
+
+    return _report(K, surface_integral_left(f, K),
+                   volume_integral(contraction, K))
 
 
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
-    share: iota at the surface nodes, and the buffers every member fills
-    in place.  These are the order-1 Cartesian seed jet of the longest
-    block of _blocks, whose rows below the value are written here and
-    only its value rows per block, and nine rows as long as the surface or
-    that block: two sets of four for the products or integrands, and a
-    scratch row, which made per block would slow the integrands by about
-    a sixth.
+    share: the buffers every member fills in place.  These are the order-1
+    Cartesian seed jet of the longest block of _blocks, whose rows below
+    the value are written here and only its value rows per block, and
+    rows, a flat array of _ROWS rows as long as the surface or that
+    block.  The surface sides view its start as nine rows of the surface's
+    length: K's weighted normals, a member's values and a scratch row.
+    Each block views it as _ROWS rows of the block's length: its
+    coefficient rows, which every member's jet is contracted against
+    (_block_sides).  Each view is C-contiguous, as are the arrays that
+    theorem2_report passes to the same functions.
 
     reports visits the members block by block.  A block's interior nodes
-    and weights, 1/r, -2/r and iota (the one iota_of) are built when it
-    is visited and dropped with it, so no array spans the interior.  The
-    block is seeded once and every member still without an error is
-    evaluated on that one seed jet, so the seed's inverse and its iota
-    are built once per block (QJet._once), and the members' powers of the
-    seed continue one chain (catalog._ipow)."""
+    and weights, and iota (the one iota_of) and 1/r for its coefficient
+    rows, are built when it is visited and dropped with it, so no array
+    spans the interior.  The block is seeded once and every member still
+    without an error is evaluated on that one seed jet, so the seed's
+    inverse and its iota are built once per block (QJet._once), and the
+    members' powers of the seed continue one chain (catalog._ipow)."""
 
     def __init__(self, K: Hypersurface):
         self.K = K
-        self.iota_surface = iota_of(K.points)
         longest = _longest_block(K.interior_count)
         self.seed = QJet._seed_buffer(1, longest)
-        self.rows = np.empty((9, max(K.node_count, longest)))
+        self.rows = np.empty(_ROWS * max(K.node_count, longest))
 
-    def _surface_sides(self, f) -> tuple:
+    def _surface_sides(self, f, rows, iota: Quaternion) -> tuple:
         """The surface sides of f and of iota*f on K from f's values at the
-        surface nodes: iota*f's values are iota times f's, as in
-        iota_times(f), and the products n f, iota f and n (iota f) are
-        formed in the sphere's rows."""
-        K, rows, n = self.K, self.rows, self.K.node_count
-        vals = f.eval_point(K.points)
-        nf, iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
-        lhs_f = _flux(vals, K, nf, row)
-        iota_vals = _hamilton(self.iota_surface.components(),
-                              vals.components(), iota_f, row)
-        return lhs_f, _flux(Quaternion(*iota_vals), K, nf, row)
+        surface nodes, with rows the nine surface rows whose first four
+        hold K's weighted normals and iota that of K's surface nodes:
+        iota*f's values are iota times f's, as in iota_times(f), written
+        into rows by the in-place Hamilton walk."""
+        vals = f.eval_point(self.K.points)
+        _fill(rows[4:8], vals)
+        lhs_f = _flux(rows)
+        _hamilton(iota.components(), vals.components(), rows[4:8], rows[8])
+        return lhs_f, _flux(rows)
 
     def reports(self, members) -> list:
         """Per member f, theorem2_report of f and of iota_times(f) on K
@@ -373,51 +474,51 @@ class _SphereJets:
         frames' locals not cleared.  Every member's surface sides come
         first, so that f's values are dropped before any jet is made.
         Then per block, while any member is without an error, the block's
-        nodes are built and the seed set at them once, and each such
-        member's order-1 Cartesian jet on it is made, its integrands
-        assembled in the sphere's rows (_integrands) and summed.  iota*f's
-        integrand is f's -2u/r = -2f/r - iota (-2v/r) by Lemma 1, with no
-        jet of iota*f.  Each member's block sums are added in block
-        order, and it makes the operations of a sweep of its own, so every
-        float keeps its bits."""
+        nodes and coefficient rows are built and the seed set at its nodes
+        once, and each such member's order-1 Cartesian jet on it is made
+        and contracted (_block_sides).  iota*f's sum comes from f's jet by
+        Lemma 1, with no jet of iota*f.  Each member's block sums are
+        added in block order, by the functions theorem2_report calls on
+        arrays of the same shapes, so f's sides keep its bits."""
+        K, n = self.K, self.K.node_count
+        rows = self.rows[:9 * n].reshape(9, n)
+        _weighted_normals(K, rows[:4])
+        iota = iota_of(K.points)
         found = []      # per member: (lhs_f, lhs_iota_f, sums, sums), or error
         for f in members:
             try:
-                found.append((*self._surface_sides(f), [], []))
+                found.append((*self._surface_sides(f, rows, iota), [], []))
             except RUNTIME_ERRORS as exc:
                 found.append(exc)
-        for block in _blocks(self.K.interior_count):
+        del rows, iota
+        for block in _blocks(K.interior_count):
             if all(isinstance(out, Exception) for out in found):
                 break
             self._add_block(block, members, found)
         return [out if isinstance(out, Exception) else
-                (_report(self.K, out[0], reduce(operator.add, out[2])),
-                 _report(self.K, out[1], reduce(operator.add, out[3])))
+                (_report(K, out[0], reduce(operator.add, out[2])),
+                 _report(K, out[1], reduce(operator.add, out[3])))
                 for out in found]
 
     def _add_block(self, block, members, found) -> None:
         """Evaluate on block's nodes every member whose entry in found is
         not an error: append its two block sums to that entry, or put the
-        error it raised in its place.  The block's nodes, weights, 1/r,
-        -2/r, iota and seed jet are this call's locals, so they are
-        dropped before the next block's are built."""
+        error it raised in its place.  The block's nodes, weights, iota
+        and seed jet are this call's locals, so they are dropped before
+        the next block's are built."""
         p, w = self.K.volume_nodes(block)
-        inv_r = 1.0 / p.imag_norm()
-        m2_inv_r, iota = -2.0 * inv_r, iota_of(p)
+        rows = _weight_rows(p, w, self.rows)
         seed = self.seed._seed_at(p)
-        n, rows = w.size, self.rows
-        mv_f, mv_iota_f, row = rows[:4, :n], rows[4:8, :n], rows[8, :n]
         for i, f in enumerate(members):
             if isinstance(found[i], Exception):
                 continue
             try:
-                _integrands(mv_f, f.eval_jet(seed), p, inv_r, iota,
-                            mv_iota_f, row, m2_inv_r)
+                side_f, side_iota_f = _block_sides(f.eval_jet(seed), rows)
             except RUNTIME_ERRORS as exc:
                 found[i] = exc
                 continue
-            found[i][2].append(_wsum(mv_f, w))
-            found[i][3].append(_wsum(mv_iota_f, w))
+            found[i][2].append(side_f)
+            found[i][3].append(side_iota_f)
 
 
 @dataclass(frozen=True)

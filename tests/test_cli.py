@@ -292,6 +292,12 @@ class TestReports:
             (line,) = [l for l in text.splitlines()
                        if l.startswith(f"# {key}: ")]
             assert float(line.split()[-1]) >= 0.0
+        # So does the BLAS thread cap, which the integral rows' last bits
+        # may depend on.
+        (line,) = [l for l in text.splitlines()
+                   if l.startswith("# blas_threads: ")]
+        assert line.split()[-1] == (os.environ.get("QUATREG_THREADS")
+                                    or "unpinned")
 
     def test_stats_formatting(self):
         text, _ = run_suite(small_cfg())

@@ -6,6 +6,7 @@ integral of p over any such sphere is -pi^2 R^4, and flux/divergence
 pairs of polynomial fields must balance to rounding.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,18 +22,32 @@ from quatreg import (BadParams, DomainError, QFunction, QJet, Quaternion,
                      standard_family, surface_integral_left, theorem2_report,
                      volume_integral)
 from quatreg.cli import _plan
-from quatreg.integral import (_BLOCK, GeneralizedVerdict, _SphereJets,
-                              _blocks, _generalized_sweep, _gl_nodes,
-                              _integrand_at, _verdict, _wsum)
+from quatreg.jets import RJet
+from quatreg.operators import fueter_of_jet
+from quatreg.integral import (_BLOCK, _FLUX, _SIDES, GeneralizedVerdict,
+                              _SphereJets, _blocks, _generalized_sweep,
+                              _gl_nodes, _verdict, _wsum)
 from conftest import FnWrap, PolyField, assert_close, q
 
 CENTER = q(0, 2, 0, 0)
 
+#: The units i, j and k, each with three structural zeros.
+UNITS = (None, q(x=1), q(y=1), q(z=1))
+
 
 def minus_two_v_over_r(f):
-    """The interior integrand -2v/r of f as a pointwise map: the integrand
-    writer on a Cartesian seed at the points."""
-    return lambda pts: _integrand_at(f, QJet.seed_cartesian(pts, 1), pts)
+    """The interior integrand -2v/r of f as a pointwise map, written per
+    node as the tangential part of f's gradient, sum_u e_u (d_u f - iota_u
+    d_r f) with d_r f = sum_u iota_u d_u f, from a Cartesian jet of f at
+    the points."""
+    def integrand(pts):
+        _, *grad = f.eval_jet(QJet.seed_cartesian(pts, 1)).first_partials()
+        iota = iota_of(pts).components()[1:]
+        d_r = grad[0] * iota[0] + grad[1] * iota[1] + grad[2] * iota[2]
+        return (UNITS[1] * (grad[0] - d_r * iota[0])
+                + UNITS[2] * (grad[1] - d_r * iota[1])
+                + UNITS[3] * (grad[2] - d_r * iota[2]))
+    return integrand
 
 
 def unit_sphere(res=12, radius=1.0):
@@ -324,9 +339,10 @@ class TestGeneralized:
 
 def _whole_sphere_rhs(f, K):
     """The interior sides of f and of iota*f on K from one evaluation over
-    all interior nodes at once, by the Quaternion formulas the in-place
-    integrands of _SphereJets.reports and theorem2_report must match,
-    summed per block of _blocks with the block sums added in order."""
+    all interior nodes at once, by the per-node Quaternion formulas
+    -2v/r = D_l f - (dt + iota dr) and iota*f's -2u/r = -2f/r - iota
+    (-2v/r), summed per block of _blocks with the block sums added in
+    order."""
     pts, w = K.volume_nodes()
     g = f.eval_jet(QJet.seed_cartesian(pts, 1))
     inv_r, iota = 1.0 / pts.imag_norm(), iota_of(pts)
@@ -355,14 +371,103 @@ def _whole_sphere_lhs(f, K):
             for v in (vals, iota_of(K.points) * vals)]
 
 
+#: The pairs u <= v of the coefficient rows w iota_u iota_v, rows 5-10.
+PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def _sign_tables():
+    """The contraction's two sign tables, derived from Quaternion
+    products of basis vectors.  The block table: with P[q, a, b] the sum
+    over a block of coefficient row a (w, -2w/r, w iota_u, w iota_u
+    iota_v) times row b of jet component q (the value, then d_t..d_z), and
+    each P entry the basis vector of its index,
+
+        the Cullen part's sum = P(w, d_t)
+                                + sum_u e_u sum_v P(w iota_u iota_v, d_v),
+        -2u/r's sum           = P(-2w/r, value)
+                                - sum_{v != u} (e_v e_u) P(w iota_v, d_u),
+
+    where P(a, b) is the quaternion of the four components' entries; the
+    components of the two sides are the table's rows.  The flux table:
+    n f = sum_k e_k (sum_q e_q S[k, q]) with S[k, q] = sum w n_k f_q."""
+    basis = np.eye(4 * 11 * 5).reshape(4, 11, 5, -1)
+
+    def P(a, b):
+        return Quaternion(*basis[:, a, b])
+
+    cullen, iota_side = P(0, 1), P(1, 0)
+    for u, v in itertools.product((1, 2, 3), repeat=2):
+        pair = PAIRS.index((min(u, v), max(u, v)))
+        cullen = cullen + UNITS[u] * P(5 + pair, 1 + v)
+        if v != u:
+            iota_side = iota_side - (UNITS[v] * UNITS[u]) * P(1 + v, 1 + u)
+    sides = np.stack([np.broadcast_to(c, 220) for c in
+                      cullen.components() + iota_side.components()]) + 0.0
+    flux_basis = np.eye(16).reshape(4, 4, 16)
+    flux = q(1) * Quaternion(*flux_basis[0])
+    for k in (1, 2, 3):
+        flux = flux + UNITS[k] * Quaternion(*flux_basis[k])
+    return sides, np.stack(flux.components()) + 0.0
+
+
+def _contracted_sides(f, K):
+    """The four sides of f and of iota*f on K by a test-local copy of the
+    contractions, making the calls the package makes: the surface's 16
+    sums of w n_k f_q by one matmul, and per block of _blocks the rows w,
+    -2w/r, w iota_u and w iota_u iota_v in one array, one matmul of them
+    per jet component, fueter_of_jet of the w-weighted jet and the sign
+    tables of _sign_tables, the block sums added in order."""
+    sides_table, flux_table = _sign_tables()
+    n = K.node_count
+    vals = f.eval_point(K.points)
+    rows = np.empty((8, n))
+    for row, c in zip(rows, K.normals.components()):
+        np.multiply(K.weights, c, out=row)
+    lhs = []
+    for v in (vals, iota_of(K.points) * vals):
+        for row, c in zip(rows[4:], v.components()):
+            row[...] = c
+        sums = (flux_table @ (rows[:4] @ rows[4:].T).reshape(16)).tolist()
+        lhs.append(Quaternion(*sums))
+    blocks = _blocks(K.interior_count)
+    longest = max(b.stop - b.start for b in blocks)
+    seed = QJet._seed_buffer(1, longest)
+    buf = np.empty(11 * longest)
+    rhs = [None, None]
+    for block in blocks:
+        pts, w = K.volume_nodes(block)
+        rows = buf[:11 * w.size].reshape(11, w.size)
+        iota = iota_of(pts).components()
+        rows[0] = w
+        np.divide(w, pts.imag_norm(), out=rows[1])
+        rows[1] *= -2.0
+        for u in (1, 2, 3):
+            np.multiply(w, iota[u], out=rows[1 + u])
+        for row, (u, v) in zip(rows[5:], PAIRS):
+            np.multiply(rows[1 + u], iota[v], out=row)
+        sums = np.zeros((4, 11, 5))
+        for out, comp in zip(sums, f.eval_jet(seed._seed_at(pts))
+                             .components()):
+            if comp._mark != "zero":
+                cm = np.broadcast_to(comp._cm.reshape(5, -1), (5, w.size))
+                np.matmul(rows, cm.T, out=out)
+        d_l = fueter_of_jet(QJet(*(RJet._wrap(1, s) for s in sums[:, 0])))
+        parts = (sides_table @ sums.reshape(-1)).tolist()
+        for i, part in enumerate((d_l - Quaternion(*parts[:4]),
+                                  Quaternion(*parts[4:]))):
+            rhs[i] = part if rhs[i] is None else rhs[i] + part
+    return lhs, rhs
+
+
 def _bits(q):
     return np.array(q.components(), dtype=float).tobytes()
 
 
 class TestBlocks:
-    """Interior integrands are evaluated and summed in the blocks of
-    _blocks, and the block sums added in order, so every float keeps the
-    bits of the Quaternion formulas summed the same way."""
+    """Interior sides are contracted per block of _blocks, and the block
+    sums added in order.  Every float keeps the bits of a test-local copy
+    of the contractions, and stays within 1e-12 of the scale of the
+    per-node Quaternion formulas summed the same way."""
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 10000, 65536,
                                    5308416])
@@ -390,17 +495,69 @@ class TestBlocks:
         for fid in ("power:-3", "laurent:-2=1k", "iota", "conj", "coord:x",
                     "series:1,1i,0.5j"):
             f = from_string(fid)
-            rhs_f, rhs_iota_f = _whole_sphere_rhs(f, K)
-            lhs_f, lhs_iota_f = _whole_sphere_lhs(f, K)
+            (lhs_f, lhs_iota_f), (rhs_f, rhs_iota_f) = _contracted_sides(f, K)
+            near_rhs = _whole_sphere_rhs(f, K)
+            near_lhs = _whole_sphere_lhs(f, K)
             rep = theorem2_report(f, K)
             got_f, got_iota_f = sphere.reports([f])[0]
-            for got, lhs, rhs in ((rep, lhs_f, rhs_f),
-                                  (got_f, lhs_f, rhs_f),
-                                  (got_iota_f, lhs_iota_f, rhs_iota_f)):
+            for got, lhs, rhs, side in (
+                    (rep, lhs_f, rhs_f, 0), (got_f, lhs_f, rhs_f, 0),
+                    (got_iota_f, lhs_iota_f, rhs_iota_f, 1)):
                 assert _bits(got.lhs) == _bits(lhs), fid
                 assert _bits(got.rhs) == _bits(rhs), fid
                 assert got.residual == float((lhs - rhs).norm()), fid
                 assert got.scale == float(lhs.norm() + rhs.norm() + 1.0)
+                bound = 1e-12 * got.scale
+                assert float((got.lhs - near_lhs[side]).norm()) <= bound
+                assert float((got.rhs - near_rhs[side]).norm()) <= bound
+
+    @pytest.mark.parametrize("res", [17, 6])
+    def test_contractions_equal_the_per_node_formulas(self, res):
+        # Res 17: 10 unequal blocks, longer than the surface is not; res 6:
+        # one block of 1,296 nodes, longer than the 432 surface nodes.
+        # series:2 is a constant with no batch axis, coord:x has three
+        # structural-zero components, and the product a control.
+        K = standard_family(res)[1]
+        members = default_inventory() + (
+            from_string("series:2"), from_string("coord:x"),
+            product(from_string("power:2"), from_string("conj")))
+        for f, pair in zip(members, _SphereJets(K).reports(members)):
+            near_lhs, near_rhs = _whole_sphere_lhs(f, K), _whole_sphere_rhs(
+                f, K)
+            for got, lhs, rhs in zip(pair, near_lhs, near_rhs):
+                bound = 1e-12 * got.scale
+                assert float((got.lhs - lhs).norm()) <= bound, f.fid
+                assert float((got.rhs - rhs).norm()) <= bound, f.fid
+
+    def test_sign_tables_are_the_quaternion_formulas(self):
+        sides, flux = _sign_tables()
+        assert np.array_equal(_SIDES, sides)
+        assert np.array_equal(_FLUX, flux)
+        assert set(np.unique(_SIDES)) == {-1.0, 0.0, 1.0}
+
+    def test_a_nan_at_one_node_reads_error(self):
+        # The member's jet and value are NaN at the first interior node
+        # only, through every row, so both suites' interior sides are NaN.
+        K = standard_family(8)[1]
+        first = K.volume_nodes(slice(0, 1))[0]
+
+        def body(p):
+            at = p.value if isinstance(p, QJet) else p
+            hit = np.logical_and.reduce([c == c0 for c, c0 in zip(
+                at.components(), first.components())])
+            return p * p * np.where(hit, np.nan, 1.0)
+
+        member = QFunction("nan-at-one-node", body)
+        rep = theorem2_report(member, K)
+        assert np.isfinite(float(rep.lhs.norm()))
+        assert np.isnan(rep.residual) and rep.status(1e-3) == "error"
+        verdict = generalized_regularity_test(member, (K,), 1e-3)
+        assert verdict.status == "error"
+        cfg = SuiteConfig(surfaces=(
+            "sphere:center=0.4-1.4i+1.2j+1.3k,r=0.7,res=8",))
+        for suite in ("integral", "generalized"):
+            (row,), _ = _plan(suite, cfg, [member])()
+            assert row.render().split("|")[5:] == ["error", "pass", "FAIL"]
 
     def test_theorem2_report_seeds_one_buffer(self, monkeypatch):
         # Over the 8 blocks of a res-16 sphere theorem2_report calls
@@ -442,8 +599,8 @@ class TestBlocks:
         spheres = [_SphereJets(K) for K in family]
         assert spheres[0].seed.t._cm.shape == (5, 7861)
         assert res17[0].node_count == 9826
-        assert spheres[0].rows.shape == (9, 9826)
-        assert spheres[1].rows.shape == (9, 1296)
+        assert spheres[0].rows.shape == (11 * 9826,)
+        assert spheres[1].rows.shape == (11 * 1296,)
         members = [from_string(fid) for fid in (
             "power:-3", "laurent:-2=1k", "iota", "conj", "coord:x")]
         verdicts, _ = _generalized_sweep(members, family, 1e-3)
