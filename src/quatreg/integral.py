@@ -49,18 +49,17 @@ functions on arrays of the same shapes, so they agree with each other
 bit for bit.
 
 Interior blocks are equal contiguous slices of at most _BLOCK nodes
-(_blocks), and each block is summed where it is made, the block sums
-added in block order.  A block's nodes and weights are built where the
-block is used (Hypersurface.volume_nodes(block)), so no array spans a
-sphere's interior and memory grows with the surface, not the interior.
-The generalized sweep builds one _SphereJets per sphere: one buffer set
-(a seed jet and _ROWS rows) that every member uses in place, so memory is
-not handed back and faulted in again.  It visits a sphere block by block:
-each block is seeded once, and every member is evaluated on that one seed
-jet, whose inverse and iota are built on first use and shared by the
-later members (QJet._once), and whose powers continue one chain
-(catalog._ipow).  theorem2_report seeds all the blocks of a sphere on one
-seed buffer.
+(_blocks), and volume_integral is the one loop over them: it builds a
+block's nodes and weights where the block is used
+(Hypersurface.volume_nodes(block)), sums the block there and drops its
+nodes before the next block's, so no array spans a sphere's interior and
+memory grows with the surface, not the interior.  Both integral suites
+take their interior sides from one block evaluator through it,
+_SphereJets.interior_sums: the generalized sweep on its members, sphere
+by sphere, and theorem2_report on [f].  Each block is seeded once, and
+every member is evaluated on that one seed jet, whose inverse and iota
+are built on first use and shared by the later members (QJet._once),
+and whose powers continue one chain (catalog._ipow).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -220,10 +219,7 @@ def _wsum(vals, w) -> Quaternion:
     """The sums over the nodes of vals * w, vals a Quaternion or a (4, n)
     array of the components, which is overwritten with vals * w: one
     multiply and one sum along axis 1, with the bits of each component's
-    product summed alone.  vals may also be a block contraction, a
-    function of w that forms the block's sums itself (_block_sides)."""
-    if callable(vals):
-        return vals(w)
+    product summed alone."""
     if isinstance(vals, Quaternion):
         vals = _fill(np.empty((4, w.size)), vals)
     vals *= w
@@ -319,13 +315,20 @@ def surface_integral_left(f, K: Hypersurface) -> Quaternion:
 
 
 def volume_integral(g, K: Hypersurface) -> Quaternion:
-    """Weighted sum of a pointwise map g over the interior nodes.  Per
-    block of _blocks the nodes are built, g is called on them and its
-    values summed there (_wsum), so the nodes and g's temporaries stay one
-    block long."""
-    return reduce(operator.add, (
-        _wsum(g(pts), w) for pts, w in map(K.volume_nodes,
-                                           _blocks(K.interior_count))))
+    """Weighted sum of a pointwise map g over the interior nodes, the one
+    loop over a sphere's blocks.  Per block of _blocks the nodes are built,
+    g is called on them and its values summed there (_wsum), or, if g
+    returns a block contraction (a function of the weights), that forms
+    the block's sums (_SphereJets.interior_sums).  The block sums are added
+    in block order.  Only _block_sum's call holds a block's nodes, so they
+    are dropped before the next block's are built."""
+    return reduce(operator.add, (_block_sum(g, *K.volume_nodes(block))
+                                 for block in _blocks(K.interior_count)))
+
+
+def _block_sum(g, pts: Quaternion, w):
+    vals = g(pts)
+    return vals(w) if callable(vals) else _wsum(vals, w)
 
 
 def divergence(fs, pts: Quaternion) -> Quaternion:
@@ -365,7 +368,7 @@ def _weight_rows(p: Quaternion, w, buf):
     return rows
 
 
-def _block_sides(g: QJet, rows) -> tuple:
+def _block_sides(g: QJet, rows) -> np.ndarray:
     """The block sums of -2v/r and of iota*f's -2u/r from g, f's order-1
     Cartesian jet on the block, and the block's coefficient rows
     (_weight_rows): per component of g that is not a structural zero one
@@ -373,8 +376,9 @@ def _block_sides(g: QJet, rows) -> tuple:
     row w are the block's w-weighted sum of g, itself an order-1 jet, so
     fueter_of_jet of it is the block sum of D_l f; -2v/r's sum is that
     less the Cullen part's, -2v/r = D_l f - (d_t f + iota d_r f), and
-    _SIDES gives the Cullen part's and iota*f's.  A NaN or infinity
-    anywhere in g makes both sums NaN."""
+    _SIDES gives the Cullen part's and iota*f's.  Returned as a (2, 4)
+    array, a row of components per sum.  A NaN or infinity anywhere in g
+    makes both sums NaN."""
     n = rows.shape[1]
     sums = np.zeros((4, _ROWS, 5))
     for out, comp in zip(sums, g.components()):
@@ -385,8 +389,9 @@ def _block_sides(g: QJet, rows) -> tuple:
             cm = np.broadcast_to(_lift(cm, 1), (5, n))
         np.matmul(rows, cm.T, out=out)
     d_l = fueter_of_jet(QJet(*(RJet._wrap(1, jet) for jet in sums[:, 0])))
-    sides = (_SIDES @ sums.reshape(-1)).tolist()
-    return d_l - Quaternion(*sides[:4]), Quaternion(*sides[4:])
+    sides = (_SIDES @ sums.reshape(-1)).reshape(2, 4)
+    sides[0] = d_l.components() - sides[0]
+    return sides
 
 
 @dataclass(frozen=True)
@@ -413,48 +418,35 @@ def _report(K: Hypersurface, lhs: Quaternion,
 
 
 def theorem2_report(f, K: Hypersurface) -> TheoremTwoReport:
-    """The Integral Theorem's two sides for f on K.  The interior side is
-    volume_integral of f's block contraction (_block_sides), with every
-    block seeded on one seed buffer and its coefficient rows written into
-    one array, as in _SphereJets."""
-    longest = _longest_block(K.interior_count)
-    seed = QJet._seed_buffer(1, longest)
-    buf = np.empty(_ROWS * longest)
-
-    def contraction(p):
-        g = f.eval_jet(seed._seed_at(p))
-        return lambda w: _block_sides(g, _weight_rows(p, w, buf))[0]
-
-    return _report(K, surface_integral_left(f, K),
-                   volume_integral(contraction, K))
+    """The Integral Theorem's two sides for f on K: surface_integral_left,
+    and the interior side of _SphereJets' block evaluator on [f], the one
+    the generalized sweep uses, which raises f's first error."""
+    lhs = surface_integral_left(f, K)
+    sums = _SphereJets(K, surface=False).interior_sums([f], [lhs])
+    return _report(K, lhs, Quaternion(*sums[0, 0]))
 
 
 class _SphereJets:
     """What the integral-theorem reports of every member on one sphere K
-    share: the buffers every member fills in place.  These are the order-1
-    Cartesian seed jet of the longest block of _blocks, whose rows below
-    the value are written here and only its value rows per block, and
-    rows, a flat array of _ROWS rows as long as the surface or that
-    block.  The surface sides view its start as nine rows of the surface's
-    length: K's weighted normals, a member's values and a scratch row.
-    Each block views it as _ROWS rows of the block's length: its
-    coefficient rows, which every member's jet is contracted against
-    (_block_sides).  Each view is C-contiguous, as are the arrays that
-    theorem2_report passes to the same functions.
+    share: the buffers every member fills in place, so memory is not handed
+    back and faulted in again.  These are the order-1 Cartesian seed jet of
+    the longest block of _blocks, whose rows below the value are written
+    here and only its value rows per block, and rows, a flat array of
+    _ROWS rows as long as that block or, unless surface is false, as the
+    surface if that is longer.  The surface sides view its start as nine
+    rows of the surface's length: K's weighted normals, a member's values
+    and a scratch row.  Each block views it as _ROWS rows of the block's
+    length: its coefficient rows, which every member's jet is contracted
+    against (_block_sides).  Each view is C-contiguous, so a member's sums
+    keep their bits whichever length rows has.  A block's nodes, weights,
+    iota (the one iota_of) and 1/r are built when it is visited and
+    dropped with it (volume_integral)."""
 
-    reports visits the members block by block.  A block's interior nodes
-    and weights, and iota (the one iota_of) and 1/r for its coefficient
-    rows, are built when it is visited and dropped with it, so no array
-    spans the interior.  The block is seeded once and every member still
-    without an error is evaluated on that one seed jet, so the seed's
-    inverse and its iota are built once per block (QJet._once), and the
-    members' powers of the seed continue one chain (catalog._ipow)."""
-
-    def __init__(self, K: Hypersurface):
+    def __init__(self, K: Hypersurface, surface: bool = True):
         self.K = K
         longest = _longest_block(K.interior_count)
         self.seed = QJet._seed_buffer(1, longest)
-        self.rows = np.empty(_ROWS * max(K.node_count, longest))
+        self.rows = np.empty(_ROWS * max(K.node_count * surface, longest))
 
     def _surface_sides(self, f, rows, iota: Quaternion) -> tuple:
         """The surface sides of f and of iota*f on K from f's values at the
@@ -468,57 +460,64 @@ class _SphereJets:
         _hamilton(iota.components(), vals.components(), rows[4:8], rows[8])
         return lhs_f, _flux(rows)
 
+    def interior_sums(self, members, found) -> np.ndarray:
+        """volume_integral over K of every member whose entry in found is
+        not an error, the one block evaluator of both integral suites: per
+        block the seed is set at the block's nodes once, its coefficient
+        rows are written once (_weight_rows), and each such member's
+        order-1 Cartesian jet on it is made and contracted (_block_sides);
+        iota*f's sum comes from f's jet by Lemma 1.  Returns a (members, 2,
+        4) array: [i, 0] holds the components of member i's sum of -2v/r
+        and [i, 1] those of iota*f's -2u/r.  A member that raises has its
+        error, its frames' locals not cleared, put in its place in found,
+        and is skipped on later blocks; once no member is live that error
+        is raised, so no block is built after it."""
+        return volume_integral(
+            lambda p: partial(self._block, members, found, p), self.K)
+
+    def _block(self, members, found, p: Quaternion, w) -> np.ndarray:
+        """One block's sums of interior_sums from its nodes p and weights
+        w, 0 for a member whose entry in found is an error."""
+        seed = self.seed._seed_at(p)
+        rows = _weight_rows(p, w, self.rows)
+        sums = np.zeros((len(members), 2, 4))
+        for i, f in enumerate(members):
+            if not isinstance(found[i], Exception):
+                try:
+                    sums[i] = _block_sides(f.eval_jet(seed), rows)
+                except RUNTIME_ERRORS as exc:
+                    found[i] = exc
+                    if all(isinstance(out, Exception) for out in found):
+                        raise
+        return sums
+
     def reports(self, members) -> list:
         """Per member f, theorem2_report of f and of iota_times(f) on K
         from one evaluation of f, or the first runtime error f raised, its
         frames' locals not cleared.  Every member's surface sides come
-        first, so that f's values are dropped before any jet is made.
-        Then per block, while any member is without an error, the block's
-        nodes and coefficient rows are built and the seed set at its nodes
-        once, and each such member's order-1 Cartesian jet on it is made
-        and contracted (_block_sides).  iota*f's sum comes from f's jet by
-        Lemma 1, with no jet of iota*f.  Each member's block sums are
-        added in block order, by the functions theorem2_report calls on
-        arrays of the same shapes, so f's sides keep its bits."""
+        first, so that f's values are dropped before any jet is made; the
+        interior sides are interior_sums', and no block is built while no
+        member is without an error."""
         K, n = self.K, self.K.node_count
         rows = self.rows[:9 * n].reshape(9, n)
         _weighted_normals(K, rows[:4])
         iota = iota_of(K.points)
-        found = []      # per member: (lhs_f, lhs_iota_f, sums, sums), or error
+        found = []      # per member: its (lhs_f, lhs_iota_f), or error
         for f in members:
             try:
-                found.append((*self._surface_sides(f, rows, iota), [], []))
+                found.append(self._surface_sides(f, rows, iota))
             except RUNTIME_ERRORS as exc:
                 found.append(exc)
         del rows, iota
-        for block in _blocks(K.interior_count):
-            if all(isinstance(out, Exception) for out in found):
-                break
-            self._add_block(block, members, found)
+        try:
+            if any(isinstance(out, tuple) for out in found):
+                sums = self.interior_sums(members, found)
+        except RUNTIME_ERRORS:
+            pass    # the last live member's error, already in found
         return [out if isinstance(out, Exception) else
-                (_report(K, out[0], reduce(operator.add, out[2])),
-                 _report(K, out[1], reduce(operator.add, out[3])))
-                for out in found]
-
-    def _add_block(self, block, members, found) -> None:
-        """Evaluate on block's nodes every member whose entry in found is
-        not an error: append its two block sums to that entry, or put the
-        error it raised in its place.  The block's nodes, weights, iota
-        and seed jet are this call's locals, so they are dropped before
-        the next block's are built."""
-        p, w = self.K.volume_nodes(block)
-        rows = _weight_rows(p, w, self.rows)
-        seed = self.seed._seed_at(p)
-        for i, f in enumerate(members):
-            if isinstance(found[i], Exception):
-                continue
-            try:
-                side_f, side_iota_f = _block_sides(f.eval_jet(seed), rows)
-            except RUNTIME_ERRORS as exc:
-                found[i] = exc
-                continue
-            found[i][2].append(side_f)
-            found[i][3].append(side_iota_f)
+                tuple(_report(K, lhs, Quaternion(*rhs))
+                      for lhs, rhs in zip(out, sums[i]))
+                for i, out in enumerate(found)]
 
 
 @dataclass(frozen=True)

@@ -753,7 +753,9 @@ class TestGeneralizedSweep:
         # one block at a time: at res 10 each sphere has 2 blocks, and
         # when the sweep builds a block's nodes, no earlier block's are
         # alive, nor the array they are rows of, and after it none are,
-        # though the family still is.
+        # though the family still is.  So too for theorem2_report and for
+        # volume_integral of a pointwise map, whose blocks go through the
+        # same loop.
         refs, alive_at_build = [], []
         volume_nodes = integral.Hypersurface.volume_nodes
 
@@ -773,6 +775,14 @@ class TestGeneralizedSweep:
         gc.collect()
         assert alive_at_build == [0] * 10
         assert len(refs) == 60 and all(ref() is None for ref in refs)
+        for run in (lambda K: theorem2_report(from_string("power:2"), K),
+                    lambda K: integral.volume_integral(lambda p: p * p, K)):
+            refs.clear()
+            alive_at_build.clear()
+            run(family[1])
+            gc.collect()
+            assert alive_at_build == [0, 0]
+            assert len(refs) == 12 and all(ref() is None for ref in refs)
 
     def test_no_block_built_once_no_member_is_live(self, monkeypatch):
         # A member that raises on the surface nodes is live on no block,
@@ -815,6 +825,19 @@ class TestGeneralizedSweep:
         (exc,), _ = integral._generalized_sweep([points_only], family, 1e-3)
         assert isinstance(exc, DomainError) and "no jets" in str(exc)
         assert calls == blocks[:1]
+        # theorem2_report keeps the same rule on [f]: it raises f's error
+        # from the first block's jets, or from the surface before any
+        # block is built.
+        calls.clear()
+        seeds.clear()
+        with pytest.raises(DomainError, match="no jets"):
+            theorem2_report(points_only, family[0])
+        assert calls == blocks[:1] and len(seeds) == 1
+        calls.clear()
+        seeds.clear()
+        with pytest.raises(DomainError, match="no points"):
+            theorem2_report(jets_only, family[0])
+        assert calls == [] and seeds == []
 
     def test_error_on_the_second_sphere_only(self):
         # arctan_ex:1 crosses its arctanh margin near the z-axis, which
